@@ -11,68 +11,25 @@ import argparse
 import fnmatch
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import laws as laws_mod
-from .giry import (
-    GirySpace,
-    NotAMeasure,
-    ProbMeasure,
-    barycenter,
-    dirac,
-    monad_mu,
-    phi,
-    phi_inverse,
-)
+from .giry import NotAMeasure, ProbMeasure
 from .laws import HarnessConfig, demo_divergent_sum, demo_half_cauchy, demo_open_interval
 from .meas import FiniteMeasurableSpace, generate_sigma_algebra
-from .numerics import ExtReal, as_ext
+from .numerics import DEFAULT_DIVERGENCE_THRESHOLD, ExtReal, as_ext
 from .reports import LawReport
-from .scvx import CountablyAffineMap, check_morphism, make_interval_space
+from .scvx import (
+    CarrierViolation,
+    CountablyAffineMap,
+    affine_map,
+    check_morphism,
+    make_interval_space,
+)
 
 EXIT_OK = 0
 EXIT_LAW_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    cases_per_suite: int = 200
-    tolerance: Fraction = Fraction(1, 10**12)
-    n_max: int = 10**6
-    divergence_threshold: Fraction = Fraction(10**12)
-    output: str = "text"
-    json_path: str | None = None
-    suite_glob: str | None = None
-    mutants: bool = False
-
-    def validate(self):
-        if self.cases_per_suite <= 0:
-            raise ValueError("--cases must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("--tolerance must be positive")
-        if self.n_max <= 0:
-            raise ValueError("--n-max must be positive")
-        if self.divergence_threshold <= 0:
-            raise ValueError("--threshold must be positive")
-
-    def harness(self) -> HarnessConfig:
-        return HarnessConfig(
-            seed=self.seed,
-            cases=self.cases_per_suite,
-            tolerance=self.tolerance,
-            n_max=self.n_max,
-            threshold=self.divergence_threshold,
-        )
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ValueError:
-        return Fraction(float(text))
 
 
 def _reports_payload(reports: list[LawReport]) -> str:
@@ -81,12 +38,12 @@ def _reports_payload(reports: list[LawReport]) -> str:
     ) + "\n"
 
 
-def _emit_reports(reports: list[LawReport], config: RunConfig) -> int:
+def _emit_reports(reports: list[LawReport], args) -> int:
     failed = [r for r in reports if not r.ok]
-    if config.json_path:
-        with open(config.json_path, "w") as fh:
+    if args.json_path:
+        with open(args.json_path, "w") as fh:
             fh.write(_reports_payload(reports))
-    if config.output == "json":
+    if args.output == "json":
         sys.stdout.write(_reports_payload(reports))
     else:
         for r in reports:
@@ -95,29 +52,32 @@ def _emit_reports(reports: list[LawReport], config: RunConfig) -> int:
     return EXIT_LAW_FAILURE if failed else EXIT_OK
 
 
-def cmd_laws(config: RunConfig) -> int:
+def cmd_laws(cfg: HarnessConfig, args) -> int:
     name_filter = None
-    if config.suite_glob:
-        name_filter = lambda name: fnmatch.fnmatch(name, config.suite_glob)
+    if args.suite_glob:
+        name_filter = lambda name: fnmatch.fnmatch(name, args.suite_glob)
     reports = laws_mod.run_suites(
-        config.harness(), name_filter=name_filter, include_mutants=config.mutants
+        cfg, name_filter=name_filter, include_mutants=args.mutants
     )
     if not reports:
-        print(f"no suite matches {config.suite_glob!r}", file=sys.stderr)
+        print(f"no suite matches {args.suite_glob!r}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    return _emit_reports(reports, config)
+    return _emit_reports(reports, args)
 
 
-def cmd_demo(name: str, args, config: RunConfig) -> int:
-    if name == "divergent-sum":
+def cmd_demo(args) -> int:
+    if args.name == "divergent-sum":
         value = demo_divergent_sum(args.n)
         print(f"sum_(i<=N) (1/2^i)(i*2^i) at N={args.n}: {value}")
-        if value > config.divergence_threshold:
-            print(f"exceeds divergence threshold {config.divergence_threshold}")
+        if value > DEFAULT_DIVERGENCE_THRESHOLD:
+            print(f"exceeds divergence threshold {DEFAULT_DIVERGENCE_THRESHOLD}")
         return EXIT_OK
-    if name == "half-cauchy":
-        n_values = args.n_list or [1, 10, 100, 10**4]
-        rows = demo_half_cauchy(n_values)
+    if args.name == "half-cauchy":
+        try:
+            rows = demo_half_cauchy(args.n_list or [1, 10, 100, 10**4])
+        except OverflowError:
+            print("demo error: --n-list values must fit in a float", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
         print(f"{'N':>10}  {'closed form':>14}  {'quadrature':>14}")
         for row in rows:
             print(f"{row['N']:>10}  {row['closed_form']:>14.8f}  "
@@ -125,17 +85,18 @@ def cmd_demo(name: str, args, config: RunConfig) -> int:
         print("the truncated expectation grows without bound: no barycenter "
               "exists on the half-line")
         return EXIT_OK
-    if name == "open-interval":
-        result = demo_open_interval(depth=args.depth)
-        enc = result.enclosure
-        print(f"geometric mixture of 1/(i+1) at depth {args.depth}:")
-        print(f"  value    {result.value} ~= {float(result):.10f}")
-        print(f"  enclosure [{enc.lower}, {enc.upper}] "
-              f"(width {enc.width} ~= {float(enc.width):.3e})")
+    result = demo_open_interval(depth=args.depth)
+    enc = result.enclosure
+    print(f"geometric mixture of 1/(i+1) at depth {args.depth}:")
+    print(f"  value    {result.value} ~= {float(result):.10f}")
+    print(f"  enclosure [{enc.lower}, {enc.upper}] "
+          f"(width {enc.width} ~= {float(enc.width):.3e})")
+    if 0 < enc.lower and enc.upper < 1:
         print("  lies strictly inside (0,1); the limit is 2 ln 2 - 1")
-        return EXIT_OK
-    print(f"unknown demo {name!r}", file=sys.stderr)
-    return EXIT_CONFIG_ERROR
+    else:
+        print("  too wide to place inside (0,1); raise --depth "
+              "(the limit is 2 ln 2 - 1)")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +107,35 @@ class ScenarioError(Exception):
     pass
 
 
+def _object(value, where: str, keys=None) -> dict:
+    """``value`` as a JSON object; given ``keys``, one with no other key."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    unknown = [] if keys is None else [k for k in value if k not in keys]
+    if unknown:
+        raise ScenarioError(f"{where}.{unknown[0]}".lstrip(".") + ": unknown key")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: expected a list")
+    return value
+
+
+def _label(value, where: str):
+    if not isinstance(value, (str, int, float)):
+        raise ScenarioError(f"{where}: expected a string or number label")
+    return value
+
+
+def _rational(value, where: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        raise ScenarioError(f"{where}: {value!r} is not a rational")
+
+
 def _load_scenario(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -154,153 +144,165 @@ def _load_scenario(path: str) -> dict:
         raise ScenarioError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}")
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise ScenarioError('scenario must be an object with "schema": 1')
-    return doc
+    return _object(doc, "", ("schema", "spaces", "measures", "maps", "checks"))
 
 
-def _build_scenario_objects(doc: dict):
-    spaces: dict[str, FiniteMeasurableSpace] = {}
-    for name, entry in doc.get("spaces", {}).items():
-        where = f"spaces.{name}"
-        carrier = entry.get("carrier")
-        if not carrier:
-            raise ScenarioError(f"{where}: missing carrier")
-        sigma = entry.get("sigma", "powerset")
-        if sigma == "powerset":
-            spaces[name] = FiniteMeasurableSpace.powerset(carrier)
-        else:
-            try:
-                spaces[name] = generate_sigma_algebra(carrier, sigma)
-            except (KeyError, ValueError) as exc:
-                raise ScenarioError(f"{where}.sigma: {exc}")
-
-    measures: dict[str, ProbMeasure] = {}
-    for name, entry in doc.get("measures", {}).items():
-        where = f"measures.{name}"
-        space = spaces.get(entry.get("space"))
-        if space is None:
-            raise ScenarioError(f"{where}.space: unknown space {entry.get('space')!r}")
-        support = []
-        for k, entry in enumerate(entry.get("atoms", [])):
-            atom = entry.get("atom")
-            if atom not in space.index:
-                raise ScenarioError(f"{where}.atoms[{k}]: {atom!r} not in carrier")
-            try:
-                w = Fraction(entry.get("weight", "0"))
-            except (ValueError, TypeError):
-                raise ScenarioError(f"{where}.atoms[{k}].weight: not a rational")
-            support.append((atom, w))
-        try:
-            measures[name] = ProbMeasure(support, base=space)
-        except NotAMeasure as exc:
-            raise ScenarioError(f"{where}: {exc}")
-
-    maps: dict[str, CountablyAffineMap] = {}
-    closed = make_interval_space("closed_unit")
-    for name, entry in doc.get("maps", {}).items():
-        where = f"maps.{name}"
-        kind = entry.get("kind")
-        if kind == "affine":
-            try:
-                offset = Fraction(entry.get("offset", "0"))
-                slope = Fraction(entry.get("slope", "1"))
-            except (ValueError, TypeError):
-                raise ScenarioError(f"{where}: offset/slope must be rationals")
-            from .scvx import affine_map
-            maps[name] = affine_map(closed, closed, offset, slope, name=name)
-        elif kind == "poly":
-            try:
-                coeffs = [Fraction(c) for c in entry.get("coeffs", [])]
-            except (ValueError, TypeError):
-                raise ScenarioError(f"{where}.coeffs: must be rationals")
-            if not coeffs:
-                raise ScenarioError(f"{where}.coeffs: must be nonempty")
-
-            def poly(x, coeffs=tuple(coeffs)):
-                x = as_ext(x)
-                acc = Fraction(0)
-                for c in reversed(coeffs):
-                    acc = acc * x.value + c
-                return ExtReal(acc)
-
-            maps[name] = CountablyAffineMap(closed, closed, poly, name=name)
-        else:
-            raise ScenarioError(f"{where}.kind: expected 'affine' or 'poly'")
-    return spaces, measures, maps
+def _space(entry, where: str) -> FiniteMeasurableSpace:
+    entry = _object(entry, where, ("carrier", "sigma"))
+    carrier = entry.get("carrier")
+    if not carrier or not isinstance(carrier, list):
+        raise ScenarioError(f"{where}.carrier: expected a nonempty list of labels")
+    for k, x in enumerate(carrier):
+        _label(x, f"{where}.carrier[{k}]")
+    if len(set(carrier)) != len(carrier):
+        raise ScenarioError(f"{where}.carrier: labels must be distinct")
+    sigma = entry.get("sigma", "powerset")
+    if sigma == "powerset":
+        return FiniteMeasurableSpace.powerset(carrier)
+    for k, g in enumerate(_list(sigma, f"{where}.sigma")):
+        for j, x in enumerate(_list(g, f"{where}.sigma[{k}]")):
+            if _label(x, f"{where}.sigma[{k}][{j}]") not in carrier:
+                raise ScenarioError(f"{where}.sigma[{k}][{j}]: {x!r} not in carrier")
+    return generate_sigma_algebra(carrier, sigma)
 
 
-def cmd_scenario(path: str, config: RunConfig) -> int:
+def _measure(entry, where: str, spaces: dict) -> ProbMeasure:
+    entry = _object(entry, where, ("space", "atoms"))
+    name = entry.get("space")
+    space = spaces.get(name) if isinstance(name, str) else None
+    if space is None:
+        raise ScenarioError(f"{where}.space: unknown space {name!r}")
+    support = []
+    for k, atom in enumerate(_list(entry.get("atoms", []), f"{where}.atoms")):
+        at = f"{where}.atoms[{k}]"
+        atom = _object(atom, at, ("atom", "weight"))
+        label = _label(atom.get("atom"), f"{at}.atom")
+        if label not in space.index:
+            raise ScenarioError(f"{at}.atom: {label!r} not in carrier")
+        support.append((label, _rational(atom.get("weight", "0"), f"{at}.weight")))
     try:
-        doc = _load_scenario(path)
-        spaces, measures, maps = _build_scenario_objects(doc)
-        reports = []
-        for k, check in enumerate(doc.get("checks", [])):
-            where = f"checks[{k}]"
-            suite = check.get("suite")
-            if suite == "triangle":
-                P = measures.get(check.get("measure"))
-                if P is None:
-                    raise ScenarioError(f"{where}.measure: unknown measure")
-                report = LawReport(law="triangle", instance=check.get("measure"))
-                back = monad_mu(dirac(P))
-                if back == P:
-                    report.record_pass()
-                else:
-                    report.record_failure({
-                        "measure": P.to_json_obj(), "flattened": back.to_json_obj(),
-                    })
-                reports.append(report)
-            elif suite == "phi-roundtrip":
-                mname = check.get("measure")
-                P = measures.get(mname)
-                if P is None:
-                    raise ScenarioError(f"{where}.measure: unknown measure")
-                report = LawReport(law="phi-roundtrip", instance=mname)
-                back = phi_inverse(phi(P), P.base)
-                if back == P:
-                    report.record_pass()
-                else:
-                    report.record_failure({
-                        "measure": P.to_json_obj(), "roundtrip": back.to_json_obj(),
-                    })
-                reports.append(report)
-            elif suite == "morphism":
-                m = maps.get(check.get("map"))
-                if m is None:
-                    raise ScenarioError(f"{where}.map: unknown map")
-                seeds = laws_mod._suite_seeds(
-                    config.harness(), f"scenario-morphism-{check.get('map')}"
-                )
-                reports.append(check_morphism(m, seeds))
-            else:
-                raise ScenarioError(
-                    f"{where}.suite: unknown suite {suite!r} "
-                    "(expected triangle, phi-roundtrip, or morphism)"
-                )
+        return ProbMeasure(support, base=space)
+    except NotAMeasure as exc:
+        raise ScenarioError(f"{where}: {exc}")
+
+
+def _map(entry, where: str, name: str, closed) -> CountablyAffineMap:
+    kind = _object(entry, where).get("kind")
+    if kind == "affine":
+        _object(entry, where, ("kind", "offset", "slope"))
+        offset = _rational(entry.get("offset", "0"), f"{where}.offset")
+        slope = _rational(entry.get("slope", "1"), f"{where}.slope")
+        if slope < 0:
+            raise ScenarioError(f"{where}.slope: must be nonnegative")
+        if offset < 0 or offset + slope > 1:
+            raise ScenarioError(f"{where}: {offset} + {slope}x leaves [0,1]")
+        return affine_map(closed, closed, offset, slope, name=name)
+    if kind == "poly":
+        _object(entry, where, ("kind", "coeffs"))
+        coeffs = [_rational(c, f"{where}.coeffs[{k}]")
+                  for k, c in enumerate(_list(entry.get("coeffs", []), f"{where}.coeffs"))]
+        if not coeffs:
+            raise ScenarioError(f"{where}.coeffs: must be nonempty")
+
+        def poly(x, coeffs=tuple(coeffs)):
+            x = as_ext(x)
+            acc = Fraction(0)
+            for c in reversed(coeffs):
+                acc = acc * x.value + c
+            return ExtReal(acc)
+
+        return CountablyAffineMap(closed, closed, poly, name=name)
+    raise ScenarioError(f"{where}.kind: expected 'affine' or 'poly'")
+
+
+def _build_scenario_objects(doc: dict, closed):
+    spaces = {name: _space(entry, f"spaces.{name}")
+              for name, entry in _object(doc.get("spaces", {}), "spaces").items()}
+    measures = {name: _measure(entry, f"measures.{name}", spaces)
+                for name, entry in _object(doc.get("measures", {}), "measures").items()}
+    maps = {name: _map(entry, f"maps.{name}", name, closed)
+            for name, entry in _object(doc.get("maps", {}), "maps").items()}
+    return measures, maps
+
+
+# the object kind each scenario check names
+CHECK_OBJECTS = {"triangle": "measure", "phi-roundtrip": "measure", "morphism": "map"}
+
+
+def _run_check(check, where: str, measures: dict, maps: dict,
+               cfg: HarnessConfig) -> LawReport:
+    suite = _object(check, where).get("suite")
+    if not isinstance(suite, str) or suite not in CHECK_OBJECTS:
+        raise ScenarioError(
+            f"{where}.suite: unknown suite {suite!r} "
+            "(expected triangle, phi-roundtrip, or morphism)"
+        )
+    kind = CHECK_OBJECTS[suite]
+    name = _object(check, where, ("suite", kind)).get(kind)
+    obj = (maps if kind == "map" else measures).get(name) if isinstance(name, str) else None
+    if obj is None:
+        raise ScenarioError(f"{where}.{kind}: unknown {kind} {name!r}")
+    if suite == "morphism":
+        try:
+            return check_morphism(obj, laws_mod.suite_seeds(cfg, f"scenario-morphism-{name}"))
+        except CarrierViolation as exc:
+            raise ScenarioError(f"maps.{name}: {exc}")
+    law = laws_mod.check_triangle if suite == "triangle" else laws_mod.check_phi_roundtrip
+    return LawReport.single(suite, name, law(obj))
+
+
+def cmd_scenario(cfg: HarnessConfig, args) -> int:
+    closed = make_interval_space("closed_unit", cfg.tolerance)
+    try:
+        doc = _load_scenario(args.path)
+        measures, maps = _build_scenario_objects(doc, closed)
+        reports = [_run_check(check, f"checks[{k}]", measures, maps, cfg)
+                   for k, check in enumerate(_list(doc.get("checks", []), "checks"))]
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    return _emit_reports(reports, config)
+    return _emit_reports(reports, args)
 
 
 # ---------------------------------------------------------------------------
 
 
+def _rational_arg(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational such as 1/1000 or 1e-3, got {text!r}")
+
+
+def _int_arg(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cases", type=int, default=200,
-                        help="cases per suite (default 200)")
-    common.add_argument("--tolerance", type=str, default="1/1000000000000",
-                        help="tolerance for enclosure-valued comparisons")
-    common.add_argument("--n-max", type=int, default=10**6,
-                        help="truncation depth budget for lazy sums")
-    common.add_argument("--threshold", type=str, default="1000000000000",
-                        help="divergence threshold for uncertified sums")
-    common.add_argument("--json", dest="json_path", metavar="PATH",
+    checks = argparse.ArgumentParser(add_help=False)
+    checks.add_argument("--seed", type=int, default=0)
+    checks.add_argument("--cases", type=int, default=200,
+                        help="cases per seeded check (default 200)")
+    checks.add_argument("--tolerance", type=_rational_arg, default=Fraction(1, 10**12),
+                        help="tolerance for enclosure-valued comparisons, "
+                             "a rational such as 1/1000000000000 or 1e-12")
+    checks.add_argument("--json", dest="json_path", metavar="PATH",
                         help="write the JSON report bundle to PATH")
-    common.add_argument("--output", choices=("text", "json"), default="text")
+    checks.add_argument("--output", choices=("text", "json"), default="text")
 
     parser = argparse.ArgumentParser(
         prog="girycheck",
@@ -309,25 +311,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p_laws = sub.add_parser("laws", parents=[common], help="run the law suites")
+    p_laws = sub.add_parser("laws", parents=[checks], help="run the law suites")
     p_laws.add_argument("--suite", dest="suite_glob", metavar="GLOB",
                         help="only run suites matching this glob")
     p_laws.add_argument("--mutants", action="store_true",
                         help="include the deliberately broken instances "
                              "(they must fail; exit status 1)")
 
-    p_demo = sub.add_parser("demo", parents=[common],
-                            help="run a counterexample demo")
+    p_demo = sub.add_parser("demo", help="run a counterexample demo")
     p_demo.add_argument("name", choices=("half-cauchy", "divergent-sum",
                                          "open-interval"))
-    p_demo.add_argument("--n", type=int, default=100,
+    p_demo.add_argument("--n", type=_int_arg(1), default=100,
                         help="truncation for divergent-sum")
-    p_demo.add_argument("--n-list", type=int, nargs="*", default=None,
+    p_demo.add_argument("--n-list", type=_int_arg(1), nargs="*", default=None,
                         help="truncations for half-cauchy")
-    p_demo.add_argument("--depth", type=int, default=50,
+    p_demo.add_argument("--depth", type=_int_arg(0), default=50,
                         help="enclosure depth for open-interval")
 
-    p_scn = sub.add_parser("scenario", parents=[common],
+    p_scn = sub.add_parser("scenario", parents=[checks],
                            help="check user-declared objects")
     p_scn.add_argument("path", help="scenario JSON file")
 
@@ -340,30 +341,16 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_CONFIG_ERROR
+    if args.command == "demo":
+        return cmd_demo(args)
     try:
-        config = RunConfig(
-            seed=args.seed,
-            cases_per_suite=args.cases,
-            tolerance=_parse_rational(args.tolerance),
-            n_max=args.n_max,
-            divergence_threshold=_parse_rational(args.threshold),
-            output=args.output,
-            json_path=args.json_path,
-            suite_glob=getattr(args, "suite_glob", None),
-            mutants=getattr(args, "mutants", False),
-        )
-        config.validate()
+        cfg = HarnessConfig(seed=args.seed, cases=args.cases, tolerance=args.tolerance)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
     if args.command == "laws":
-        return cmd_laws(config)
-    if args.command == "demo":
-        return cmd_demo(args.name, args, config)
-    if args.command == "scenario":
-        return cmd_scenario(args.path, config)
-    return EXIT_CONFIG_ERROR
+        return cmd_laws(cfg, args)
+    return cmd_scenario(cfg, args)
 
 
 if __name__ == "__main__":

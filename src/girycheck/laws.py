@@ -3,8 +3,10 @@ axioms, the morphism law, barycenter naturality, the triangle identities,
 the measure/functional isomorphism, the monad laws, image and recovery
 properties, plus the closed-form divergence demos.
 
-Every suite is pure given its seed list; failures carry serialized
-witnesses.  Exact-path suites use no tolerance at all.
+Each law has one checker.  A seeded suite runs it through
+``reports.run_per_seed`` on instances drawn from each seed; ``scenario``
+runs the same checker on a user's instance.  Failures carry serialized
+witnesses, and exact-path suites use no tolerance at all.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import hashlib
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .giry import (
@@ -40,7 +43,7 @@ from .numerics import (
     random_partition,
     scale,
 )
-from .reports import LawReport
+from .reports import LawReport, run_per_seed
 from .scvx import (
     CountablyAffineMap,
     IntervalSpace,
@@ -66,25 +69,31 @@ class Ambiguous(Exception):
 
 @dataclass
 class HarnessConfig:
+    """The master seed, the cases per seeded suite, and the tolerance for
+    values that carry a nondegenerate enclosure."""
+
     seed: int = 0
     cases: int = 200
     tolerance: Fraction = Fraction(1, 10**12)
-    n_max: int = 10**6
-    threshold: Fraction = Fraction(10**12)
-    depth: int = 8
+
+    def __post_init__(self):
+        if self.cases <= 0:
+            raise ValueError("--cases must be positive")
+        if self.tolerance <= 0:
+            raise ValueError("--tolerance must be positive")
 
 
 @dataclass
 class LawSuite:
-    """A named, seeded law check with a declared tolerance policy."""
+    """A named law check; ``run`` maps the suite's seeds to its report."""
 
     name: str
-    run: Callable[[HarnessConfig], LawReport]
-    tolerance_policy: str = "exact"
-    expected_to_fail: bool = False
+    run: Callable[[list[int]], LawReport]
 
 
-def _suite_seeds(cfg: HarnessConfig, name: str) -> list[int]:
+def suite_seeds(cfg: HarnessConfig, name: str) -> list[int]:
+    """``cfg.cases`` seeds for the check called ``name``, derived from the
+    master seed."""
     digest = hashlib.blake2s(f"{cfg.seed}:{name}".encode(), digest_size=8).digest()
     rng = random.Random(int.from_bytes(digest, "big"))
     return [rng.getrandbits(48) for _ in range(cfg.cases)]
@@ -100,29 +109,21 @@ def shipped_spaces(cfg: HarnessConfig) -> dict:
         "closed-unit": closed,
         "open-unit": make_interval_space("open_unit", cfg.tolerance),
         "ext-real": make_interval_space("ext_real_line", cfg.tolerance),
-        "product": make_product_space(
-            [make_interval_space("closed_unit", cfg.tolerance),
-             make_interval_space("closed_unit", cfg.tolerance)]
-        ),
+        "product": make_product_space([closed, closed]),
         "giry2": GirySpace(FiniteMeasurableSpace.powerset(["x1", "x2"])),
         "giry3": GirySpace(FiniteMeasurableSpace.powerset(["x1", "x2", "x3"])),
         "giry4": GirySpace(FiniteMeasurableSpace.powerset(["x1", "x2", "x3", "x4"])),
     }
 
 
-def shipped_maps(cfg: HarnessConfig) -> dict:
-    closed = make_interval_space("closed_unit", cfg.tolerance)
-    ext = make_interval_space("ext_real_line", cfg.tolerance)
-    prod = make_product_space([
-        make_interval_space("closed_unit", cfg.tolerance),
-        make_interval_space("closed_unit", cfg.tolerance),
-    ])
-    proj = CountablyAffineMap(prod, closed, lambda t: t[0], name="proj1")
+def shipped_maps(spaces: dict) -> dict:
+    closed, ext = spaces["closed-unit"], spaces["ext-real"]
     return {
         "id": identity_map(closed),
         "affine-half": affine_map(closed, closed, Fraction(1, 2), Fraction(1, 2)),
         "const-third": constant_map(closed, closed, Fraction(1, 3)),
-        "proj1": proj,
+        "proj1": CountablyAffineMap(spaces["product"], closed, lambda t: t[0],
+                                    name="proj1"),
         "ext-affine": affine_map(ext, ext, Fraction(-3), Fraction(2)),
     }
 
@@ -189,24 +190,20 @@ def half_cauchy_generalized_point() -> GeneralizedPoint:
 
 
 # ---------------------------------------------------------------------------
-# law checks
+# law checks: each returns None when the law holds on its instance, or a
+# witness
 
 
 def check_image_property(J: GeneralizedPoint, m: CountablyAffineMap,
-                         probe_grid=None) -> LawReport:
+                         probe_grid=None) -> dict | None:
     """J(m) must land in the image of m.  Finite carriers are enumerated;
     interval carriers use the image's interval classification with the
     endpoint openness of the carrier."""
-    report = LawReport(law="image-property", instance=m.name)
     val = J.apply(m)
     ok, image_desc = _image_contains(m, val, probe_grid)
     if ok:
-        report.record_pass()
-    else:
-        report.record_failure({
-            "map": m.name, "value": describe(val), "image": image_desc,
-        })
-    return report
+        return None
+    return {"map": m.name, "value": describe(val), "image": image_desc}
 
 
 def _image_contains(m, val: ExtReal, probe_grid=None):
@@ -250,10 +247,10 @@ def _interval_hull_contains(vals: set, val: ExtReal, closed: bool):
 
 
 def check_generalized_point_naturality(J: GeneralizedPoint, m,
-                                       g_family) -> LawReport:
+                                       g_family) -> dict | None:
     """Postcomposition naturality: J(g o m) = g(J(m)) for each affine
-    endomap g of the extended reals in the family."""
-    report = LawReport(law="gp-naturality", instance=getattr(m, "name", "map"))
+    endomap g of the extended reals in the family; the witness names the
+    first g that breaks it."""
     jm = J.apply(m)
     for g in g_family:
         composed = CountablyAffineMap(
@@ -262,51 +259,46 @@ def check_generalized_point_naturality(J: GeneralizedPoint, m,
         )
         lhs = J.apply(composed)
         rhs = as_ext(g(jm))
-        if lhs == rhs:
-            report.record_pass()
-        else:
-            report.record_failure({
-                "g": g.name, "lhs": describe(lhs), "rhs": describe(rhs),
-            })
-    return report
+        if lhs != rhs:
+            return {"g": g.name, "lhs": describe(lhs), "rhs": describe(rhs)}
+    return None
 
 
-def check_naturality_epsilon(m: CountablyAffineMap, P: ProbMeasure) -> LawReport:
+def check_naturality_epsilon(m: CountablyAffineMap, P: ProbMeasure) -> dict | None:
     """Barycenter naturality: mapping the barycenter equals the barycenter
     of the pushforward."""
-    report = LawReport(law="naturality-epsilon", instance=m.name)
     lhs = m(barycenter(m.source, P))
     rhs = barycenter(m.target, pushforward(P, m))
     if m.target.eq(lhs, rhs):
-        report.record_pass()
-    else:
-        report.record_failure({
-            "map": m.name, "lhs": describe(lhs), "rhs": describe(rhs),
-            "measure": P.to_json_obj(),
-        })
-    return report
+        return None
+    return {"map": m.name, "lhs": describe(lhs), "rhs": describe(rhs),
+            "measure": P.to_json_obj()}
 
 
-def check_triangle_identities(X: FiniteMeasurableSpace, A, seeds) -> LawReport:
-    """The two triangle identities: flattening a point mass at a measure
-    returns the measure, and the barycenter of a point mass is its point."""
-    report = LawReport(law="triangle", instance=f"{X!r}, {A.name}", seeds=list(seeds))
-    GX = GirySpace(X)
-    for seed in seeds:
-        rng = random.Random(seed)
-        P = GX.sample(rng)
-        back = monad_mu(dirac(P))
-        a = A.sample(rng)
-        recovered = barycenter(A, dirac(a))
-        if back == P and A.eq(recovered, a):
-            report.record_pass()
-        else:
-            report.record_failure({
-                "seed": seed, "measure": P.to_json_obj(),
-                "flattened": back.to_json_obj(),
-                "point": describe(a), "recovered": describe(recovered),
-            })
-    return report
+def check_triangle(P: ProbMeasure, A=None, a=None) -> dict | None:
+    """The triangle identities: flattening the point mass at the measure P
+    returns P, and, when a point a of the space A is given, the barycenter
+    of the point mass at a is a."""
+    back = monad_mu(dirac(P))
+    recovered = None if A is None else barycenter(A, dirac(a))
+    if back == P and (A is None or A.eq(recovered, a)):
+        return None
+    witness = {"measure": P.to_json_obj(), "flattened": back.to_json_obj()}
+    if A is not None:
+        witness.update(point=describe(a), recovered=describe(recovered))
+    return witness
+
+
+def check_phi_roundtrip(P: ProbMeasure) -> dict | None:
+    """phi_inverse(phi(P)) is P, for P on a finite measurable space.  The
+    two measures are compared by their mass on each atom of the
+    sigma-algebra: phi_inverse may put an atom's mass on another label of
+    the same atom."""
+    X = P.base
+    back = phi_inverse(phi(P), X)
+    if all(back.measure_of(u) == P.measure_of(u) for u in X.atoms_of_sigma()):
+        return None
+    return {"measure": P.to_json_obj(), "roundtrip": back.to_json_obj()}
 
 
 def check_evaluation_point_recovery(J: GeneralizedPoint, carrier,
@@ -332,11 +324,10 @@ def check_sigma_agreement(X: FiniteMeasurableSpace, seeds) -> LawReport:
     (a) each set-evaluation functional is countably affine on mixtures,
     (b) affine combinations of evaluations that agree on all point masses
     agree on sampled mixtures."""
-    report = LawReport(law="sigma-agreement", instance=repr(X), seeds=list(seeds))
     GX = GirySpace(X)
     sigma = X.sorted_sigma()
-    for seed in seeds:
-        rng = random.Random(seed)
+
+    def case(rng):
         u = sigma[rng.randrange(len(sigma))]
         k = rng.randint(1, 4)
         parts = random_partition(rng.getrandbits(32), k)
@@ -365,14 +356,12 @@ def check_sigma_agreement(X: FiniteMeasurableSpace, seeds) -> LawReport:
         determined = (not agree_on_diracs) or agree_on_mixture
 
         if affine_ok and determined:
-            report.record_pass()
-        else:
-            report.record_failure({
-                "seed": seed, "set": [str(x) for x in X.set_of(u)],
+            return None
+        return {"set": [str(x) for x in X.set_of(u)],
                 "affine_ok": affine_ok, "determined": determined,
-                "mixture": mixed.to_json_obj(),
-            })
-    return report
+                "mixture": mixed.to_json_obj()}
+
+    return run_per_seed("sigma-agreement", repr(X), seeds, case)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +422,8 @@ def affine_endomap_family(cfg: HarnessConfig):
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: per-case bodies (rng) -> witness | None that draw an instance
+# and hand it to the law's checker
 
 
 def _sample_unit_measure(rng: random.Random, space, max_atoms: int = 6) -> ProbMeasure:
@@ -456,312 +446,202 @@ def _random_powerset_space(rng: random.Random, max_points: int) -> FiniteMeasura
     return FiniteMeasurableSpace.powerset([f"x{i}" for i in range(1, n + 1)])
 
 
-def _run_per_seed(name: str, instance: str, seeds, body) -> LawReport:
-    report = LawReport(law=name, instance=instance, seeds=list(seeds))
-    for seed in seeds:
-        witness = body(random.Random(seed))
-        if witness is None:
-            report.record_pass()
-        else:
-            witness["seed"] = seed
-            report.record_failure(witness)
-    return report
+def _random_affine_map(rng, source, target, max_eighths: int):
+    """offset + slope * x with slope in eighths up to max_eighths/8 and an
+    offset that keeps [0,1] inside [0,1]."""
+    slope = Fraction(rng.randint(0, max_eighths), 8)
+    offset = Fraction(rng.randint(0, max_eighths), 8) * (1 - slope)
+    return affine_map(source, target, offset, slope)
 
 
-def _suite_triangle(cfg: HarnessConfig) -> LawReport:
-    seeds = _suite_seeds(cfg, "triangle")
-    closed = make_interval_space("closed_unit", cfg.tolerance)
-
-    def body(rng):
-        X = _random_powerset_space(rng, 4)
-        GX = GirySpace(X)
-        P = GX.sample(rng)
-        back = monad_mu(dirac(P))
-        a = closed.sample(rng)
-        recovered = barycenter(closed, dirac(a))
-        if back == P and closed.eq(recovered, a):
-            return None
-        return {"measure": P.to_json_obj(), "flattened": back.to_json_obj(),
-                "point": describe(a), "recovered": describe(recovered)}
-
-    return _run_per_seed("triangle", "G(X) and [0,1]", seeds, body)
+def _triangle_case(closed, rng):
+    GX = GirySpace(_random_powerset_space(rng, 4))
+    return check_triangle(GX.sample(rng), closed, closed.sample(rng))
 
 
-def _suite_naturality_epsilon(cfg: HarnessConfig) -> LawReport:
-    seeds = _suite_seeds(cfg, "naturality-epsilon")
-    closed = make_interval_space("closed_unit", cfg.tolerance)
-
-    def body(rng):
-        slope = Fraction(rng.randint(0, 8), 8)
-        offset = Fraction(rng.randint(0, 8), 8) * (1 - slope)
-        m = affine_map(closed, closed, offset, slope)
-        P = _sample_unit_measure(rng, closed)
-        lhs = m(barycenter(closed, P))
-        rhs = barycenter(closed, pushforward(P, m))
-        if as_ext(lhs) == as_ext(rhs):
-            return None
-        return {"map": m.name, "lhs": describe(lhs), "rhs": describe(rhs),
-                "measure": P.to_json_obj()}
-
-    return _run_per_seed("naturality-epsilon", "[0,1] affine maps", seeds, body)
+def _naturality_epsilon_case(closed, rng):
+    m = _random_affine_map(rng, closed, closed, 8)
+    return check_naturality_epsilon(m, _sample_unit_measure(rng, closed))
 
 
-def _suite_phi_roundtrip(cfg: HarnessConfig) -> LawReport:
-    seeds = _suite_seeds(cfg, "phi-roundtrip")
-
-    def body(rng):
-        X = _random_powerset_space(rng, 8)
-        GX = GirySpace(X)
-        P = GX.sample(rng)
-        back = phi_inverse(phi(P), X)
-        if back == P:
-            return None
-        return {"measure": P.to_json_obj(), "roundtrip": back.to_json_obj()}
-
-    return _run_per_seed("phi-roundtrip", "finite X <= 8 points", seeds, body)
+def _phi_roundtrip_case(rng):
+    return check_phi_roundtrip(GirySpace(_random_powerset_space(rng, 8)).sample(rng))
 
 
-def _suite_countable_additivity(cfg: HarnessConfig) -> LawReport:
-    seeds = _suite_seeds(cfg, "countable-additivity")
-
-    def body(rng):
-        X = _random_powerset_space(rng, 8)
-        GX = GirySpace(X)
-        P = GX.sample(rng)
-        J = phi(P)
-        n = len(X.carrier)
-        # random disjoint family: each point assigned to one of k blocks or
-        # left out entirely
-        k = rng.randint(2, min(8, n))
-        blocks = [0] * k
-        for i in range(n):
-            slot = rng.randint(0, k)
-            if slot > 0:
-                blocks[slot - 1] |= 1 << i
-        union = 0
-        for b in blocks:
-            union |= b
-        # geometric-style finite partition 1/2, 1/4, ..., with the last
-        # weight doubled so the weights sum to one
-        weights = [Fraction(1, 2**i) for i in range(1, k)] + [Fraction(1, 2**(k - 1))]
-        lhs = J.apply(indicator(X, union))
-        rescaled_terms = []
-        for w, b in zip(weights, blocks):
-            g = lambda x, w=w, b=b: scale(
-                1 / w, as_ext(indicator(X, b)(x))
-            )
-            rescaled_terms.append(J.apply(
-                CountablyAffineMap(None, None, g, name="rescaled-indicator")
-            ))
-        via_rescaling = countable_combine(
-            PartitionOfOne.finite(weights), rescaled_terms
+def _countable_additivity_case(rng):
+    X = _random_powerset_space(rng, 8)
+    GX = GirySpace(X)
+    P = GX.sample(rng)
+    J = phi(P)
+    n = len(X.carrier)
+    # random disjoint family: each point assigned to one of k blocks or
+    # left out entirely
+    k = rng.randint(2, min(8, n))
+    blocks = [0] * k
+    for i in range(n):
+        slot = rng.randint(0, k)
+        if slot > 0:
+            blocks[slot - 1] |= 1 << i
+    union = 0
+    for b in blocks:
+        union |= b
+    # geometric-style finite partition 1/2, 1/4, ..., with the last
+    # weight doubled so the weights sum to one
+    weights = [Fraction(1, 2**i) for i in range(1, k)] + [Fraction(1, 2**(k - 1))]
+    lhs = J.apply(indicator(X, union))
+    rescaled_terms = []
+    for w, b in zip(weights, blocks):
+        g = lambda x, w=w, b=b: scale(
+            1 / w, as_ext(indicator(X, b)(x))
         )
-        direct = sum(
-            (J.apply(indicator(X, b)).value for b in blocks), Fraction(0)
-        )
-        if lhs == via_rescaling and lhs.value == direct:
-            return None
-        return {"lhs": describe(lhs), "via_rescaling": describe(via_rescaling),
-                "direct_sum": str(direct), "blocks": [X.set_of(b) for b in blocks]}
-
-    return _run_per_seed(
-        "countable-additivity", "disjoint families <= 8", seeds, body
+        rescaled_terms.append(J.apply(
+            CountablyAffineMap(None, None, g, name="rescaled-indicator")
+        ))
+    via_rescaling = countable_combine(
+        PartitionOfOne.finite(weights), rescaled_terms
     )
+    direct = sum(
+        (J.apply(indicator(X, b)).value for b in blocks), Fraction(0)
+    )
+    if lhs == via_rescaling and lhs.value == direct:
+        return None
+    return {"lhs": describe(lhs), "via_rescaling": describe(via_rescaling),
+            "direct_sum": str(direct), "blocks": [X.set_of(b) for b in blocks]}
 
 
-def _suite_monad_laws(cfg: HarnessConfig) -> LawReport:
-    seeds = _suite_seeds(cfg, "monad-laws")
+def _monad_laws_case(rng):
+    X = _random_powerset_space(rng, 4)
+    GX = GirySpace(X)
+    P = GX.sample(rng)
+    left_unit = monad_mu(dirac(P)) == P
+    right_unit = monad_mu(pushforward(P, lambda x: dirac(x, base=X))) == P
 
-    def body(rng):
-        X = _random_powerset_space(rng, 4)
-        GX = GirySpace(X)
-        P = GX.sample(rng)
-        left_unit = monad_mu(dirac(P)) == P
-        right_unit = monad_mu(pushforward(P, lambda x: dirac(x, base=X))) == P
-        # a measure on measures on measures, flattened both ways
-        def rand_QQ():
-            k = rng.randint(1, 3)
-            part = random_partition(rng.getrandbits(32), k)
-            return ProbMeasure(
-                [(GX.sample(rng), part.weight(i + 1)) for i in range(k)]
-            )
+    # a measure on measures on measures, flattened both ways
+    def rand_QQ():
         k = rng.randint(1, 3)
         part = random_partition(rng.getrandbits(32), k)
-        T = ProbMeasure([(rand_QQ(), part.weight(i + 1)) for i in range(k)])
-        assoc = monad_mu(pushforward(T, monad_mu)) == monad_mu(monad_mu(T))
-        if left_unit and right_unit and assoc:
-            return None
-        return {"left_unit": left_unit, "right_unit": right_unit, "assoc": assoc,
-                "measure": P.to_json_obj()}
-
-    return _run_per_seed("monad-laws", "finite X <= 4 points", seeds, body)
-
-
-def _suite_image_property(cfg: HarnessConfig) -> LawReport:
-    seeds = _suite_seeds(cfg, "image-property")
-    spaces = shipped_spaces(cfg)
-
-    def body(rng):
-        which = rng.choice(["closed-unit", "open-unit", "ext-real"])
-        space = spaces[which]
-        slope = Fraction(rng.randint(0, 4), 8)
-        offset = Fraction(rng.randint(0, 4), 8) * (1 - slope)
-        m = affine_map(space, space, offset, slope)
-        P = _sample_unit_measure(rng, space)
-        J = phi(P)
-        rep = check_image_property(J, m)
-        if rep.ok:
-            return None
-        return {"space": space.name, **rep.failures[0]}
-
-    return _run_per_seed("image-property", "shipped instances", seeds, body)
-
-
-def _suite_gp_naturality(cfg: HarnessConfig) -> LawReport:
-    seeds = _suite_seeds(cfg, "gp-naturality")
-    closed = make_interval_space("closed_unit", cfg.tolerance)
-    ext = make_interval_space("ext_real_line", cfg.tolerance)
-    family = affine_endomap_family(cfg)
-
-    def body(rng):
-        slope = Fraction(rng.randint(0, 8), 8)
-        offset = Fraction(rng.randint(0, 8), 8) * (1 - slope)
-        m = affine_map(closed, ext, offset, slope)
-        if rng.random() < 0.5:
-            J = GeneralizedPoint.from_point(closed.sample(rng))
-        else:
-            J = phi(_sample_unit_measure(rng, closed))
-        rep = check_generalized_point_naturality(J, m, family)
-        if rep.ok:
-            return None
-        return dict(rep.failures[0])
-
-    return _run_per_seed("gp-naturality", "point- and measure-backed J", seeds, body)
-
-
-def _suite_recovery(cfg: HarnessConfig) -> LawReport:
-    seeds = _suite_seeds(cfg, "recovery")
-
-    def body(rng):
-        X = _random_powerset_space(rng, 6)
-        maps = [
-            CountablyAffineMap(
-                None, None,
-                lambda P, x=x: ExtReal(P.measure_of([x])),
-                name=f"ev_{x}",
-            )
-            for x in X.carrier
-        ]
-        a = rng.choice(X.carrier)
-        carrier_points = [dirac(x, base=X) for x in X.carrier]
-        expected = dirac(a, base=X)
-        for J in (GeneralizedPoint.from_point(expected), phi(dirac(expected))):
-            try:
-                got = check_evaluation_point_recovery(J, carrier_points, maps)
-            except (NoPoint, Ambiguous) as exc:
-                return {"error": type(exc).__name__, "detail": str(exc)}
-            if got != expected:
-                return {"expected": expected.to_json_obj(),
-                        "got": got.to_json_obj()}
+        return ProbMeasure(
+            [(GX.sample(rng), part.weight(i + 1)) for i in range(k)]
+        )
+    k = rng.randint(1, 3)
+    part = random_partition(rng.getrandbits(32), k)
+    T = ProbMeasure([(rand_QQ(), part.weight(i + 1)) for i in range(k)])
+    assoc = monad_mu(pushforward(T, monad_mu)) == monad_mu(monad_mu(T))
+    if left_unit and right_unit and assoc:
         return None
-
-    return _run_per_seed("recovery", "Dirac simplex vertices, |X| <= 6", seeds, body)
-
-
-def _suite_sigma_agreement(cfg: HarnessConfig) -> LawReport:
-    seeds = _suite_seeds(cfg, "sigma-agreement")
-    X = FiniteMeasurableSpace.powerset(["x1", "x2", "x3", "x4"])
-    return check_sigma_agreement(X, seeds)
+    return {"left_unit": left_unit, "right_unit": right_unit, "assoc": assoc,
+            "measure": P.to_json_obj()}
 
 
-def _suite_mutant_phi(cfg: HarnessConfig) -> LawReport:
+def _image_property_case(spaces, rng):
+    space = spaces[rng.choice(["closed-unit", "open-unit", "ext-real"])]
+    m = _random_affine_map(rng, space, space, 4)
+    witness = check_image_property(phi(_sample_unit_measure(rng, space)), m)
+    if witness is None:
+        return None
+    return {"space": space.name, **witness}
+
+
+def _gp_naturality_case(closed, ext, family, rng):
+    m = _random_affine_map(rng, closed, ext, 8)
+    if rng.random() < 0.5:
+        J = GeneralizedPoint.from_point(closed.sample(rng))
+    else:
+        J = phi(_sample_unit_measure(rng, closed))
+    return check_generalized_point_naturality(J, m, family)
+
+
+def _recovery_case(rng):
+    X = _random_powerset_space(rng, 6)
+    maps = [
+        CountablyAffineMap(
+            None, None,
+            lambda P, x=x: ExtReal(P.measure_of([x])),
+            name=f"ev_{x}",
+        )
+        for x in X.carrier
+    ]
+    a = rng.choice(X.carrier)
+    carrier_points = [dirac(x, base=X) for x in X.carrier]
+    expected = dirac(a, base=X)
+    for J in (GeneralizedPoint.from_point(expected), phi(dirac(expected))):
+        try:
+            got = check_evaluation_point_recovery(J, carrier_points, maps)
+        except (NoPoint, Ambiguous) as exc:
+            return {"error": type(exc).__name__, "detail": str(exc)}
+        if got != expected:
+            return {"expected": expected.to_json_obj(),
+                    "got": got.to_json_obj()}
+    return None
+
+
+def _mutant_phi(_seeds) -> LawReport:
     X = FiniteMeasurableSpace.powerset(["x1", "x2"])
-    report = LawReport(law="mutant-phi-nonadditive", instance=repr(X))
     J = nonadditive_functional(X)
     try:
         phi_inverse(J, X)
     except Exception as exc:
-        report.record_failure({"rejected": type(exc).__name__, "detail": str(exc)})
+        witness = {"rejected": type(exc).__name__, "detail": str(exc)}
     else:
-        report.record_pass()
-    return report
+        witness = None
+    return LawReport.single("mutant-phi-nonadditive", repr(X), witness)
 
 
-def _suite_mutant_image(cfg: HarnessConfig) -> LawReport:
+def _mutant_image(ext, _seeds) -> LawReport:
     """The half-line documentation case: an infinite 'expectation' cannot
     be the evaluation of any point of the nonnegative reals."""
-    ext = make_interval_space("ext_real_line", cfg.tolerance)
     inclusion = CountablyAffineMap(None, ext, lambda x: as_ext(x), name="inclusion")
-    J = half_cauchy_generalized_point()
-    report = LawReport(law="mutant-image-halfcauchy", instance="R+ inclusion")
-    val = J.apply(inclusion)
+    val = half_cauchy_generalized_point().apply(inclusion)
     probes = [ExtReal(Fraction(k, 2)) for k in range(9)]
     ok, image_desc = _interval_hull_contains(set(probes), val, closed=True)
-    if ok:
-        report.record_pass()
-    else:
-        report.record_failure({"value": describe(val), "image": image_desc})
-    return report
+    witness = None if ok else {"value": describe(val), "image": image_desc}
+    return LawReport.single("mutant-image-halfcauchy", "R+ inclusion", witness)
 
 
-def build_suites(include_mutants: bool = False) -> list[LawSuite]:
+def build_suites(cfg: HarnessConfig, include_mutants: bool = False) -> list[LawSuite]:
+    """Every suite of a run, over shipped instances built once from cfg."""
+    spaces = shipped_spaces(cfg)
+    closed, ext = spaces["closed-unit"], spaces["ext-real"]
+
+    def seeded(name, instance, case):
+        return LawSuite(name, lambda seeds: run_per_seed(name, instance, seeds, case))
+
     suites: list[LawSuite] = []
-
-    def axiom_suite(law_fn, law_name, space_key):
-        def run(cfg, law_fn=law_fn, space_key=space_key, law_name=law_name):
-            space = shipped_spaces(cfg)[space_key]
-            return law_fn(space, _suite_seeds(cfg, f"{law_name}-{space_key}"),
-                          depth=cfg.depth)
-        return run
-
     for key in ("closed-unit", "open-unit", "ext-real", "product",
                 "giry2", "giry3", "giry4"):
-        suites.append(LawSuite(f"axiom1-{key}", axiom_suite(check_axiom1, "axiom1", key)))
-        suites.append(LawSuite(f"axiom2-{key}", axiom_suite(check_axiom2, "axiom2", key)))
+        suites.append(LawSuite(f"axiom1-{key}", partial(check_axiom1, spaces[key])))
+        suites.append(LawSuite(f"axiom2-{key}", partial(check_axiom2, spaces[key])))
+    for key, m in shipped_maps(spaces).items():
+        suites.append(LawSuite(f"morphism-{key}", partial(check_morphism, m)))
 
-    def morphism_suite(map_key):
-        def run(cfg, map_key=map_key):
-            m = shipped_maps(cfg)[map_key]
-            return check_morphism(m, _suite_seeds(cfg, f"morphism-{map_key}"),
-                                  depth=cfg.depth)
-        return run
-
-    for key in ("id", "affine-half", "const-third", "proj1", "ext-affine"):
-        suites.append(LawSuite(f"morphism-{key}", morphism_suite(key)))
-
-    suites.extend([
-        LawSuite("triangle", _suite_triangle),
-        LawSuite("naturality-epsilon", _suite_naturality_epsilon),
-        LawSuite("phi-roundtrip", _suite_phi_roundtrip),
-        LawSuite("countable-additivity", _suite_countable_additivity),
-        LawSuite("monad-laws", _suite_monad_laws),
-        LawSuite("image-property", _suite_image_property),
-        LawSuite("gp-naturality", _suite_gp_naturality),
-        LawSuite("recovery", _suite_recovery),
-        LawSuite("sigma-agreement", _suite_sigma_agreement),
-    ])
+    suites += [
+        seeded("triangle", "G(X) and [0,1]", partial(_triangle_case, closed)),
+        seeded("naturality-epsilon", "[0,1] affine maps",
+               partial(_naturality_epsilon_case, closed)),
+        seeded("phi-roundtrip", "finite X <= 8 points", _phi_roundtrip_case),
+        seeded("countable-additivity", "disjoint families <= 8",
+               _countable_additivity_case),
+        seeded("monad-laws", "finite X <= 4 points", _monad_laws_case),
+        seeded("image-property", "shipped instances",
+               partial(_image_property_case, spaces)),
+        seeded("gp-naturality", "point- and measure-backed J",
+               partial(_gp_naturality_case, closed, ext, affine_endomap_family(cfg))),
+        seeded("recovery", "Dirac simplex vertices, |X| <= 6", _recovery_case),
+        LawSuite("sigma-agreement", partial(
+            check_sigma_agreement,
+            FiniteMeasurableSpace.powerset(["x1", "x2", "x3", "x4"]))),
+    ]
 
     if include_mutants:
-        def mutant_axiom1(cfg):
-            return check_axiom1(BrokenProjectionSpace(cfg.tolerance),
-                                _suite_seeds(cfg, "mutant-axiom1"), depth=cfg.depth)
-
-        def mutant_axiom2(cfg):
-            return check_axiom2(ReversedWeightsSpace(cfg.tolerance),
-                                _suite_seeds(cfg, "mutant-axiom2"), depth=cfg.depth)
-
-        def mutant_morphism(cfg):
-            return check_morphism(square_map(cfg),
-                                  _suite_seeds(cfg, "mutant-morphism-square"),
-                                  depth=cfg.depth)
-
-        suites.extend([
-            LawSuite("mutant-axiom1", mutant_axiom1, expected_to_fail=True),
-            LawSuite("mutant-axiom2", mutant_axiom2, expected_to_fail=True),
-            LawSuite("mutant-morphism-square", mutant_morphism, expected_to_fail=True),
-            LawSuite("mutant-phi-nonadditive", _suite_mutant_phi, expected_to_fail=True),
-            LawSuite("mutant-image-halfcauchy", _suite_mutant_image, expected_to_fail=True),
-        ])
+        suites += [
+            LawSuite("mutant-axiom1",
+                     partial(check_axiom1, BrokenProjectionSpace(cfg.tolerance))),
+            LawSuite("mutant-axiom2",
+                     partial(check_axiom2, ReversedWeightsSpace(cfg.tolerance))),
+            LawSuite("mutant-morphism-square", partial(check_morphism, square_map(cfg))),
+            LawSuite("mutant-phi-nonadditive", _mutant_phi),
+            LawSuite("mutant-image-halfcauchy", partial(_mutant_image, ext)),
+        ]
     return suites
 
 
@@ -769,11 +649,11 @@ def run_suites(cfg: HarnessConfig, name_filter: Callable[[str], bool] | None = N
                include_mutants: bool = False) -> list[LawReport]:
     """Run all (filtered) suites and return reports sorted by suite name."""
     reports = []
-    for suite in build_suites(include_mutants=include_mutants):
+    for suite in build_suites(cfg, include_mutants=include_mutants):
         if name_filter is not None and not name_filter(suite.name):
             continue
         start = time.perf_counter()
-        report = suite.run(cfg)
+        report = suite.run(suite_seeds(cfg, suite.name))
         report.wall_time = time.perf_counter() - start
         report.law = suite.name
         reports.append(report)

@@ -3,9 +3,10 @@ countable partitions of one.
 
 Finite values are exact ``fractions.Fraction``s; the single added point
 ``inf`` compares above every finite value.  Countable convex combinations
-follow limit-or-infinity semantics, made decidable through explicit
-certificates: a tail bound B yields a rational enclosure, a divergence
-witness yields ``inf``, and anything else raises ``Undecided``.
+follow limit-or-infinity semantics.  A lazy sum is decided by a tail
+bound B (a rational enclosure), by a divergence witness (``inf``, taken on
+the caller's word), or by scanning partial sums past a threshold (``inf``
+by heuristic); anything else raises ``Undecided``.
 """
 
 from __future__ import annotations
@@ -163,13 +164,6 @@ def scale(s: Rational, u: ExtReal) -> ExtReal:
     return ExtReal(s * u.value)
 
 
-def ext_add(u: ExtReal, v: ExtReal) -> ExtReal:
-    u, v = as_ext(u), as_ext(v)
-    if u.is_inf or v.is_inf:
-        return INF
-    return ExtReal(u.value + v.value)
-
-
 def binary_combine(r: Rational, u, v) -> ExtReal:
     """(1-r)u + rv on the extended reals, with (1-r)u + r*inf = inf for r > 0
     and a weight of exactly 0 on infinity dropping that argument."""
@@ -305,8 +299,8 @@ def countable_combine(
     infinite value forces the result to infinity.  Lazy support needs a
     certificate: ``bound`` B (all tail values satisfy |u_i| <= B) yields a
     value with enclosure width <= 2*B*tail(N); ``divergence_witness``
-    asserts the partial sums exceed any threshold and yields infinity once
-    verified.  Without a certificate the partial sums are scanned to
+    asserts the partial sums exceed any threshold and yields infinity
+    without checking the claim.  Without a certificate the partial sums are scanned to
     ``n_max``; crossing ``threshold`` upward returns infinity, anything
     else raises Undecided.
     """
@@ -378,13 +372,3 @@ def random_partition(seed: int, support_size: int) -> PartitionOfOne:
     total = sum(parts)
     return PartitionOfOne.finite([Fraction(p, total) for p in parts])
 
-
-def parse_rational(s: str) -> Fraction:
-    """Parse the wire form "p/q" (or a bare integer string)."""
-    return Fraction(s)
-
-
-def parse_ext(s: str) -> ExtReal:
-    if s == "inf":
-        return INF
-    return ExtReal(Fraction(s))

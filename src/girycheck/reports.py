@@ -1,4 +1,5 @@
-"""Machine-readable results for law checks.
+"""Machine-readable results for law checks, and the one loop that runs a
+seeded check.
 
 A report is deterministic for a given seed list; wall time is kept for the
 text summary but deliberately excluded from the JSON form so identical
@@ -8,6 +9,7 @@ runs serialize byte-identically.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
 
 
@@ -22,17 +24,24 @@ class LawReport:
     wall_time: float = 0.0
     tolerance_policy: str = "exact"
 
+    @classmethod
+    def single(cls, law: str, instance: str, witness: dict | None) -> "LawReport":
+        """The report of one unseeded case: a pass, or a failure with
+        ``witness``."""
+        report = cls(law=law, instance=instance)
+        report.record(witness)
+        return report
+
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def record_pass(self):
+    def record(self, witness: dict | None):
         self.cases += 1
-        self.passed += 1
-
-    def record_failure(self, witness: dict):
-        self.cases += 1
-        self.failures.append(witness)
+        if witness is None:
+            self.passed += 1
+        else:
+            self.failures.append(witness)
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -58,3 +67,16 @@ class LawReport:
         if self.failures:
             line += f"  witness={json.dumps(self.failures[0], sort_keys=True)}"
         return line
+
+
+def run_per_seed(law: str, instance: str, seeds, case) -> LawReport:
+    """Run ``case(rng) -> witness | None`` once per seed, each time on a
+    fresh ``random.Random(seed)``; a witness gets its seed attached."""
+    seeds = list(seeds)
+    report = LawReport(law=law, instance=instance, seeds=seeds)
+    for seed in seeds:
+        witness = case(random.Random(seed))
+        if witness is not None:
+            witness["seed"] = seed
+        report.record(witness)
+    return report

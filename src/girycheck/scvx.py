@@ -19,10 +19,10 @@ from .numerics import (
     ext_eq,
     random_partition,
 )
-from .reports import LawReport
+from .reports import LawReport, run_per_seed
 
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
-DEFAULT_DEPTH = 8
+DEFAULT_DEPTH = 8  # length of the sampled sequences the checkers combine
 
 
 class CarrierViolation(Exception):
@@ -35,8 +35,8 @@ class ArityMismatch(Exception):
 
 class SuperConvexSpace:
     """A set with one operation: combine a countable partition of one with
-    a sequence of elements.  Instances supply membership, equality and a
-    seeded sampler; the axioms are checked, not assumed."""
+    a sequence of elements.  Instances supply membership, equality and
+    sampling from a seeded generator; the axioms are checked, not assumed."""
 
     name = "abstract"
 
@@ -51,9 +51,6 @@ class SuperConvexSpace:
 
     def sample(self, rng: random.Random):
         raise NotImplementedError
-
-    def sampler(self, seed: int):
-        return self.sample(random.Random(seed))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -253,68 +250,56 @@ def describe(x):
     return repr(x)
 
 
-def check_axiom1(space: SuperConvexSpace, seeds, depth: int = DEFAULT_DEPTH) -> LawReport:
+def check_axiom1(space: SuperConvexSpace, seeds) -> LawReport:
     """Projection axiom: combining with a point mass at j returns the j-th
     element, for sampled sequences."""
-    report = LawReport(law="axiom1", instance=space.name, seeds=list(seeds))
-    for seed in seeds:
-        rng = random.Random(seed)
-        a = [space.sample(rng) for _ in range(depth)]
-        j = rng.randint(1, depth)
+
+    def case(rng):
+        a = [space.sample(rng) for _ in range(DEFAULT_DEPTH)]
+        j = rng.randint(1, DEFAULT_DEPTH)
         got = space.combine(dirac_partition(j), a)
         if space.eq(got, a[j - 1]):
-            report.record_pass()
-        else:
-            report.record_failure({
-                "seed": seed, "j": j,
-                "sequence": [describe(x) for x in a],
-                "got": describe(got), "expected": describe(a[j - 1]),
-            })
-    return report
+            return None
+        return {"j": j, "sequence": [describe(x) for x in a],
+                "got": describe(got), "expected": describe(a[j - 1])}
+
+    return run_per_seed("axiom1", space.name, seeds, case)
 
 
-def check_axiom2(space: SuperConvexSpace, seeds, depth: int = DEFAULT_DEPTH) -> LawReport:
+def check_axiom2(space: SuperConvexSpace, seeds) -> LawReport:
     """Associativity axiom: combining combinations equals combining with
     the composed partition, for random finite-support partitions."""
-    report = LawReport(law="axiom2", instance=space.name, seeds=list(seeds))
-    for seed in seeds:
-        rng = random.Random(seed)
-        a = [space.sample(rng) for _ in range(depth)]
-        k = rng.randint(1, depth)
+
+    def case(rng):
+        a = [space.sample(rng) for _ in range(DEFAULT_DEPTH)]
+        k = rng.randint(1, DEFAULT_DEPTH)
         alpha = random_partition(rng.getrandbits(32), k)
-        betas = [random_partition(rng.getrandbits(32), depth) for _ in range(k)]
+        betas = [random_partition(rng.getrandbits(32), DEFAULT_DEPTH) for _ in range(k)]
         inner = [space.combine(betas[i], a) for i in range(k)]
         lhs = space.combine(alpha, inner)
         rhs = space.combine(compose_partitions(alpha, betas), a)
         if space.eq(lhs, rhs):
-            report.record_pass()
-        else:
-            report.record_failure({
-                "seed": seed,
-                "alpha": {i: str(w) for i, w in alpha.items()},
-                "lhs": describe(lhs), "rhs": describe(rhs),
-            })
-    return report
+            return None
+        return {"alpha": {i: str(w) for i, w in alpha.items()},
+                "lhs": describe(lhs), "rhs": describe(rhs)}
+
+    return run_per_seed("axiom2", space.name, seeds, case)
 
 
-def check_morphism(m: CountablyAffineMap, seeds, depth: int = DEFAULT_DEPTH) -> LawReport:
+def check_morphism(m: CountablyAffineMap, seeds) -> LawReport:
     """Morphism law: the map commutes with sampled countable convex
     combinations."""
-    report = LawReport(law="morphism", instance=m.name, seeds=list(seeds))
-    for seed in seeds:
-        rng = random.Random(seed)
-        a = [m.source.sample(rng) for _ in range(depth)]
-        k = rng.randint(1, depth)
+
+    def case(rng):
+        a = [m.source.sample(rng) for _ in range(DEFAULT_DEPTH)]
+        k = rng.randint(1, DEFAULT_DEPTH)
         omega = random_partition(rng.getrandbits(32), k)
         lhs = m(m.source.combine(omega, a[:k]))
         rhs = m.target.combine(omega, [m(x) for x in a[:k]])
         if m.target.eq(lhs, rhs):
-            report.record_pass()
-        else:
-            report.record_failure({
-                "seed": seed,
-                "omega": {i: str(w) for i, w in omega.items()},
+            return None
+        return {"omega": {i: str(w) for i, w in omega.items()},
                 "sequence": [describe(x) for x in a[:k]],
-                "lhs": describe(lhs), "rhs": describe(rhs),
-            })
-    return report
+                "lhs": describe(lhs), "rhs": describe(rhs)}
+
+    return run_per_seed("morphism", m.name, seeds, case)

@@ -2,6 +2,7 @@
 prints one pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -155,3 +156,25 @@ def test_full_default_suite_under_60s():
     ok = all(r.ok for r in reports) and elapsed < 60
     verdict(f"full default suite: {len(reports)} suites green in {elapsed:.1f}s "
             "(< 60s)", ok)
+
+
+# SHA-256 of `laws --seed s --cases 20 --mutants --json FILE`, recorded
+# before the suites were rewritten as per-case checks over one seed loop.
+# A refactor must leave these reports byte-identical.
+REPORT_DIGESTS = {
+    0: "c7176a9417a89df8bf5cdfcd89d4e8c28aaa4275ed0ba92b4bc178574ca85217",
+    1: "25aac5df45ecb2c469eede16d90dc282cc0506079f4ef132241dd73cbe70c5f4",
+    2: "ac6b3dc0e3a08db911d9378e64758408806a07fc7900ee3bae39a2d152c14a37",
+    3: "28032336dfc067add87be32b86ededef227b4d988e259a1ea9f06942ced25228",
+    4: "af1d609afb96bec05ea087384de350df7faf7739c57f4151e306f2e574c99efb",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
+def test_mutant_reports_match_recorded_digests(seed, tmp_path):
+    path = tmp_path / "report.json"
+    code = main(["laws", "--seed", str(seed), "--cases", "20", "--mutants",
+                 "--json", str(path)])
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    verdict(f"behaviour oracle: seed {seed} report digest unchanged",
+            code == 1 and digest == REPORT_DIGESTS[seed])

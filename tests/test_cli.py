@@ -1,4 +1,6 @@
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -93,6 +95,16 @@ class TestDemoCommand:
         assert "0.3862943611" in out
         assert "enclosure" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["demo", "divergent-sum", "--n", "0"],
+        ["demo", "half-cauchy", "--n-list", "-5"],
+        ["demo", "open-interval", "--depth", "-1"],
+    ])
+    def test_out_of_range_truncation_rejected_by_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_unknown_demo_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["demo", "frobnicate"])
@@ -163,3 +175,84 @@ class TestScenarioCommand:
         path = write_scenario(tmp_path, doc)
         code, out, _ = run(["scenario", path], capsys)
         assert code == 0
+
+    def test_coarse_sigma_roundtrip_compares_mass_per_atom(self, tmp_path, capsys):
+        # phi_inverse puts the mass of the atom {a, b} on its first label a;
+        # the measures agree on every measurable set, so the law holds
+        doc = {
+            "schema": 1,
+            "spaces": {"X": {"carrier": ["a", "b", "c"], "sigma": [["a", "b"]]}},
+            "measures": {"P": {"space": "X", "atoms": [
+                {"atom": "b", "weight": "1/2"}, {"atom": "c", "weight": "1/2"}]}},
+            "checks": [{"suite": "phi-roundtrip", "measure": "P"}],
+        }
+        path = write_scenario(tmp_path, doc)
+        code, out, _ = run(["scenario", path], capsys)
+        assert code == 0
+        assert "1/1 suites passed" in out
+
+
+def _set(*keys_and_value):
+    """A scenario edit: set the value at the key path."""
+    *keys, value = keys_and_value
+
+    def edit(doc):
+        target = doc
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_set("spaces", []), "spaces"),
+    (_set("measures", "P", "atoms", 0, "a"), "measures.P.atoms[0]"),
+    (_set("spaces", "X", "carrier", ["a", "a"]), "spaces.X.carrier"),
+    (_set("spaces", "X", "carrier", ["a", ["b"]]), "spaces.X.carrier[1]"),
+    (_set("spaces", "X", "sigma", [[["a"]]]), "spaces.X.sigma[0][0]"),
+    (_set("measures", "P", "atoms", 0, "weight", "1/0"), "measures.P.atoms[0].weight"),
+    (_set("measures", "P", "atoms", 0, "atom", ["a"]), "measures.P.atoms[0].atom"),
+    (_set("maps", "m", "slope", "-1"), "maps.m.slope"),
+    (_set("maps", "m", {"kind": "affine", "offset": "1", "slope": "1"}), "maps.m"),
+    (_set("maps", "m", {"kind": "poly", "coeffs": ["2"]}), "maps.m"),
+    (_set("maps", "m", {"kind": "poly", "coeffs": "12"}), "maps.m.coeffs"),
+    (_set("checks", {"suite": "triangle"}), "checks"),
+    (_set("checks", ["triangle"]), "checks[0]"),
+    (_set("checks", [{"suite": "triangle", "measure": ["P"]}]), "checks[0].measure"),
+    (_set("extra", 1), "extra"),
+    (_set("maps", "m", "slop", "1"), "maps.m.slop"),
+    (_set("checks", [{"suite": "morphism", "map": "m", "measure": "P"}]),
+     "checks[0].measure"),
+])
+def test_malformed_scenario_is_config_error_with_field_path(edit, field, tmp_path,
+                                                             capsys):
+    doc = json.loads(json.dumps(GOOD_SCENARIO))
+    edit(doc)
+    path = write_scenario(tmp_path, doc)
+    code, _, err = run(["scenario", path, "--cases", "20"], capsys)
+    assert code == 2
+    assert f"scenario error: {field}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["laws", "--tolerance", "inf"],
+    ["laws", "--tolerance", "1/0"],
+    ["laws", "--tolerance", "1e-12", "--suite", "triangle", "--cases", "5"],
+    ["demo", "divergent-sum", "--n", "0"],
+    ["demo", "half-cauchy", "--n-list", "-5"],
+    ["demo", "open-interval", "--depth", "0"],
+    ["demo", "open-interval", "--depth", "1"],
+    ["demo", "open-interval", "--depth", "-3"],
+])
+def test_numeric_inputs_end_in_an_exit_code_and_an_honest_line(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if "strictly inside" in out:
+        lower, upper = re.search(r"enclosure \[(\S+), (\S+)\]", out).groups()
+        assert 0 < Fraction(lower) and Fraction(upper) < 1
