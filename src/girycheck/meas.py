@@ -1,10 +1,12 @@
-"""Finite measurable spaces with explicit sigma-algebras, sigma-algebra
-generation by fixpoint closure, measurable maps, and the sigma-algebra a
-finite-carrier super convex space inherits from a generating family of
-affine maps into the extended reals.
+"""Finite measurable spaces stored as the atoms of their sigma-algebras,
+sigma-algebra generation by splitting the carrier on generators,
+measurable maps, and the sigma-algebra a finite-carrier super convex space
+inherits from a generating family of affine maps into the extended reals.
 
-Subsets are encoded as membership bitmasks over the indexed carrier, so
-all set algebra is exact.
+On a finite carrier a sigma-algebra is exactly a partition of the carrier
+into atoms; its measurable sets are the unions of atoms.  Subsets are
+encoded as membership bitmasks over the indexed carrier, so all set
+algebra is exact.
 """
 
 from __future__ import annotations
@@ -19,45 +21,50 @@ class InfiniteCarrier(Exception):
 
 
 class FiniteMeasurableSpace:
-    """A finite carrier with an explicit family of measurable subsets.
+    """A finite carrier with the atoms of its sigma-algebra.
 
-    ``carrier`` is a list of hashable labels; ``sigma`` a frozenset of
-    bitmasks over carrier positions.
+    ``carrier`` is a list of hashable labels; ``atoms`` nonempty, disjoint
+    bitmasks over carrier positions that cover the carrier.  Any such
+    partition is a sigma-algebra, so the partition check is the only
+    validation.
     """
 
-    def __init__(self, carrier, sigma):
+    def __init__(self, carrier, atoms):
         self.carrier = list(carrier)
         if len(set(self.carrier)) != len(self.carrier):
             raise ValueError("carrier labels must be distinct")
         self.index = {x: i for i, x in enumerate(self.carrier)}
         self.full_mask = (1 << len(self.carrier)) - 1
-        self.sigma = frozenset(sigma)
-        self._validate()
+        self.atoms = tuple(sorted(atoms))
+        covered = 0
+        for a in self.atoms:
+            if a <= 0:
+                raise ValueError("atoms must be nonempty")
+            if a & ~self.full_mask:
+                raise ValueError("atom outside the carrier")
+            if a & covered:
+                raise ValueError("atoms must be disjoint")
+            covered |= a
+        if covered != self.full_mask:
+            raise ValueError("atoms must cover the carrier")
 
     @classmethod
     def powerset(cls, carrier) -> "FiniteMeasurableSpace":
         carrier = list(carrier)
-        n = len(carrier)
-        return cls(carrier, frozenset(range(1 << n)))
+        return cls(carrier, [1 << i for i in range(len(carrier))])
 
     @classmethod
     def trivial(cls, carrier) -> "FiniteMeasurableSpace":
         carrier = list(carrier)
-        full = (1 << len(carrier)) - 1
-        return cls(carrier, frozenset({0, full}))
+        return cls(carrier, [(1 << len(carrier)) - 1] if carrier else [])
 
-    def _validate(self):
-        s = self.sigma
-        if 0 not in s or self.full_mask not in s:
-            raise ValueError("sigma-algebra must contain the empty set and carrier")
-        for u in s:
-            if u & ~self.full_mask:
-                raise ValueError("set outside the carrier")
-            if (self.full_mask & ~u) not in s:
-                raise ValueError("sigma-algebra not closed under complement")
-            for v in s:
-                if (u | v) not in s:
-                    raise ValueError("sigma-algebra not closed under union")
+    @property
+    def sigma(self) -> frozenset[int]:
+        """Every measurable set: the 2**len(atoms) unions of atoms."""
+        unions = [0]
+        for a in self.atoms:
+            unions += [u | a for u in unions]
+        return frozenset(unions)
 
     def mask_of(self, subset) -> int:
         m = 0
@@ -71,22 +78,9 @@ class FiniteMeasurableSpace:
     def member(self, x, mask: int) -> bool:
         return bool(mask >> self.index[x] & 1)
 
-    def is_measurable_set(self, mask: int) -> bool:
-        return mask in self.sigma
-
-    def atoms_of_sigma(self) -> list[int]:
+    def atoms_of_sigma(self) -> tuple[int, ...]:
         """The minimal nonempty measurable sets; they partition the carrier."""
-        blocks = {}
-        for i in range(len(self.carrier)):
-            block = self.full_mask
-            for u in self.sigma:
-                if u >> i & 1:
-                    block &= u
-            blocks[block] = None
-        return sorted(blocks)
-
-    def sorted_sigma(self) -> list[int]:
-        return sorted(self.sigma)
+        return self.atoms
 
     def to_json_obj(self) -> dict:
         return {
@@ -99,43 +93,29 @@ class FiniteMeasurableSpace:
     def __eq__(self, other):
         if not isinstance(other, FiniteMeasurableSpace):
             return NotImplemented
-        return self.carrier == other.carrier and self.sigma == other.sigma
+        return self.carrier == other.carrier and self.atoms == other.atoms
 
     def __hash__(self):
-        return hash((tuple(self.carrier), self.sigma))
+        return hash((tuple(self.carrier), self.atoms))
 
     def __repr__(self):
-        return f"<FiniteMeasurableSpace |X|={len(self.carrier)} |sigma|={len(self.sigma)}>"
+        return (f"<FiniteMeasurableSpace |X|={len(self.carrier)} "
+                f"|sigma|={2 ** len(self.atoms)}>")
 
 
 def generate_sigma_algebra(carrier, generators) -> FiniteMeasurableSpace:
     """The smallest sigma-algebra on ``carrier`` containing ``generators``
-    (given as label subsets or masks), by fixpoint closure under
-    complement and union."""
-    carrier = list(carrier)
-    index = {x: i for i, x in enumerate(carrier)}
-    full = (1 << len(carrier)) - 1
-
-    def to_mask(g):
-        if isinstance(g, int):
-            return g
-        m = 0
-        for x in g:
-            m |= 1 << index[x]
-        return m
-
-    current = {0, full} | {to_mask(g) for g in generators}
-    while True:
-        nxt = set(current)
-        for u in current:
-            nxt.add(full & ~u)
-        for u in current:
-            for v in current:
-                nxt.add(u | v)
-        if nxt == current:
-            break
-        current = nxt
-    return FiniteMeasurableSpace(carrier, frozenset(current))
+    (given as label subsets or masks).  Its atoms group the points that
+    lie in exactly the same generators: each generator splits every block
+    into the part inside it and the part outside."""
+    space = FiniteMeasurableSpace.trivial(carrier)
+    atoms = space.atoms
+    for g in generators:
+        m = g if isinstance(g, int) else space.mask_of(g)
+        if m & ~space.full_mask:
+            raise ValueError("generator outside the carrier")
+        atoms = [part for a in atoms for part in (a & m, a & ~m) if part]
+    return FiniteMeasurableSpace(space.carrier, atoms)
 
 
 def sigma_functor(carrier, generating_maps) -> FiniteMeasurableSpace:
@@ -174,32 +154,21 @@ class MeasurableMap:
     def __call__(self, x):
         return self.fn(x)
 
-    def preimage_mask(self, predicate) -> int:
-        m = 0
-        for i, x in enumerate(self.source.carrier):
-            if predicate(self.fn(x)):
-                m |= 1 << i
-        return m
-
 
 def is_measurable(f: MeasurableMap) -> bool:
-    """True iff every preimage of a measurable target set lies in the
-    source sigma-algebra.  For an extended-real target this reduces, on a
-    finite source, to measurability of every fiber."""
+    """True iff every preimage of a measurable target set is measurable:
+    f sends each source atom into a single target atom.  For an
+    extended-real target, whose Borel sets separate points, f must be
+    constant on each source atom."""
     if isinstance(f.target, FiniteMeasurableSpace):
-        for v in f.target.sigma:
-            pre = f.preimage_mask(lambda y, v=v: f.target.member(y, v))
-            if not f.source.is_measurable_set(pre):
-                return False
-        return True
-    if f.target == "ext_real":
-        values = {as_ext(f.fn(x)) for x in f.source.carrier}
-        for v in values:
-            pre = f.preimage_mask(lambda y, v=v: as_ext(y) == v)
-            if not f.source.is_measurable_set(pre):
-                return False
-        return True
-    raise ValueError(f"unknown target {f.target!r}")
+        tgt = f.target
+        block = lambda y: next(a for a in tgt.atoms if tgt.member(y, a))
+    elif f.target == "ext_real":
+        block = as_ext
+    else:
+        raise ValueError(f"unknown target {f.target!r}")
+    return all(len({block(f.fn(x)) for x in f.source.set_of(a)}) == 1
+               for a in f.source.atoms)
 
 
 def indicator(space: FiniteMeasurableSpace, mask: int) -> MeasurableMap:

@@ -6,6 +6,7 @@ import hashlib
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -125,7 +126,9 @@ def test_half_cauchy_quadrature_and_divergence():
 def test_divergent_sum_exact_values():
     ok = all(demo_divergent_sum(n) == F(n * (n + 1), 2) for n in (1, 10, 100))
     ok = ok and demo_divergent_sum(100) == 5050
-    verdict("divergent sum: exact N(N+1)/2 at N in {1,10,100}; 100 -> 5050", ok)
+    ok = ok and demo_divergent_sum(2_000_000) == 2000001000000
+    verdict("divergent sum: exact N(N+1)/2 at N in {1,10,100}; 100 -> 5050; "
+            "2000000 -> 2000001000000", ok)
 
 
 def test_open_interval_barycenter_enclosure():
@@ -178,3 +181,23 @@ def test_mutant_reports_match_recorded_digests(seed, tmp_path):
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     verdict(f"behaviour oracle: seed {seed} report digest unchanged",
             code == 1 and digest == REPORT_DIGESTS[seed])
+
+
+# SHA-256 and exit code of `scenario FILE --output json` for the fixtures in
+# tests/scenarios, recorded while sigma-algebras were still stored as the
+# full family of measurable sets.  coarse_off_first puts mass off the first
+# label of two atoms, and its quadratic map must fail `morphism`.
+SCENARIO_DIGESTS = {
+    "powerset": (0, "d2e58a3eabb42fb80b60d04fae8823faf2891fd7e1b04f5c386aadb89a879573"),
+    "generators_full": (0, "49b29142c845885725d97a5ee1468767cbb6beee405575556fb308470b31ea41"),
+    "coarse_off_first": (1, "f818e39ac142fe50ae3f4f36b52c3571900c6585cc5d82c39ab9090387d6a98f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
+def test_scenario_reports_match_recorded_digests(name, capsys):
+    path = Path(__file__).parent / "scenarios" / f"{name}.json"
+    code = main(["scenario", str(path), "--output", "json"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    verdict(f"behaviour oracle: scenario {name} report digest unchanged",
+            (code, digest) == SCENARIO_DIGESTS[name])

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,11 @@ class TestDemoCommand:
         code, out, _ = run(["demo", "divergent-sum", "--n", "100"], capsys)
         assert code == 0
         assert "5050" in out
+        assert "exceeds divergence threshold" not in out
+        code, out, _ = run(["demo", "divergent-sum", "--n", "2000000"], capsys)
+        assert code == 0
+        assert "N=2000000: 2000001000000" in out
+        assert "exceeds divergence threshold 1000000000000" in out
 
     def test_half_cauchy(self, capsys):
         code, out, _ = run(["demo", "half-cauchy", "--n-list", "1"], capsys)
@@ -190,6 +196,25 @@ class TestScenarioCommand:
         code, out, _ = run(["scenario", path], capsys)
         assert code == 0
         assert "1/1 suites passed" in out
+
+    def test_large_powerset_needs_no_list_of_its_sets(self, tmp_path, capsys):
+        # 2**40 measurable sets: only the 40 atoms may be materialized
+        carrier = [f"x{i}" for i in range(40)]
+        doc = {
+            "schema": 1,
+            "spaces": {"X": {"carrier": carrier, "sigma": "powerset"}},
+            "measures": {"P": {"space": "X", "atoms": [
+                {"atom": x, "weight": "1/40"} for x in carrier]}},
+            "maps": {"m": {"kind": "affine", "offset": "1/8", "slope": "3/4"}},
+            "checks": [{"suite": "triangle", "measure": "P"},
+                       {"suite": "morphism", "map": "m"}],
+        }
+        path = write_scenario(tmp_path, doc)
+        start = time.perf_counter()
+        code, out, _ = run(["scenario", path], capsys)
+        assert code == 0
+        assert "2/2 suites passed" in out
+        assert time.perf_counter() - start < 10
 
 
 def _set(*keys_and_value):

@@ -1,4 +1,7 @@
+import ast
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -272,6 +275,38 @@ class TestPhi:
         J = GeneralizedPoint.from_functional(lambda m: ExtReal(F(1, 2)))
         with pytest.raises(NotAMeasure, match="weakly averaging"):
             phi_inverse(J, X)
+
+    @staticmethod
+    def set_function(X, table):
+        """A raw functional whose value on chi_U is table[frozenset(U)]."""
+        def fn(m):
+            return ExtReal(table[frozenset(x for x in X.carrier if m(x) == 1)])
+        return GeneralizedPoint.from_functional(fn)
+
+    def test_functional_additive_on_pairs_only_rejected(self):
+        # additive on every pair of singletons, normalized, but the full
+        # three-point set is not the sum of any split of it
+        X = FiniteMeasurableSpace.powerset(["a", "b", "c"])
+        table = {frozenset(s): F(len(s), 4) for n in range(3)
+                 for s in itertools.combinations("abc", n)}
+        table[frozenset("abc")] = F(1)
+        with pytest.raises(NotAMeasure) as exc:
+            phi_inverse(self.set_function(X, table), X)
+        left, right = (
+            frozenset(ast.literal_eval(s)) for s in
+            re.fullmatch(r"additivity fails on (\[.*\]) and (\[.*\])",
+                         str(exc.value)).groups()
+        )
+        assert left and right and not left & right
+        assert table[left | right] != table[left] + table[right]
+
+    def test_functional_outside_unit_interval_rejected(self):
+        # normalized and additive, but a set gets weight 3/2
+        X = FiniteMeasurableSpace.powerset(["a", "b"])
+        table = {frozenset(): F(0), frozenset("a"): F(3, 2),
+                 frozenset("b"): F(-1, 2), frozenset("ab"): F(1)}
+        with pytest.raises(NotAMeasure, match=r"outside \[0,1\]"):
+            phi_inverse(self.set_function(X, table), X)
 
     def test_coarse_sigma_roundtrip_agrees_on_measurable_sets(self):
         from girycheck.meas import generate_sigma_algebra

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from girycheck.meas import (
     FiniteMeasurableSpace,
@@ -12,6 +13,7 @@ from girycheck.meas import (
     is_measurable,
     sigma_functor,
 )
+from girycheck.numerics import as_ext
 
 F = Fraction
 
@@ -68,9 +70,21 @@ class TestGenerateSigmaAlgebra:
 
 
 class TestFiniteMeasurableSpace:
-    def test_invalid_family_rejected(self):
-        with pytest.raises(ValueError):
-            FiniteMeasurableSpace(["a", "b"], frozenset({0b00, 0b01, 0b11}))
+    @pytest.mark.parametrize("atoms, message", [
+        ([0b000, 0b111], "nonempty"),
+        ([0b011, 0b110], "disjoint"),
+        ([0b001, 0b010], "cover"),
+        ([0b011, 0b100, 0b1000], "outside"),
+    ], ids=["empty-atom", "overlapping", "missed-point", "bit-outside"])
+    def test_invalid_family_rejected(self, atoms, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteMeasurableSpace(["a", "b", "c"], atoms)
+
+    def test_atoms_are_stored_sorted(self):
+        space = FiniteMeasurableSpace(["a", "b", "c"], [0b110, 0b001])
+        assert space.atoms_of_sigma() == (0b001, 0b110)
+        assert space == FiniteMeasurableSpace(["a", "b", "c"], [0b001, 0b110])
+        assert repr(space) == "<FiniteMeasurableSpace |X|=3 |sigma|=4>"
 
     def test_powerset_and_trivial(self):
         assert len(FiniteMeasurableSpace.powerset("abc").sigma) == 8
@@ -145,3 +159,72 @@ class TestIsMeasurable:
         src = FiniteMeasurableSpace.trivial(["a", "b"])
         tgt = FiniteMeasurableSpace.powerset(["a", "b"])
         assert not is_measurable(MeasurableMap(src, tgt, lambda x: x))
+
+
+@st.composite
+def generated_spaces(draw):
+    """A carrier of at most 6 points and generators, each given either as
+    a mask or as a list of labels."""
+    n = draw(st.integers(0, 6))
+    carrier = [f"p{i}" for i in range(n)]
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
+    as_labels = draw(st.lists(st.booleans(), min_size=len(masks),
+                              max_size=len(masks)))
+    labels = [[x for i, x in enumerate(carrier) if m >> i & 1] for m in masks]
+    generators = [g if lab else m for g, m, lab in zip(labels, masks, as_labels)]
+    return carrier, generators, labels
+
+
+@given(generated_spaces())
+def test_generated_sigma_matches_brute_force_closure(case):
+    carrier, generators, labels = case
+    space = generate_sigma_algebra(carrier, generators)
+    assert space.sigma == brute_force_closure(carrier, labels)
+
+
+def measurable_by_definition(f: MeasurableMap) -> bool:
+    """Oracle by the definition: the preimage of every measurable target
+    set (of every fiber, for an extended-real target) is a measurable
+    source set."""
+    src = f.source
+
+    def preimage(member):
+        return src.mask_of([x for x in src.carrier if member(f(x))])
+
+    if f.target == "ext_real":
+        fibers = {as_ext(f(x)) for x in src.carrier}
+        tests = [lambda y, v=v: as_ext(y) == v for v in fibers]
+    else:
+        tests = [lambda y, v=v: f.target.member(y, v) for v in f.target.sigma]
+    return all(preimage(member) in src.sigma for member in tests)
+
+
+@st.composite
+def spaces(draw, labels):
+    """A random sigma-algebra on ``labels``: each point draws one of k
+    blocks, so coarse and fine partitions are both common."""
+    k = draw(st.integers(1, len(labels)))
+    blocks = draw(st.lists(st.integers(0, k - 1),
+                           min_size=len(labels), max_size=len(labels)))
+    atoms: dict = {}
+    for i, b in enumerate(blocks):
+        atoms[b] = atoms.get(b, 0) | 1 << i
+    return FiniteMeasurableSpace(labels, atoms.values())
+
+
+@st.composite
+def random_maps(draw):
+    src = draw(spaces([f"s{i}" for i in range(draw(st.integers(1, 5)))]))
+    if draw(st.booleans()):
+        tgt = "ext_real"
+        values = st.sampled_from([F(0), F(1, 2), F(1), F(7, 3)])
+    else:
+        tgt = draw(spaces([f"t{i}" for i in range(draw(st.integers(1, 5)))]))
+        values = st.sampled_from(tgt.carrier)
+    table = {x: draw(values) for x in src.carrier}
+    return MeasurableMap(src, tgt, table.__getitem__)
+
+
+@given(random_maps())
+def test_is_measurable_matches_preimage_definition(f):
+    assert is_measurable(f) == measurable_by_definition(f)
