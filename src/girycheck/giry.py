@@ -10,6 +10,7 @@ against the same axioms as every other instance.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -44,34 +45,38 @@ def _atom_key(a):
 class ProbMeasure:
     """A finitely supported probability measure.
 
-    ``support`` is canonical: collisions merged, zero weights dropped,
-    atoms sorted; equality and hashing are exact.
+    Built from ``(atom, weight)`` pairs, where the mass of an atom is
+    ``weight / den``.  ``support`` is canonical: collisions merged, zero
+    weights dropped, atoms sorted, weights ``Fraction``s; equality and
+    hashing are exact.  The weights are merged and validated as integer
+    parts over one total, and kept as such in ``weights_partition()``.
     """
 
-    def __init__(self, support, base=None):
+    def __init__(self, support, base=None, den=1):
+        if den < 1:
+            raise ValueError("den must be a positive integer")
+        support = list(support)
+        scale = math.lcm(*[w.denominator for _, w in support])
+        den *= scale
         merged: dict = {}
         for atom, w in support:
-            w = Fraction(w)
-            if w < 0:
-                raise NotAMeasure(f"negative weight {w}")
-            if w == 0:
-                continue
-            if atom in merged:
-                merged[atom] += w
-            else:
-                merged[atom] = w
-        if sum(merged.values(), Fraction(0)) != 1:
+            p = w.numerator * (scale // w.denominator)
+            if p < 0:
+                raise NotAMeasure(f"negative weight {Fraction(p, den)}")
+            if p:
+                merged[atom] = merged.get(atom, 0) + p
+        if sum(merged.values()) != den:
             raise NotAMeasure("weights must sum to 1")
-        self.support = tuple(sorted(merged.items(), key=lambda kv: _atom_key(kv[0])))
+        items = sorted(merged.items(), key=lambda kv: _atom_key(kv[0]))
+        self.support = tuple((a, Fraction(p, den)) for a, p in items)
+        self._weights = PartitionOfOne(
+            {i: p for i, (_, p) in enumerate(items, start=1)}, den=den
+        )
         self.base = base
 
     @property
     def atoms(self):
         return [a for a, _ in self.support]
-
-    @property
-    def weights(self):
-        return [w for _, w in self.support]
 
     def weight_of(self, atom) -> Fraction:
         for a, w in self.support:
@@ -80,7 +85,8 @@ class ProbMeasure:
         return Fraction(0)
 
     def weights_partition(self) -> PartitionOfOne:
-        return PartitionOfOne.finite(self.weights)
+        """The weights in ``support`` order, as integer parts over one total."""
+        return self._weights
 
     def measure_of(self, region) -> Fraction:
         """Probability of a region: a bitmask (over a measurable-space
@@ -139,27 +145,28 @@ def mixture(omega: PartitionOfOne, measures, base=None):
     one.  Finite support is merged exactly; a lazy partition over Dirac
     measures yields a lazy countably supported measure."""
     if omega.is_finite:
-        ms = list(measures) if not callable(measures) else [
-            measures(i) for i, _ in omega.items()
-        ]
         if callable(measures):
-            picked = list(zip((i for i, _ in omega.items()), ms))
+            picked = [(i, measures(i)) for i in omega.parts]
         else:
-            picked = [(i, ms[i - 1]) for i, _ in omega.items()]
+            ms = list(measures)
+            picked = [(i, ms[i - 1]) for i in omega.parts]
         bases = {id(m.base) for _, m in picked if m.base is not None}
         if len(bases) > 1:
             raise BaseMismatch("mixture components live on different bases")
+        if any(isinstance(m, LazyMeasure) for _, m in picked):
+            raise UnsupportedRepresentation(
+                "finite mixture of lazy measures is not represented"
+            )
+        # omega_i * m_i(a) as integer parts over omega.den * lcm(m_i totals)
+        scale = math.lcm(*[m.weights_partition().den for _, m in picked])
         support = []
         for i, m in picked:
-            w_i = omega.weight(i)
-            if isinstance(m, LazyMeasure):
-                raise UnsupportedRepresentation(
-                    "finite mixture of lazy measures is not represented"
-                )
-            for a, w in m.support:
-                support.append((a, w_i * w))
+            mw = m.weights_partition()
+            f = omega.parts[i] * (scale // mw.den)
+            for (a, _), p in zip(m.support, mw.parts.values()):
+                support.append((a, f * p))
         shared = next((m.base for _, m in picked if m.base is not None), base)
-        return ProbMeasure(support, base=shared)
+        return ProbMeasure(support, base=shared, den=omega.den * scale)
 
     get = measures if callable(measures) else lambda i: measures[i - 1]
 
@@ -244,9 +251,7 @@ class GirySpace(SuperConvexSpace):
         k = rng.randint(1, n)
         atoms = rng.sample(self.X.carrier, k)
         part = random_partition(rng.getrandbits(32), k)
-        return ProbMeasure(
-            [(a, part.weight(i + 1)) for i, a in enumerate(atoms)], base=self.X
-        )
+        return ProbMeasure(zip(atoms, part.parts.values()), base=self.X, den=part.den)
 
 
 def monad_mu(Q: ProbMeasure) -> ProbMeasure:

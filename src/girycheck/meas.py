@@ -173,8 +173,9 @@ def is_measurable(f: MeasurableMap) -> bool:
 
 def indicator(space: FiniteMeasurableSpace, mask: int) -> MeasurableMap:
     """The characteristic function of a subset, into the extended reals."""
+    one, zero = Fraction(1), Fraction(0)
     return MeasurableMap(
         space, "ext_real",
-        lambda x: Fraction(1) if space.member(x, mask) else Fraction(0),
+        lambda x: one if space.member(x, mask) else zero,
         name=f"chi_{sorted(str(y) for y in space.set_of(mask))}",
     )

@@ -11,6 +11,7 @@ by heuristic); anything else raises ``Undecided``.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -71,7 +72,9 @@ class ExtReal:
     __slots__ = ("value", "enclosure")
 
     def __init__(self, value: Rational | None, enclosure: Enclosure | None = None):
-        self.value = None if value is None else Fraction(value)
+        if value is not None and not isinstance(value, Fraction):
+            value = Fraction(value)
+        self.value = value
         self.enclosure = enclosure
 
     @classmethod
@@ -100,10 +103,13 @@ class ExtReal:
         return self.value == other.value
 
     def __hash__(self):
-        return hash(("ExtReal", self.value))
+        # equal to the hash of the int, Fraction or float it compares equal to
+        return hash(float("inf") if self.is_inf else self.value)
 
     def __lt__(self, other) -> bool:
         other = as_ext(other)
+        if other is NotImplemented:
+            return NotImplemented
         if self.is_inf:
             return False
         if other.is_inf:
@@ -183,43 +189,64 @@ def binary_combine(r: Rational, u, v) -> ExtReal:
 class PartitionOfOne:
     """A countable sequence of weights in [0,1] summing to one.
 
-    Finite support stores exact rational weights indexed from 1 and sums
-    to exactly 1.  Lazy support stores a weight generator together with a
-    certified tail-mass bound per truncation depth.
+    Finite support stores nonnegative integer ``parts`` indexed from 1, in
+    increasing index order, over one total ``den``: weight i is
+    ``parts[i] / den``.  Zero parts are dropped and the parts are reduced
+    by their gcd with ``den``, so equal partitions have equal parts.  Lazy
+    support stores a weight generator together with a certified tail-mass
+    bound per truncation depth.
     """
 
-    __slots__ = ("support", "weight_fn", "tail_fn")
+    __slots__ = ("parts", "den", "weight_fn", "tail_fn")
 
     def __init__(
         self,
-        support: dict[int, Fraction] | None = None,
+        weights: dict[int, Rational] | None = None,
+        den: int = 1,
         weight_fn: Callable[[int], Fraction] | None = None,
         tail_fn: Callable[[int], Fraction] | None = None,
     ):
-        if support is not None:
-            support = {i: Fraction(w) for i, w in support.items() if w != 0}
-            for i, w in support.items():
+        """Finite support: weight i is ``weights[i] / den``.  Lazy support:
+        ``weight_fn`` and ``tail_fn``."""
+        if weights is not None:
+            if den < 1:
+                raise ValueError("den must be a positive integer")
+            scale = math.lcm(*[w.denominator for w in weights.values()])
+            den *= scale
+            parts = {}
+            for i, w in sorted(weights.items()):
                 if i < 1:
                     raise ValueError("indices start at 1")
-                if not 0 <= w <= 1:
-                    raise ValueError(f"weight {w} outside [0, 1]")
-            if sum(support.values()) != 1:
+                p = w.numerator * (scale // w.denominator)
+                if p < 0:
+                    raise ValueError(f"weight {Fraction(p, den)} outside [0, 1]")
+                if p:
+                    parts[i] = p
+            if sum(parts.values()) != den:
                 raise ValueError("weights must sum to 1")
-            self.support = support
+            g = math.gcd(den, *parts.values())
+            if g > 1:
+                parts = {i: p // g for i, p in parts.items()}
+                den //= g
+            self.parts = parts
+            self.den = den
             self.weight_fn = None
             self.tail_fn = None
         else:
             if weight_fn is None or tail_fn is None:
                 raise ValueError("lazy partition needs weight_fn and tail_fn")
-            self.support = None
+            self.parts = None
+            self.den = None
             self.weight_fn = weight_fn
             self.tail_fn = tail_fn
 
     @classmethod
     def finite(cls, weights: Iterable[Rational] | dict[int, Rational]) -> "PartitionOfOne":
-        if isinstance(weights, dict):
-            return cls(support={i: Fraction(w) for i, w in weights.items()})
-        return cls(support={i: Fraction(w) for i, w in enumerate(weights, start=1)})
+        """The finite partition with the given weights, as a dict by index
+        or a sequence indexed from 1."""
+        if not isinstance(weights, dict):
+            weights = dict(enumerate(weights, start=1))
+        return cls(weights)
 
     @classmethod
     def geometric(cls) -> "PartitionOfOne":
@@ -231,36 +258,34 @@ class PartitionOfOne:
 
     @property
     def is_finite(self) -> bool:
-        return self.support is not None
+        return self.parts is not None
 
     def weight(self, i: int) -> Fraction:
         if self.is_finite:
-            return self.support.get(i, Fraction(0))
+            return Fraction(self.parts.get(i, 0), self.den)
         return Fraction(self.weight_fn(i))
 
     def tail_mass(self, n: int) -> Fraction:
         """Certified bound on the mass beyond index n."""
         if self.is_finite:
-            return sum(
-                (w for i, w in self.support.items() if i > n), Fraction(0)
-            )
+            return Fraction(sum(p for i, p in self.parts.items() if i > n), self.den)
         return Fraction(self.tail_fn(n))
 
     def items(self):
         if not self.is_finite:
             raise UnsupportedRepresentation("lazy partition has no finite item list")
-        return sorted(self.support.items())
+        return [(i, Fraction(p, self.den)) for i, p in self.parts.items()]
 
     def __eq__(self, other):
         if not isinstance(other, PartitionOfOne):
             return NotImplemented
         if self.is_finite and other.is_finite:
-            return self.support == other.support
+            return self.den == other.den and self.parts == other.parts
         return self is other
 
     def __hash__(self):
         if self.is_finite:
-            return hash(frozenset(self.support.items()))
+            return hash((tuple(self.parts.items()), self.den))
         return id(self)
 
     def __repr__(self):
@@ -274,7 +299,7 @@ def dirac_partition(j: int) -> PartitionOfOne:
     """The partition with all weight at index j."""
     if j < 1:
         raise ValueError("index must be >= 1")
-    return PartitionOfOne.finite({j: Fraction(1)})
+    return PartitionOfOne({j: 1})
 
 
 def _value_at(u, i: int) -> ExtReal:
@@ -295,29 +320,35 @@ def countable_combine(
     reals.
 
     ``u`` is a sequence (1-indexed via position) or a callable on indices.
-    Finite support is summed exactly; any strictly positive weight on an
+    Finite support is summed exactly, as one integer dot product over the
+    lcm of the values' denominators; any strictly positive weight on an
     infinite value forces the result to infinity.  Lazy support needs a
     certificate: ``bound`` B (all tail values satisfy |u_i| <= B) yields a
-    value with enclosure width <= 2*B*tail(N); ``divergence_witness``
+    value with enclosure width <= 2*B*tail(N), and every scanned term is
+    checked against B (ValueError if one exceeds it); ``divergence_witness``
     asserts the partial sums exceed any threshold and yields infinity
     without checking the claim.  Without a certificate the partial sums are scanned to
     ``n_max``; crossing ``threshold`` upward returns infinity, anything
     else raises Undecided.
     """
-    threshold = Fraction(threshold)
     if omega.is_finite:
-        total = Fraction(0)
-        for i, w in omega.items():
+        values = []
+        for i in omega.parts:
             ui = _value_at(u, i)
             if ui.is_inf:
                 return INF
-            total += w * ui.value
-        return ExtReal(total)
+            values.append(ui.value)
+        scale = math.lcm(*[v.denominator for v in values])
+        total = sum(p * v.numerator * (scale // v.denominator)
+                    for p, v in zip(omega.parts.values(), values))
+        return ExtReal(Fraction(total, omega.den * scale))
 
     if bound is not None and divergence_witness:
         raise ValueError("bound and divergence witness are exclusive")
     if divergence_witness:
         return INF
+    threshold = Fraction(threshold)
+    b = None if bound is None else Fraction(bound)
     partial = Fraction(0)
     for n in range(1, n_max + 1):
         w = omega.weight(n)
@@ -325,11 +356,12 @@ def countable_combine(
             un = _value_at(u, n)
             if un.is_inf:
                 return INF
+            if b is not None and abs(un.value) > b:
+                raise ValueError(f"term u_{n} = {un.value} exceeds the bound {b}")
             partial += w * un.value
         if bound is None and partial > threshold:
             return INF
-    if bound is not None:
-        b = Fraction(bound)
+    if b is not None:
         tail = b * omega.tail_mass(n_max)
         enc = Enclosure(partial - tail, partial + tail)
         return ExtReal(partial, enclosure=enc)
@@ -348,18 +380,24 @@ def compose_partitions(alpha: PartitionOfOne, betas) -> PartitionOfOne:
 
     ``betas`` is a sequence (1-indexed via position) or callable of
     finite-support partitions.  Exact composition is only defined for
-    finite supports.
+    finite supports; it is an integer matrix-vector product over the lcm
+    of the betas' totals.
     """
     if not alpha.is_finite:
         raise UnsupportedRepresentation("compose_partitions needs finite support")
-    gamma: dict[int, Fraction] = {}
-    for i, ai in alpha.items():
+    picked = []
+    for i, ai in alpha.parts.items():
         beta_i = betas(i) if callable(betas) else betas[i - 1]
         if not beta_i.is_finite:
             raise UnsupportedRepresentation("compose_partitions needs finite support")
-        for j, bij in beta_i.items():
-            gamma[j] = gamma.get(j, Fraction(0)) + ai * bij
-    return PartitionOfOne(support=gamma)
+        picked.append((ai, beta_i))
+    scale = math.lcm(*[beta_i.den for _, beta_i in picked])
+    gamma: dict[int, int] = {}
+    for ai, beta_i in picked:
+        f = ai * (scale // beta_i.den)
+        for j, bij in beta_i.parts.items():
+            gamma[j] = gamma.get(j, 0) + f * bij
+    return PartitionOfOne(gamma, den=alpha.den * scale)
 
 
 def random_partition(seed: int, support_size: int) -> PartitionOfOne:
@@ -369,6 +407,5 @@ def random_partition(seed: int, support_size: int) -> PartitionOfOne:
         raise ValueError("support_size must be >= 1")
     rng = random.Random(seed)
     parts = [rng.randint(1, 1000) for _ in range(support_size)]
-    total = sum(parts)
-    return PartitionOfOne.finite([Fraction(p, total) for p in parts])
+    return PartitionOfOne(dict(enumerate(parts, start=1)), den=sum(parts))
 

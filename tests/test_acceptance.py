@@ -183,6 +183,25 @@ def test_mutant_reports_match_recorded_digests(seed, tmp_path):
             code == 1 and digest == REPORT_DIGESTS[seed])
 
 
+# SHA-256 of the stdout of `laws --seed s --output json` with default flags,
+# recorded while finite weights were still stored as one Fraction each.
+LAWS_DIGESTS = {
+    0: "b9436b8946305f01a01fcb0d319ccded56c9a693de171c2c63f4e723c56b4518",
+    1: "9c7f0d905963667481c1db28bff4dc00eb4b4179ad0f1c82ad6e3fa6a4204c0e",
+    2: "2440dda6041a8ed3376143d6c313dbd4b9f33c7e803e2f33607f53157429f9ed",
+    3: "378ab8c811c127029fc70094c7812587220d6666513a0b0c15a86ccc215c0c78",
+    4: "7094523abe7acf0ff4f8200d015622d024459f686b4949f3fdc109e906bbce06",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LAWS_DIGESTS))
+def test_default_laws_reports_match_recorded_digests(seed, capsys):
+    code = main(["laws", "--seed", str(seed), "--output", "json"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    verdict(f"behaviour oracle: default laws seed {seed} report digest unchanged",
+            code == 0 and digest == LAWS_DIGESTS[seed])
+
+
 # SHA-256 and exit code of `scenario FILE --output json` for the fixtures in
 # tests/scenarios, recorded while sigma-algebras were still stored as the
 # full family of measurable sets.  coarse_off_first puts mass off the first

@@ -132,6 +132,18 @@ class TestScenarioCommand:
         assert code == 2
         assert "measures.P" in err and "sum to 1" in err
 
+    @pytest.mark.parametrize("weights, message", [
+        (["3/2", "-1/2"], "negative weight -1/2"),
+        (["1/3", "-2/6"], "negative weight -1/3"),
+        (["1/4", "1/2"], "weights must sum to 1"),
+    ])
+    def test_bad_weights_message(self, weights, message, tmp_path, capsys):
+        doc = json.loads(json.dumps(GOOD_SCENARIO))
+        for atom, w in zip(doc["measures"]["P"]["atoms"], weights):
+            atom["weight"] = w
+        code, _, err = run(["scenario", write_scenario(tmp_path, doc)], capsys)
+        assert (code, err) == (2, f"scenario error: measures.P: {message}\n")
+
     def test_non_affine_map_fails_morphism_with_witness(self, tmp_path, capsys):
         doc = json.loads(json.dumps(GOOD_SCENARIO))
         doc["maps"]["m"] = {"kind": "poly", "coeffs": ["0", "0", "1"]}

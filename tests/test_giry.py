@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girycheck.giry import (
     BaseMismatch,
@@ -65,6 +67,29 @@ class TestProbMeasure:
     def test_negative_weight_rejected(self):
         with pytest.raises(NotAMeasure):
             ProbMeasure([("a", F(3, 2)), ("b", F(-1, 2))])
+
+    @pytest.mark.parametrize("support, den, message", [
+        ([("a", F(3, 2)), ("b", F(-1, 2))], 1, "negative weight -1/2"),
+        ([("a", F(1, 3)), ("b", F(-2, 6))], 1, "negative weight -1/3"),
+        ([("a", 3), ("b", -1)], 4, "negative weight -1/4"),
+        ([("a", F(1, 2)), ("b", F(1, 4))], 1, "weights must sum to 1"),
+        ([("a", 1), ("a", 1)], 3, "weights must sum to 1"),
+        ([], 1, "weights must sum to 1"),
+    ])
+    def test_rejection_messages(self, support, den, message):
+        with pytest.raises(NotAMeasure) as info:
+            ProbMeasure(support, den=den)
+        assert str(info.value) == message
+
+    def test_weights_over_den(self):
+        P = ProbMeasure([("b", 2), ("a", 1), ("b", 3)], den=6)
+        assert P.support == (("a", F(1, 6)), ("b", F(5, 6)))
+        assert P == ProbMeasure([("a", F(1, 6)), ("b", F(5, 6))])
+        w = P.weights_partition()
+        assert w is P.weights_partition()
+        assert (w.parts, w.den) == ({1: 1, 2: 5}, 6)
+        with pytest.raises(ValueError, match="den must be a positive integer"):
+            ProbMeasure([("a", 0)], den=0)
 
     def test_collisions_merge_exactly(self):
         P = ProbMeasure([("a", F(1, 3)), ("a", F(1, 3)), ("b", F(1, 3))])
@@ -315,3 +340,42 @@ class TestPhi:
         back = phi_inverse(phi(P), X)
         for u in X.sigma:
             assert back.measure_of(u) == P.measure_of(u)
+
+
+# Plain-Fraction reference for mixture weights: omega_i times each
+# component weight, merged per atom.
+
+
+def ref_mixture_support(omega, components):
+    merged = {}
+    for w_i, comp in zip(omega, components):
+        for a, w in comp:
+            merged[a] = merged.get(a, F(0)) + w_i * w
+    return tuple(sorted(((a, w) for a, w in merged.items() if w != 0),
+                        key=lambda kv: repr(kv[0])))
+
+
+def weight_lists(max_size):
+    ratios = st.lists(st.tuples(st.integers(0, 9), st.integers(1, 9)),
+                      min_size=1, max_size=max_size)
+    ratios = ratios.filter(lambda rs: any(a for a, _ in rs))
+    def normalize(rs):
+        ws = [F(a, b) for a, b in rs]
+        return [w / sum(ws) for w in ws]
+    return ratios.map(normalize)
+
+
+def components():
+    return weight_lists(4).flatmap(lambda ws: st.lists(
+        st.sampled_from("abcde"), min_size=len(ws), max_size=len(ws)
+    ).map(lambda atoms: list(zip(atoms, ws))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(weight_lists(4).flatmap(lambda omega: st.tuples(
+    st.just(omega), st.lists(components(), min_size=len(omega), max_size=len(omega)))))
+def test_mixture_weights_match_fraction_reference(case):
+    omega, comps = case
+    got = mixture(PartitionOfOne.finite(omega), [ProbMeasure(c) for c in comps])
+    assert got.support == ref_mixture_support(omega, comps)
+    assert got == ProbMeasure(ref_mixture_support(omega, comps))

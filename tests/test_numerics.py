@@ -52,6 +52,18 @@ class TestExtReal:
                                                  near.value + F(1, 2**50)))
         assert ext_eq(exact, enclosed, F(1, 10**12))
 
+    def test_hash_agrees_with_equality(self):
+        assert ExtReal(1) == 1 and len({ExtReal(1), 1}) == 1
+        assert len({ExtReal(F(1, 2)), F(1, 2), 0.5}) == 1
+        assert INF == float("inf") and hash(INF) == hash(float("inf"))
+        assert hash(ExtReal(F(2, 3), Enclosure(0, 1))) == hash(ExtReal(F(2, 3)))
+
+    def test_order_against_a_foreign_type_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            ExtReal(1) < "a"
+        with pytest.raises(TypeError):
+            ExtReal(1) <= "a"
+
 
 class TestBinaryCombine:
     def test_midpoint(self):
@@ -87,6 +99,30 @@ class TestPartitionOfOne:
     def test_zero_weights_are_dropped(self):
         p = PartitionOfOne.finite({1: F(1), 5: F(0)})
         assert p.items() == [(1, F(1))]
+
+    def test_canonical_form(self):
+        a = PartitionOfOne.finite([F(2, 4), F(1, 2)])
+        b = PartitionOfOne.finite({1: F(1, 2), 2: F(1, 2)})
+        c = PartitionOfOne({2: 3, 1: 3}, den=6)
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+        assert (c.parts, c.den) == ({1: 1, 2: 1}, 2)
+
+    def test_weights_over_den(self):
+        p = PartitionOfOne({4: F(1, 2), 1: 1, 3: F(3, 2)}, den=3)
+        assert (p.parts, p.den) == ({1: 2, 3: 3, 4: 1}, 6)
+        assert p.items() == [(1, F(1, 3)), (3, F(1, 2)), (4, F(1, 6))]
+        assert p.weight(2) == 0 and p.tail_mass(1) == F(2, 3)
+
+    @pytest.mark.parametrize("weights, den, match", [
+        ({0: 1}, 1, "indices start at 1"),
+        ({1: 2, 2: -1}, 1, r"weight -1 outside \[0, 1\]"),
+        ({1: 1, 2: 1}, 3, "weights must sum to 1"),
+        ({}, 1, "weights must sum to 1"),
+        ({}, 0, "den must be a positive integer"),
+    ])
+    def test_finite_validation(self, weights, den, match):
+        with pytest.raises(ValueError, match=match):
+            PartitionOfOne(weights, den=den)
 
 
 class TestCountableCombine:
@@ -127,6 +163,17 @@ class TestCountableCombine:
         geo = PartitionOfOne.geometric()
         with pytest.raises(Undecided, match="-inf|below"):
             countable_combine(geo, lambda i: -i * 2**i, n_max=100, threshold=1000)
+
+    def test_bound_is_checked_on_every_scanned_term(self):
+        # 10*i breaks |u_i| <= 1 at the first term; an enclosure built on
+        # that bound would exclude the true sum, 20
+        geo = PartitionOfOne.geometric()
+        with pytest.raises(ValueError, match="u_1 = 10"):
+            countable_combine(geo, lambda i: 10 * i, n_max=20, bound=1)
+        with pytest.raises(ValueError, match="u_7 = 2"):
+            countable_combine(geo, lambda i: 1 if i < 7 else 2, n_max=20, bound=1)
+        got = countable_combine(geo, lambda i: -1, n_max=20, bound=1)
+        assert got.enclosure.contains(-1)
 
     def test_monotone_in_values(self):
         omega = random_partition(7, 5)
@@ -210,3 +257,82 @@ def test_associativity_identity_on_rationals(seed_a, seed_b, values):
 def test_dirac_projection_through_combine(seed, j):
     values = [ExtReal(F(seed % 97 + i, 13)) for i in range(6)]
     assert countable_combine(dirac_partition(j), values) == values[j - 1]
+
+
+# Plain-Fraction references for the integer-parts kernel: one Fraction per
+# weight, summed term by term.
+
+
+def ref_combine(weights, values):
+    total = F(0)
+    for w, v in zip(weights, values):
+        if w == 0:
+            continue
+        if v is INF:
+            return INF
+        total += w * v
+    return ExtReal(total)
+
+
+def ref_compose(alpha, betas):
+    gamma = {}
+    for ai, beta in zip(alpha, betas):
+        for j, bij in enumerate(beta, start=1):
+            gamma[j] = gamma.get(j, F(0)) + ai * bij
+    return sorted((j, g) for j, g in gamma.items() if g != 0)
+
+
+def fraction_partitions(min_size=1, max_size=6):
+    """Weight lists with mixed denominators and some zeros, summing to 1."""
+    ratios = st.lists(
+        st.tuples(st.integers(0, 12), st.integers(1, 12)),
+        min_size=min_size, max_size=max_size,
+    ).filter(lambda rs: any(a for a, _ in rs))
+    def normalize(rs):
+        ws = [F(a, b) for a, b in rs]
+        total = sum(ws)
+        return [w / total for w in ws]
+    return ratios.map(normalize)
+
+
+def ext_values(size):
+    value = st.one_of(
+        st.builds(F, st.integers(-50, 50), st.integers(1, 30)),
+        st.just(INF),
+    )
+    return st.lists(value, min_size=size, max_size=size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fraction_partitions().flatmap(
+    lambda ws: st.tuples(st.just(ws), ext_values(len(ws)))))
+def test_finite_combine_matches_fraction_reference(case):
+    weights, values = case
+    got = countable_combine(PartitionOfOne.finite(weights), values)
+    want = ref_combine(weights, values)
+    assert got.is_inf == want.is_inf and got.value == want.value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    fraction_partitions(k, k),
+    st.lists(fraction_partitions(max_size=5), min_size=k, max_size=k))))
+def test_compose_matches_fraction_reference(case):
+    alpha, betas = case
+    got = compose_partitions(PartitionOfOne.finite(alpha),
+                             [PartitionOfOne.finite(b) for b in betas])
+    assert got.items() == ref_compose(alpha, betas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_partitions(), st.integers(1, 50))
+def test_equal_partitions_have_equal_parts_and_hashes(weights, c):
+    # the same partition as Fractions, and as unreduced integer parts
+    a = PartitionOfOne.finite(weights)
+    common = 1
+    for w in weights:
+        common = common * w.denominator
+    b = PartitionOfOne({i: int(w * common) * c for i, w in enumerate(weights, start=1)},
+                       den=common * c)
+    assert a == b and hash(a) == hash(b) and (a.parts, a.den) == (b.parts, b.den)
+    assert a.items() == [(i, w) for i, w in enumerate(weights, start=1) if w != 0]
