@@ -21,9 +21,10 @@ from .numerics import (
     UnsupportedRepresentation,
     as_ext,
     countable_combine,
+    ext_eq,
     random_partition,
 )
-from .scvx import SuperConvexSpace
+from .scvx import SuperConvexSpace, describe
 
 
 class BaseMismatch(Exception):
@@ -43,73 +44,60 @@ def _atom_key(a):
 
 
 class ProbMeasure:
-    """A finitely supported probability measure.
+    """A finitely supported probability measure: the convex combination
+    of the point masses at ``atoms`` with the weights of ``weights``.
 
     Built from ``(atom, weight)`` pairs, where the mass of an atom is
-    ``weight / den``.  ``support`` is canonical: collisions merged, zero
-    weights dropped, atoms sorted, weights ``Fraction``s; equality and
-    hashing are exact.  The weights are merged and validated as integer
-    parts over one total, and kept as such in ``weights_partition()``.
+    ``weight / den``.  Every weight must be nonnegative; colliding atoms
+    are merged, zero weights dropped and the atoms sorted.  ``weights`` is
+    one finite partition of one with weight i on ``atoms[i-1]``, so
+    equality and hashing are exact.
     """
 
     def __init__(self, support, base=None, den=1):
         if den < 1:
             raise ValueError("den must be a positive integer")
-        support = list(support)
-        scale = math.lcm(*[w.denominator for _, w in support])
-        den *= scale
         merged: dict = {}
         for atom, w in support:
-            p = w.numerator * (scale // w.denominator)
-            if p < 0:
-                raise NotAMeasure(f"negative weight {Fraction(p, den)}")
-            if p:
-                merged[atom] = merged.get(atom, 0) + p
-        if sum(merged.values()) != den:
-            raise NotAMeasure("weights must sum to 1")
+            if w < 0:
+                raise NotAMeasure(f"negative weight {Fraction(w, den)}")
+            if w:
+                merged[atom] = merged.get(atom, 0) + w
         items = sorted(merged.items(), key=lambda kv: _atom_key(kv[0]))
-        self.support = tuple((a, Fraction(p, den)) for a, p in items)
-        self._weights = PartitionOfOne(
-            {i: p for i, (_, p) in enumerate(items, start=1)}, den=den
-        )
+        self.atoms = tuple(a for a, _ in items)
+        try:
+            self.weights = PartitionOfOne(
+                {i: w for i, (_, w) in enumerate(items, start=1)}, den=den
+            )
+        except ValueError as exc:
+            raise NotAMeasure(str(exc)) from None
         self.base = base
 
     @property
-    def atoms(self):
-        return [a for a, _ in self.support]
-
-    def weight_of(self, atom) -> Fraction:
-        for a, w in self.support:
-            if a == atom:
-                return w
-        return Fraction(0)
-
-    def weights_partition(self) -> PartitionOfOne:
-        """The weights in ``support`` order, as integer parts over one total."""
-        return self._weights
+    def support(self) -> tuple:
+        """The ``(atom, Fraction)`` pairs, in atom order."""
+        return tuple(zip(self.atoms, (w for _, w in self.weights.items())))
 
     def measure_of(self, region) -> Fraction:
         """Probability of a region: a bitmask (over a measurable-space
-        base), a predicate, or an atom container."""
+        base) or an atom container."""
         if isinstance(region, int) and isinstance(self.base, FiniteMeasurableSpace):
             member = lambda a: self.base.member(a, region)
-        elif callable(region):
-            member = region
         else:
             atoms = list(region)
             member = lambda a: a in atoms
-        return sum((w for a, w in self.support if member(a)), Fraction(0))
+        parts = zip(self.atoms, self.weights.parts.values())
+        return Fraction(sum(p for a, p in parts if member(a)), self.weights.den)
 
     def __eq__(self, other):
         if not isinstance(other, ProbMeasure):
             return NotImplemented
-        return self.support == other.support
+        return self.atoms == other.atoms and self.weights == other.weights
 
     def __hash__(self):
-        return hash(self.support)
+        return hash((self.atoms, self.weights))
 
     def to_json_obj(self) -> dict:
-        from .scvx import describe
         return {
             "atoms": [{"atom": describe(a), "weight": str(w)} for a, w in self.support]
         }
@@ -121,14 +109,14 @@ class ProbMeasure:
 
 class LazyMeasure:
     """A countably supported measure given by a lazy partition of one and
-    an atom generator; used where a finite list cannot represent the
-    support (geometric mixtures)."""
+    an atom generator ``atoms(i)``; used where a finite list cannot
+    represent the support (geometric mixtures)."""
 
-    def __init__(self, weights: PartitionOfOne, atom_fn, base=None):
+    def __init__(self, weights: PartitionOfOne, atoms, base=None):
         if weights.is_finite:
             raise ValueError("use ProbMeasure for finite support")
         self.weights = weights
-        self.atom_fn = atom_fn
+        self.atoms = atoms
         self.base = base
 
     def __repr__(self):
@@ -153,32 +141,31 @@ def mixture(omega: PartitionOfOne, measures, base=None):
         bases = {id(m.base) for _, m in picked if m.base is not None}
         if len(bases) > 1:
             raise BaseMismatch("mixture components live on different bases")
-        if any(isinstance(m, LazyMeasure) for _, m in picked):
+        if not all(m.weights.is_finite for _, m in picked):
             raise UnsupportedRepresentation(
                 "finite mixture of lazy measures is not represented"
             )
         # omega_i * m_i(a) as integer parts over omega.den * lcm(m_i totals)
-        scale = math.lcm(*[m.weights_partition().den for _, m in picked])
+        scale = math.lcm(*[m.weights.den for _, m in picked])
         support = []
         for i, m in picked:
-            mw = m.weights_partition()
-            f = omega.parts[i] * (scale // mw.den)
-            for (a, _), p in zip(m.support, mw.parts.values()):
+            f = omega.parts[i] * (scale // m.weights.den)
+            for a, p in zip(m.atoms, m.weights.parts.values()):
                 support.append((a, f * p))
         shared = next((m.base for _, m in picked if m.base is not None), base)
         return ProbMeasure(support, base=shared, den=omega.den * scale)
 
     get = measures if callable(measures) else lambda i: measures[i - 1]
 
-    def atom_fn(i):
+    def atom(i):
         m = get(i)
-        if not isinstance(m, ProbMeasure) or len(m.support) != 1:
+        if not isinstance(m, ProbMeasure) or len(m.atoms) != 1:
             raise UnsupportedRepresentation(
                 "lazy mixtures are represented only over Dirac measures"
             )
-        return m.support[0][0]
+        return m.atoms[0]
 
-    return LazyMeasure(omega, atom_fn, base=base)
+    return LazyMeasure(omega, atom, base=base)
 
 
 def pushforward(P: ProbMeasure, m, base=None) -> ProbMeasure:
@@ -192,18 +179,20 @@ def pushforward(P: ProbMeasure, m, base=None) -> ProbMeasure:
     return ProbMeasure([(fn(a), w) for a, w in P.support], base=tgt)
 
 
+def _map_atoms(fn, atoms):
+    """fn applied to each atom, kept in the form of ``atoms``: a sequence,
+    or a callable on indices."""
+    if callable(atoms):
+        return lambda i: fn(atoms(i))
+    return [fn(a) for a in atoms]
+
+
 def integrate(P, f, **certificates) -> ExtReal:
     """The integral of an extended-real-valued map against a measure:
     exact on finite support, certified enclosure or infinity on lazy
     support."""
     fn = f.fn if hasattr(f, "fn") else f
-    if isinstance(P, LazyMeasure):
-        return countable_combine(
-            P.weights, lambda i: as_ext(fn(P.atom_fn(i))), **certificates
-        )
-    omega = P.weights_partition()
-    values = [as_ext(fn(a)) for a in P.atoms]
-    return countable_combine(omega, values, **certificates)
+    return countable_combine(P.weights, _map_atoms(fn, P.atoms), **certificates)
 
 
 def barycenter(A: SuperConvexSpace, P, generating_maps=(), **certificates):
@@ -211,15 +200,11 @@ def barycenter(A: SuperConvexSpace, P, generating_maps=(), **certificates):
     integration against P.  Computed constructively as A's combine of the
     atoms; the defining evaluation property is then checked against every
     supplied generating map."""
-    if isinstance(P, LazyMeasure):
-        a = A.combine(P.weights, P.atom_fn, **certificates)
-    else:
-        a = A.combine(P.weights_partition(), P.atoms)
+    a = A.combine(P.weights, P.atoms, **certificates)
     for m in generating_maps:
         lhs = as_ext(m(a))
         rhs = integrate(P, m, **certificates)
         tol = getattr(A, "tolerance", 0)
-        from .numerics import ext_eq
         if not ext_eq(lhs, rhs, tol):
             raise EvInconsistency(
                 f"{m!r}: m(barycenter)={lhs!r} but integral={rhs!r}"
@@ -263,44 +248,26 @@ def monad_mu(Q: ProbMeasure) -> ProbMeasure:
     bases = {id(m.base) for m in Q.atoms if m.base is not None}
     if len(bases) > 1:
         raise BaseMismatch("atom measures live on different bases")
-    return mixture(Q.weights_partition(), Q.atoms)
+    return mixture(Q.weights, Q.atoms)
 
 
 class GeneralizedPoint:
-    """A functional on affine maps, backed by a point (evaluation), a
-    measure (integration), or a raw functional (for mutants)."""
+    """A functional on affine maps: evaluation at a point, integration
+    against a measure, or a raw functional (for mutants)."""
 
-    def __init__(self, kind, point=None, measure=None, fn=None):
-        self.kind = kind
-        self.point = point
-        self.measure = measure
+    def __init__(self, fn):
         self.fn = fn
 
     @classmethod
     def from_point(cls, a) -> "GeneralizedPoint":
-        return cls("point", point=a)
+        return cls(lambda m: m(a))
 
     @classmethod
     def from_measure(cls, P) -> "GeneralizedPoint":
-        return cls("measure", measure=P)
+        return cls(lambda m: integrate(P, m))
 
-    @classmethod
-    def from_functional(cls, fn) -> "GeneralizedPoint":
-        return cls("functional", fn=fn)
-
-    def apply(self, m, **certificates) -> ExtReal:
-        if self.kind == "point":
-            return as_ext(m(self.point))
-        if self.kind == "measure":
-            return integrate(self.measure, m, **certificates)
+    def apply(self, m) -> ExtReal:
         return as_ext(self.fn(m))
-
-    def __repr__(self):
-        if self.kind == "point":
-            return f"GeneralizedPoint(ev_{self.point!r})"
-        if self.kind == "measure":
-            return f"GeneralizedPoint({self.measure!r}^)"
-        return "GeneralizedPoint(functional)"
 
 
 def phi(P: ProbMeasure) -> GeneralizedPoint:

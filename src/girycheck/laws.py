@@ -178,7 +178,7 @@ def nonadditive_functional(X: FiniteMeasurableSpace) -> GeneralizedPoint:
         v = integrate(P, m)
         return ExtReal(v.value ** 2) if not v.is_inf else INF
 
-    return GeneralizedPoint.from_functional(fn)
+    return GeneralizedPoint(fn)
 
 
 def half_cauchy_generalized_point() -> GeneralizedPoint:
@@ -186,7 +186,7 @@ def half_cauchy_generalized_point() -> GeneralizedPoint:
     integration against it sends the inclusion map to infinity, so it is
     not backed by any point of the carrier.  Documentation mutant for the
     image property."""
-    return GeneralizedPoint.from_functional(lambda m: INF)
+    return GeneralizedPoint(lambda m: INF)
 
 
 # ---------------------------------------------------------------------------

@@ -145,11 +145,10 @@ class MeasurableMap:
     finite measurable space or the extended real line with its Borel-plus-
     infinity structure (handled through fibers on the finite source)."""
 
-    def __init__(self, source: FiniteMeasurableSpace, target, fn, name: str = "map"):
+    def __init__(self, source: FiniteMeasurableSpace, target, fn):
         self.source = source
         self.target = target  # FiniteMeasurableSpace or the string "ext_real"
         self.fn = fn
-        self.name = name
 
     def __call__(self, x):
         return self.fn(x)
@@ -175,7 +174,5 @@ def indicator(space: FiniteMeasurableSpace, mask: int) -> MeasurableMap:
     """The characteristic function of a subset, into the extended reals."""
     one, zero = Fraction(1), Fraction(0)
     return MeasurableMap(
-        space, "ext_real",
-        lambda x: one if space.member(x, mask) else zero,
-        name=f"chi_{sorted(str(y) for y in space.set_of(mask))}",
+        space, "ext_real", lambda x: one if space.member(x, mask) else zero
     )

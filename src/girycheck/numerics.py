@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import total_ordering
 from typing import Callable, Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -61,6 +62,7 @@ class Enclosure:
         return f"Enclosure[{self.lower}, {hi}]"
 
 
+@total_ordering
 class ExtReal:
     """A point of the real line extended by a single point at infinity.
 
@@ -76,10 +78,6 @@ class ExtReal:
             value = Fraction(value)
         self.value = value
         self.enclosure = enclosure
-
-    @classmethod
-    def finite(cls, q: Rational) -> "ExtReal":
-        return cls(Fraction(q))
 
     @classmethod
     def infinity(cls) -> "ExtReal":
@@ -115,9 +113,6 @@ class ExtReal:
         if other.is_inf:
             return True
         return self.value < other.value
-
-    def __le__(self, other) -> bool:
-        return self == other or self < other
 
     def __repr__(self):
         if self.is_inf:

@@ -3,6 +3,7 @@ prints one pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import hashlib
+import json
 import math
 import time
 from fractions import Fraction
@@ -220,3 +221,25 @@ def test_scenario_reports_match_recorded_digests(name, capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     verdict(f"behaviour oracle: scenario {name} report digest unchanged",
             (code, digest) == SCENARIO_DIGESTS[name])
+
+
+# SHA-256 over `f"{exit_code}\n{stdout}"` of `scenario FILE --output json`
+# for each of the 100 scenario documents in tests/scenarios/sweep1.jsonl,
+# in file order, each written as `json.dumps(doc, indent=1)`.  The
+# documents are one block of the scenario-sweep benchmark (seed
+# "scenario-sweep:1"), and the digest was recorded while a measure still
+# kept its weights both as Fractions and as integer parts.
+SWEEP_DIGEST = "272ba2c38627aa50e67c24218abacf32928ea05b81ffd0ae1e1971f45263365e"
+
+
+def test_scenario_sweep_reports_match_recorded_digest(tmp_path, capsys):
+    lines = (Path(__file__).parent / "scenarios" / "sweep1.jsonl").read_text()
+    docs = [json.loads(line) for line in lines.splitlines()]
+    path = tmp_path / "scenario.json"
+    h = hashlib.sha256()
+    for doc in docs:
+        path.write_text(json.dumps(doc, indent=1))
+        code = main(["scenario", str(path), "--output", "json"])
+        h.update(f"{code}\n{capsys.readouterr().out}".encode())
+    verdict(f"behaviour oracle: {len(docs)} sweep scenario reports unchanged",
+            len(docs) == 100 and h.hexdigest() == SWEEP_DIGEST)

@@ -81,26 +81,30 @@ class TestProbMeasure:
             ProbMeasure(support, den=den)
         assert str(info.value) == message
 
+    def test_negative_entry_rejected_before_merging(self):
+        # merged, "a" would weigh 1/2 and the measure would be valid
+        with pytest.raises(NotAMeasure, match="negative weight -1/2"):
+            ProbMeasure([("a", F(1)), ("a", F(-1, 2)), ("b", F(1, 2))])
+
     def test_weights_over_den(self):
         P = ProbMeasure([("b", 2), ("a", 1), ("b", 3)], den=6)
         assert P.support == (("a", F(1, 6)), ("b", F(5, 6)))
         assert P == ProbMeasure([("a", F(1, 6)), ("b", F(5, 6))])
-        w = P.weights_partition()
-        assert w is P.weights_partition()
-        assert (w.parts, w.den) == ({1: 1, 2: 5}, 6)
+        assert P.atoms == ("a", "b")
+        assert (P.weights.parts, P.weights.den) == ({1: 1, 2: 5}, 6)
         with pytest.raises(ValueError, match="den must be a positive integer"):
             ProbMeasure([("a", 0)], den=0)
 
     def test_collisions_merge_exactly(self):
         P = ProbMeasure([("a", F(1, 3)), ("a", F(1, 3)), ("b", F(1, 3))])
-        assert P.weight_of("a") == F(2, 3)
+        assert P.measure_of(["a"]) == F(2, 3)
         assert len(P.support) == 2
 
     def test_measure_of_regions(self, X):
         P = uniform(["a", "b"], base=X)
         assert P.measure_of(X.mask_of(["a"])) == F(1, 2)
         assert P.measure_of(["a", "b", "c"]) == 1
-        assert P.measure_of(lambda x: x == "b") == F(1, 2)
+        assert P.measure_of(["b"]) == F(1, 2)
         assert P.measure_of([]) == 0
 
 
@@ -131,7 +135,7 @@ class TestMixture:
         got = mixture(geo, lambda i: dirac(F(1, i + 1)))
         assert isinstance(got, LazyMeasure)
         assert got.weights.weight(3) == F(1, 8)
-        assert got.atom_fn(3) == F(1, 4)
+        assert got.atoms(3) == F(1, 4)
 
     def test_base_mismatch(self):
         X1 = FiniteMeasurableSpace.powerset(["a"])
@@ -143,7 +147,7 @@ class TestMixture:
     def test_lazy_mixture_of_nondiracs_rejected(self):
         geo = PartitionOfOne.geometric()
         with pytest.raises(UnsupportedRepresentation):
-            mixture(geo, lambda i: uniform(["a", "b"])).atom_fn(1)
+            mixture(geo, lambda i: uniform(["a", "b"])).atoms(1)
 
 
 class TestPushforward:
@@ -297,7 +301,7 @@ class TestPhi:
             phi_inverse(nonadditive_functional(X), X)
 
     def test_unnormalized_functional_rejected(self, X):
-        J = GeneralizedPoint.from_functional(lambda m: ExtReal(F(1, 2)))
+        J = GeneralizedPoint(lambda m: ExtReal(F(1, 2)))
         with pytest.raises(NotAMeasure, match="weakly averaging"):
             phi_inverse(J, X)
 
@@ -306,7 +310,7 @@ class TestPhi:
         """A raw functional whose value on chi_U is table[frozenset(U)]."""
         def fn(m):
             return ExtReal(table[frozenset(x for x in X.carrier if m(x) == 1)])
-        return GeneralizedPoint.from_functional(fn)
+        return GeneralizedPoint(fn)
 
     def test_functional_additive_on_pairs_only_rejected(self):
         # additive on every pair of singletons, normalized, but the full
@@ -379,3 +383,63 @@ def test_mixture_weights_match_fraction_reference(case):
     got = mixture(PartitionOfOne.finite(omega), [ProbMeasure(c) for c in comps])
     assert got.support == ref_mixture_support(omega, comps)
     assert got == ProbMeasure(ref_mixture_support(omega, comps))
+
+
+# Plain-Fraction reference for a measure: per-atom sums of the weights,
+# zero masses dropped, atoms sorted by repr.
+
+
+def ref_support(pairs):
+    merged = {}
+    for a, w in pairs:
+        merged[a] = merged.get(a, F(0)) + w
+    return tuple(sorted(((a, w) for a, w in merged.items() if w != 0),
+                        key=lambda kv: repr(kv[0])))
+
+
+ATOMS = ["a", "b", "c", 1, 2]
+
+
+def atom_weight_lists():
+    """(atom, weight) lists summing to one, with colliding atoms and zero
+    weights."""
+    entries = st.lists(st.tuples(st.sampled_from(ATOMS), st.integers(0, 9),
+                                 st.integers(1, 9)), min_size=1, max_size=8)
+    entries = entries.filter(lambda es: any(p for _, p, _ in es))
+    def normalize(es):
+        ws = [F(p, q) for _, p, q in es]
+        return [(a, w / sum(ws)) for (a, _, _), w in zip(es, ws)]
+    return entries.map(normalize)
+
+
+@settings(max_examples=150, deadline=None)
+@given(atom_weight_lists().flatmap(
+    lambda pairs: st.tuples(st.just(pairs), st.permutations(pairs))))
+def test_measure_matches_fraction_reference(case):
+    pairs, shuffled = case
+    X = FiniteMeasurableSpace.powerset(ATOMS)
+    P = ProbMeasure(pairs, base=X)
+    ref = ref_support(pairs)
+    assert P.support == ref
+    assert P.atoms == tuple(a for a, _ in ref)
+    drawn = sorted({a for a, _ in pairs}, key=repr)
+    for k in range(len(drawn) + 1):
+        for subset in itertools.combinations(drawn, k):
+            expected = sum((w for a, w in ref if a in subset), F(0))
+            assert P.measure_of(list(subset)) == expected
+            assert P.measure_of(X.mask_of(subset)) == expected
+    Q = ProbMeasure(shuffled, base=X)
+    assert Q == P and hash(Q) == hash(P)
+
+
+@settings(max_examples=100, deadline=None)
+@given(atom_weight_lists(), st.data())
+def test_canceling_negative_entry_rejected(pairs, data):
+    # split one positive entry (a, w) into (a, w + d) and (a, -d): the
+    # merged weights are unchanged, yet the list has a negative weight
+    k = data.draw(st.sampled_from([i for i, (_, w) in enumerate(pairs) if w > 0]))
+    d = F(data.draw(st.integers(1, 20)), data.draw(st.integers(1, 9)))
+    a, w = pairs[k]
+    split = pairs[:k] + [(a, w + d), (a, -d)] + pairs[k + 1:]
+    with pytest.raises(NotAMeasure, match="negative weight"):
+        ProbMeasure(data.draw(st.permutations(split)))

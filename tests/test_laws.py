@@ -116,7 +116,7 @@ class TestGeneralizedPointNaturality:
     def test_nonlinear_functional_fails(self, closed, ext):
         cfg = HarnessConfig()
         P = uniform([ExtReal(0), ExtReal(1)])
-        J = GeneralizedPoint.from_functional(
+        J = GeneralizedPoint(
             lambda m: ExtReal(integrate(P, m).value ** 2)
         )
         m = identity_map(closed)

@@ -63,6 +63,37 @@ class TestExtReal:
             ExtReal(1) < "a"
         with pytest.raises(TypeError):
             ExtReal(1) <= "a"
+        with pytest.raises(TypeError):
+            ExtReal(1) > "a"
+        with pytest.raises(TypeError):
+            ExtReal(1) >= "a"
+
+    @pytest.mark.parametrize("below, above", [
+        (0, ExtReal(1)),
+        (F(1, 2), ExtReal(1)),
+        (ExtReal(1), 2),
+        (ExtReal(1), F(3, 2)),
+        (ExtReal(1), INF),
+        (ExtReal(1), float("inf")),
+        (10**30, INF),
+    ])
+    def test_strict_and_reflected_order_against_numbers(self, below, above):
+        assert above > below and above >= below
+        assert below < above and below <= above
+        assert not below > above and not below >= above
+        assert not above < below and not above <= below
+
+    @pytest.mark.parametrize("other", [1, F(1), ExtReal(1)])
+    def test_order_of_equal_values(self, other):
+        x = ExtReal(1)
+        assert x >= other and x <= other and other >= x and other <= x
+        assert not x > other and not x < other
+        assert not other > x and not other < x
+
+    def test_infinity_against_itself(self):
+        assert INF >= INF and INF >= float("inf") and float("inf") <= INF
+        assert not INF > INF and not INF > float("inf")
+        assert not float("inf") < INF
 
 
 class TestBinaryCombine:
