@@ -31,8 +31,6 @@ from .scvx import (
     check_morphism,
     constant_map,
     identity_map,
-    make_interval_space,
-    make_product_space,
 )
 from .meas import (
     FiniteMeasurableSpace,

@@ -12,19 +12,20 @@ import fnmatch
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import laws as laws_mod
 from .giry import NotAMeasure, ProbMeasure
 from .laws import HarnessConfig, demo_divergent_sum, demo_half_cauchy, demo_open_interval
 from .meas import FiniteMeasurableSpace, generate_sigma_algebra
 from .numerics import DEFAULT_DIVERGENCE_THRESHOLD, ExtReal, as_ext
-from .reports import LawReport
+from .reports import LawReport, run_per_seed
 from .scvx import (
     CarrierViolation,
     CountablyAffineMap,
+    IntervalSpace,
     affine_map,
     check_morphism,
-    make_interval_space,
 )
 
 EXIT_OK = 0
@@ -248,7 +249,8 @@ def _run_check(check, where: str, measures: dict, maps: dict,
         raise ScenarioError(f"{where}.{kind}: unknown {kind} {name!r}")
     if suite == "morphism":
         try:
-            return check_morphism(obj, laws_mod.suite_seeds(cfg, f"scenario-morphism-{name}"))
+            seeds = laws_mod.suite_seeds(cfg, f"scenario-morphism-{name}")
+            return run_per_seed("morphism", name, seeds, partial(check_morphism, obj))
         except CarrierViolation as exc:
             raise ScenarioError(f"maps.{name}: {exc}")
     law = laws_mod.check_triangle if suite == "triangle" else laws_mod.check_phi_roundtrip
@@ -256,7 +258,7 @@ def _run_check(check, where: str, measures: dict, maps: dict,
 
 
 def cmd_scenario(cfg: HarnessConfig, args) -> int:
-    closed = make_interval_space("closed_unit", cfg.tolerance)
+    closed = IntervalSpace("closed_unit", cfg.tolerance)
     try:
         doc = _load_scenario(args.path)
         measures, maps = _build_scenario_objects(doc, closed)

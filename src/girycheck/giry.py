@@ -22,7 +22,9 @@ from .numerics import (
     as_ext,
     countable_combine,
     ext_eq,
+    map_terms,
     random_partition,
+    term,
 )
 from .scvx import SuperConvexSpace, describe
 
@@ -133,11 +135,7 @@ def mixture(omega: PartitionOfOne, measures, base=None):
     one.  Finite support is merged exactly; a lazy partition over Dirac
     measures yields a lazy countably supported measure."""
     if omega.is_finite:
-        if callable(measures):
-            picked = [(i, measures(i)) for i in omega.parts]
-        else:
-            ms = list(measures)
-            picked = [(i, ms[i - 1]) for i in omega.parts]
+        picked = [(i, term(measures, i)) for i in omega.parts]
         bases = {id(m.base) for _, m in picked if m.base is not None}
         if len(bases) > 1:
             raise BaseMismatch("mixture components live on different bases")
@@ -155,17 +153,14 @@ def mixture(omega: PartitionOfOne, measures, base=None):
         shared = next((m.base for _, m in picked if m.base is not None), base)
         return ProbMeasure(support, base=shared, den=omega.den * scale)
 
-    get = measures if callable(measures) else lambda i: measures[i - 1]
-
-    def atom(i):
-        m = get(i)
+    def atom(m):
         if not isinstance(m, ProbMeasure) or len(m.atoms) != 1:
             raise UnsupportedRepresentation(
                 "lazy mixtures are represented only over Dirac measures"
             )
         return m.atoms[0]
 
-    return LazyMeasure(omega, atom, base=base)
+    return LazyMeasure(omega, map_terms(atom, measures), base=base)
 
 
 def pushforward(P: ProbMeasure, m, base=None) -> ProbMeasure:
@@ -179,20 +174,12 @@ def pushforward(P: ProbMeasure, m, base=None) -> ProbMeasure:
     return ProbMeasure([(fn(a), w) for a, w in P.support], base=tgt)
 
 
-def _map_atoms(fn, atoms):
-    """fn applied to each atom, kept in the form of ``atoms``: a sequence,
-    or a callable on indices."""
-    if callable(atoms):
-        return lambda i: fn(atoms(i))
-    return [fn(a) for a in atoms]
-
-
 def integrate(P, f, **certificates) -> ExtReal:
     """The integral of an extended-real-valued map against a measure:
     exact on finite support, certified enclosure or infinity on lazy
     support."""
     fn = f.fn if hasattr(f, "fn") else f
-    return countable_combine(P.weights, _map_atoms(fn, P.atoms), **certificates)
+    return countable_combine(P.weights, map_terms(fn, P.atoms), **certificates)
 
 
 def barycenter(A: SuperConvexSpace, P, generating_maps=(), **certificates):

@@ -3,18 +3,19 @@ axioms, the morphism law, barycenter naturality, the triangle identities,
 the measure/functional isomorphism, the monad laws, image and recovery
 properties, plus the closed-form divergence demos.
 
-Each law has one checker.  A seeded suite runs it through
-``reports.run_per_seed`` on instances drawn from each seed; ``scenario``
-runs the same checker on a user's instance.  Failures carry serialized
-witnesses, and exact-path suites use no tolerance at all.
+Each law has one checker, and it checks one case.  A seeded suite runs
+it through ``reports.run_per_seed`` once per seed, on a case drawn from
+that seed; ``scenario`` runs the same checker on a user's instance.
+Failures carry serialized witnesses, and exact-path suites use no
+tolerance at all.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import time
+from _blake2 import blake2s
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -42,11 +43,13 @@ from .numerics import (
     countable_combine,
     random_partition,
     scale,
+    term,
 )
 from .reports import LawReport, run_per_seed
 from .scvx import (
     CountablyAffineMap,
     IntervalSpace,
+    ProductSpace,
     affine_map,
     check_axiom1,
     check_axiom2,
@@ -54,8 +57,6 @@ from .scvx import (
     constant_map,
     describe,
     identity_map,
-    make_interval_space,
-    make_product_space,
 )
 
 
@@ -94,7 +95,7 @@ class LawSuite:
 def suite_seeds(cfg: HarnessConfig, name: str) -> list[int]:
     """``cfg.cases`` seeds for the check called ``name``, derived from the
     master seed."""
-    digest = hashlib.blake2s(f"{cfg.seed}:{name}".encode(), digest_size=8).digest()
+    digest = blake2s(f"{cfg.seed}:{name}".encode(), digest_size=8).digest()
     rng = random.Random(int.from_bytes(digest, "big"))
     return [rng.getrandbits(48) for _ in range(cfg.cases)]
 
@@ -104,12 +105,12 @@ def suite_seeds(cfg: HarnessConfig, name: str) -> list[int]:
 
 
 def shipped_spaces(cfg: HarnessConfig) -> dict:
-    closed = make_interval_space("closed_unit", cfg.tolerance)
+    closed = IntervalSpace("closed_unit", cfg.tolerance)
     return {
         "closed-unit": closed,
-        "open-unit": make_interval_space("open_unit", cfg.tolerance),
-        "ext-real": make_interval_space("ext_real_line", cfg.tolerance),
-        "product": make_product_space([closed, closed]),
+        "open-unit": IntervalSpace("open_unit", cfg.tolerance),
+        "ext-real": IntervalSpace("ext_real_line", cfg.tolerance),
+        "product": ProductSpace([closed, closed]),
         "giry2": GirySpace(FiniteMeasurableSpace.powerset(["x1", "x2"])),
         "giry3": GirySpace(FiniteMeasurableSpace.powerset(["x1", "x2", "x3"])),
         "giry4": GirySpace(FiniteMeasurableSpace.powerset(["x1", "x2", "x3", "x4"])),
@@ -140,9 +141,7 @@ class BrokenProjectionSpace(IntervalSpace):
         self.name = "mutant-first-element"
 
     def combine(self, omega, seq, **certificates):
-        if callable(seq):
-            return as_ext(seq(1))
-        return as_ext(seq[0])
+        return as_ext(term(seq, 1))
 
 
 class ReversedWeightsSpace(IntervalSpace):
@@ -155,14 +154,14 @@ class ReversedWeightsSpace(IntervalSpace):
     def combine(self, omega, seq, **certificates):
         items = omega.items()
         weights = [w for _, w in items]
-        values = [as_ext(seq[i - 1]) for i, _ in items]
+        values = [as_ext(term(seq, i)) for i, _ in items]
         omega_rev = PartitionOfOne.finite(list(reversed(weights)))
         return countable_combine(omega_rev, values)
 
 
 def square_map(cfg: HarnessConfig) -> CountablyAffineMap:
     """Mutant morphism: squaring is convex but not affine."""
-    closed = make_interval_space("closed_unit", cfg.tolerance)
+    closed = IntervalSpace("closed_unit", cfg.tolerance)
     return CountablyAffineMap(
         closed, closed, lambda x: ExtReal(as_ext(x).value ** 2), name="square"
     )
@@ -319,49 +318,46 @@ def check_evaluation_point_recovery(J: GeneralizedPoint, carrier,
     return candidates[0]
 
 
-def check_sigma_agreement(X: FiniteMeasurableSpace, seeds) -> LawReport:
-    """Generator-level rendering of the sigma-algebra comparison:
+def check_sigma_agreement(X: FiniteMeasurableSpace, rng: random.Random) -> dict | None:
+    """Generator-level rendering of the sigma-algebra comparison, on one
+    sampled set and mixture:
     (a) each set-evaluation functional is countably affine on mixtures,
     (b) affine combinations of evaluations that agree on all point masses
     agree on sampled mixtures."""
     GX = GirySpace(X)
     sigma = sorted(X.sigma)
+    u = sigma[rng.randrange(len(sigma))]
+    k = rng.randint(1, 4)
+    parts = random_partition(rng.getrandbits(32), k)
+    components = [GX.sample(rng) for _ in range(k)]
+    mixed = mixture(parts, components, base=X)
+    affine_ok = mixed.measure_of(u) == sum(
+        (parts.weight(i + 1) * c.measure_of(u) for i, c in enumerate(components)),
+        Fraction(0),
+    )
 
-    def case(rng):
-        u = sigma[rng.randrange(len(sigma))]
-        k = rng.randint(1, 4)
-        parts = random_partition(rng.getrandbits(32), k)
-        components = [GX.sample(rng) for _ in range(k)]
-        mixed = mixture(parts, components, base=X)
-        affine_ok = mixed.measure_of(u) == sum(
-            (parts.weight(i + 1) * c.measure_of(u) for i, c in enumerate(components)),
-            Fraction(0),
-        )
+    comp = X.full_mask & ~u
+    ev = lambda mask: (lambda P: ExtReal(P.measure_of(mask)))
+    half = Fraction(1, 2)
+    combo_a = lambda P: countable_combine(
+        PartitionOfOne.finite([half, half]), [ev(u)(P), ev(comp)(P)]
+    )
+    combo_b = lambda P: countable_combine(
+        PartitionOfOne.finite([half, half]),
+        [ev(X.full_mask)(P), ev(0)(P)],
+    )
+    agree_on_diracs = all(
+        combo_a(dirac(x, base=X)) == combo_b(dirac(x, base=X))
+        for x in X.carrier
+    )
+    agree_on_mixture = combo_a(mixed) == combo_b(mixed)
+    determined = (not agree_on_diracs) or agree_on_mixture
 
-        comp = X.full_mask & ~u
-        ev = lambda mask: (lambda P: ExtReal(P.measure_of(mask)))
-        half = Fraction(1, 2)
-        combo_a = lambda P: countable_combine(
-            PartitionOfOne.finite([half, half]), [ev(u)(P), ev(comp)(P)]
-        )
-        combo_b = lambda P: countable_combine(
-            PartitionOfOne.finite([half, half]),
-            [ev(X.full_mask)(P), ev(0)(P)],
-        )
-        agree_on_diracs = all(
-            combo_a(dirac(x, base=X)) == combo_b(dirac(x, base=X))
-            for x in X.carrier
-        )
-        agree_on_mixture = combo_a(mixed) == combo_b(mixed)
-        determined = (not agree_on_diracs) or agree_on_mixture
-
-        if affine_ok and determined:
-            return None
-        return {"set": [str(x) for x in X.set_of(u)],
-                "affine_ok": affine_ok, "determined": determined,
-                "mixture": mixed.to_json_obj()}
-
-    return run_per_seed("sigma-agreement", repr(X), seeds, case)
+    if affine_ok and determined:
+        return None
+    return {"set": [str(x) for x in X.set_of(u)],
+            "affine_ok": affine_ok, "determined": determined,
+            "mixture": mixed.to_json_obj()}
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +408,7 @@ def affine_endomap_family(cfg: HarnessConfig):
     """Affine endomaps of the extended reals used as the postcomposition
     test family: the identity, constants, and convex interpolations with
     constants."""
-    ext = make_interval_space("ext_real_line", cfg.tolerance)
+    ext = IntervalSpace("ext_real_line", cfg.tolerance)
     fam = [identity_map(ext), constant_map(ext, ext, Fraction(2, 7))]
     for r, c in [(Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 4), Fraction(-2))]:
         fam.append(affine_map(ext, ext, (1 - r) * c, r, name=f"interp(r={r},c={c})"))
@@ -600,17 +596,17 @@ def build_suites(cfg: HarnessConfig, include_mutants: bool = False) -> list[LawS
     """Every suite of a run, over shipped instances built once from cfg."""
     spaces = shipped_spaces(cfg)
     closed, ext = spaces["closed-unit"], spaces["ext-real"]
+    X4 = FiniteMeasurableSpace.powerset(["x1", "x2", "x3", "x4"])
 
     def seeded(name, instance, case):
         return LawSuite(name, lambda seeds: run_per_seed(name, instance, seeds, case))
 
     suites: list[LawSuite] = []
-    for key in ("closed-unit", "open-unit", "ext-real", "product",
-                "giry2", "giry3", "giry4"):
-        suites.append(LawSuite(f"axiom1-{key}", partial(check_axiom1, spaces[key])))
-        suites.append(LawSuite(f"axiom2-{key}", partial(check_axiom2, spaces[key])))
+    for key, space in spaces.items():
+        suites.append(seeded(f"axiom1-{key}", space.name, partial(check_axiom1, space)))
+        suites.append(seeded(f"axiom2-{key}", space.name, partial(check_axiom2, space)))
     for key, m in shipped_maps(spaces).items():
-        suites.append(LawSuite(f"morphism-{key}", partial(check_morphism, m)))
+        suites.append(seeded(f"morphism-{key}", m.name, partial(check_morphism, m)))
 
     suites += [
         seeded("triangle", "G(X) and [0,1]", partial(_triangle_case, closed)),
@@ -625,18 +621,18 @@ def build_suites(cfg: HarnessConfig, include_mutants: bool = False) -> list[LawS
         seeded("gp-naturality", "point- and measure-backed J",
                partial(_gp_naturality_case, closed, ext, affine_endomap_family(cfg))),
         seeded("recovery", "Dirac simplex vertices, |X| <= 6", _recovery_case),
-        LawSuite("sigma-agreement", partial(
-            check_sigma_agreement,
-            FiniteMeasurableSpace.powerset(["x1", "x2", "x3", "x4"]))),
+        seeded("sigma-agreement", repr(X4), partial(check_sigma_agreement, X4)),
     ]
 
     if include_mutants:
+        broken = BrokenProjectionSpace(cfg.tolerance)
+        reversed_weights = ReversedWeightsSpace(cfg.tolerance)
+        square = square_map(cfg)
         suites += [
-            LawSuite("mutant-axiom1",
-                     partial(check_axiom1, BrokenProjectionSpace(cfg.tolerance))),
-            LawSuite("mutant-axiom2",
-                     partial(check_axiom2, ReversedWeightsSpace(cfg.tolerance))),
-            LawSuite("mutant-morphism-square", partial(check_morphism, square_map(cfg))),
+            seeded("mutant-axiom1", broken.name, partial(check_axiom1, broken)),
+            seeded("mutant-axiom2", reversed_weights.name,
+                   partial(check_axiom2, reversed_weights)),
+            seeded("mutant-morphism-square", square.name, partial(check_morphism, square)),
             LawSuite("mutant-phi-nonadditive", _mutant_phi),
             LawSuite("mutant-image-halfcauchy", partial(_mutant_image, ext)),
         ]
@@ -653,7 +649,6 @@ def run_suites(cfg: HarnessConfig, name_filter: Callable[[str], bool] | None = N
         start = time.perf_counter()
         report = suite.run(suite_seeds(cfg, suite.name))
         report.wall_time = time.perf_counter() - start
-        report.law = suite.name
         reports.append(report)
     reports.sort(key=lambda r: r.law)
     return reports

@@ -16,6 +16,10 @@ from fractions import Fraction
 from .numerics import as_ext
 
 
+_ONE = Fraction(1)
+_ZERO = Fraction(0)
+
+
 class InfiniteCarrier(Exception):
     pass
 
@@ -172,7 +176,6 @@ def is_measurable(f: MeasurableMap) -> bool:
 
 def indicator(space: FiniteMeasurableSpace, mask: int) -> MeasurableMap:
     """The characteristic function of a subset, into the extended reals."""
-    one, zero = Fraction(1), Fraction(0)
     return MeasurableMap(
-        space, "ext_real", lambda x: one if space.member(x, mask) else zero
+        space, "ext_real", lambda x: _ONE if space.member(x, mask) else _ZERO
     )

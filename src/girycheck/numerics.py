@@ -297,10 +297,21 @@ def dirac_partition(j: int) -> PartitionOfOne:
     return PartitionOfOne({j: 1})
 
 
-def _value_at(u, i: int) -> ExtReal:
-    if callable(u):
-        return as_ext(u(i))
-    return as_ext(u[i - 1])
+def term(seq, i: int):
+    """Term i of a sequence of terms: ``seq(i)`` for a callable on indices,
+    else ``seq[i - 1]`` for a sequence indexed from 1."""
+    if callable(seq):
+        return seq(i)
+    return seq[i - 1]
+
+
+def map_terms(fn, seq):
+    """``fn`` applied to every term of ``seq``, kept in the form ``seq``
+    came in: a callable on indices stays lazy, anything else becomes a
+    list."""
+    if callable(seq):
+        return lambda i: fn(seq(i))
+    return [fn(x) for x in seq]
 
 
 def countable_combine(
@@ -329,7 +340,7 @@ def countable_combine(
     if omega.is_finite:
         values = []
         for i in omega.parts:
-            ui = _value_at(u, i)
+            ui = as_ext(term(u, i))
             if ui.is_inf:
                 return INF
             values.append(ui.value)
@@ -348,7 +359,7 @@ def countable_combine(
     for n in range(1, n_max + 1):
         w = omega.weight(n)
         if w != 0:
-            un = _value_at(u, n)
+            un = as_ext(term(u, n))
             if un.is_inf:
                 return INF
             if b is not None and abs(un.value) > b:
@@ -382,7 +393,7 @@ def compose_partitions(alpha: PartitionOfOne, betas) -> PartitionOfOne:
         raise UnsupportedRepresentation("compose_partitions needs finite support")
     picked = []
     for i, ai in alpha.parts.items():
-        beta_i = betas(i) if callable(betas) else betas[i - 1]
+        beta_i = term(betas, i)
         if not beta_i.is_finite:
             raise UnsupportedRepresentation("compose_partitions needs finite support")
         picked.append((ai, beta_i))

@@ -1,12 +1,14 @@
 """Super convex spaces: the combine interface, interval and product
-instances, countably affine maps, and mechanical checkers for the two
-structure axioms and the morphism law.
+instances, countably affine maps, and checkers for the two structure
+axioms and the morphism law.  Each checker takes an instance and a seeded
+generator, checks one sampled case and returns None or a witness.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 from .numerics import (
     ExtReal,
@@ -17,9 +19,9 @@ from .numerics import (
     countable_combine,
     dirac_partition,
     ext_eq,
+    map_terms,
     random_partition,
 )
-from .reports import LawReport, run_per_seed
 
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 DEFAULT_DEPTH = 8  # length of the sampled sequences the checkers combine
@@ -91,7 +93,7 @@ class IntervalSpace(SuperConvexSpace):
         return ext_eq(x, y, self.tolerance)
 
     def combine(self, omega, seq, **certificates):
-        result = countable_combine(omega, _as_ext_seq(seq), **certificates)
+        result = countable_combine(omega, seq, **certificates)
         if not self.contains(result):
             raise CarrierViolation(
                 f"combine result {result!r} is not a point of {self.name}"
@@ -110,16 +112,6 @@ class IntervalSpace(SuperConvexSpace):
         return ExtReal(Fraction(rng.randint(-160, 160), rng.randint(1, 16)))
 
 
-def _as_ext_seq(seq):
-    if callable(seq):
-        return lambda i: as_ext(seq(i))
-    return [as_ext(x) for x in seq]
-
-
-def make_interval_space(kind: str, tolerance: Fraction = DEFAULT_TOLERANCE) -> IntervalSpace:
-    return IntervalSpace(kind, tolerance)
-
-
 class ProductSpace(SuperConvexSpace):
     """Finite product of super convex spaces; elements are tuples and the
     combine acts componentwise."""
@@ -134,6 +126,7 @@ class ProductSpace(SuperConvexSpace):
     def _check_arity(self, x):
         if not isinstance(x, tuple) or len(x) != len(self.factors):
             raise ArityMismatch(f"expected {len(self.factors)}-tuple, got {x!r}")
+        return x
 
     def contains(self, x) -> bool:
         if not isinstance(x, tuple) or len(x) != len(self.factors):
@@ -146,20 +139,14 @@ class ProductSpace(SuperConvexSpace):
         return all(f.eq(a, b) for f, a, b in zip(self.factors, x, y))
 
     def combine(self, omega, seq, **certificates):
-        seq = list(seq)
-        for x in seq:
-            self._check_arity(x)
+        seq = map_terms(self._check_arity, seq)
         return tuple(
-            f.combine(omega, [x[k] for x in seq], **certificates)
+            f.combine(omega, map_terms(itemgetter(k), seq), **certificates)
             for k, f in enumerate(self.factors)
         )
 
     def sample(self, rng: random.Random):
         return tuple(f.sample(rng) for f in self.factors)
-
-
-def make_product_space(factors) -> ProductSpace:
-    return ProductSpace(factors)
 
 
 class CountablyAffineMap:
@@ -219,7 +206,7 @@ class FunctionSpace:
         self.base = base
         self.maps = list(maps)
         self.target = next(
-            (m.target for m in self.maps), make_interval_space("ext_real_line")
+            (m.target for m in self.maps), IntervalSpace("ext_real_line")
         )
 
     def combine(self, omega: PartitionOfOne, maps=None) -> CountablyAffineMap:
@@ -250,56 +237,44 @@ def describe(x):
     return repr(x)
 
 
-def check_axiom1(space: SuperConvexSpace, seeds) -> LawReport:
-    """Projection axiom: combining with a point mass at j returns the j-th
-    element, for sampled sequences."""
-
-    def case(rng):
-        a = [space.sample(rng) for _ in range(DEFAULT_DEPTH)]
-        j = rng.randint(1, DEFAULT_DEPTH)
-        got = space.combine(dirac_partition(j), a)
-        if space.eq(got, a[j - 1]):
-            return None
-        return {"j": j, "sequence": [describe(x) for x in a],
-                "got": describe(got), "expected": describe(a[j - 1])}
-
-    return run_per_seed("axiom1", space.name, seeds, case)
+def check_axiom1(space: SuperConvexSpace, rng: random.Random) -> dict | None:
+    """Projection axiom: combining a sampled sequence with a point mass at
+    j returns the j-th element."""
+    a = [space.sample(rng) for _ in range(DEFAULT_DEPTH)]
+    j = rng.randint(1, DEFAULT_DEPTH)
+    got = space.combine(dirac_partition(j), a)
+    if space.eq(got, a[j - 1]):
+        return None
+    return {"j": j, "sequence": [describe(x) for x in a],
+            "got": describe(got), "expected": describe(a[j - 1])}
 
 
-def check_axiom2(space: SuperConvexSpace, seeds) -> LawReport:
+def check_axiom2(space: SuperConvexSpace, rng: random.Random) -> dict | None:
     """Associativity axiom: combining combinations equals combining with
     the composed partition, for random finite-support partitions."""
-
-    def case(rng):
-        a = [space.sample(rng) for _ in range(DEFAULT_DEPTH)]
-        k = rng.randint(1, DEFAULT_DEPTH)
-        alpha = random_partition(rng.getrandbits(32), k)
-        betas = [random_partition(rng.getrandbits(32), DEFAULT_DEPTH) for _ in range(k)]
-        inner = [space.combine(betas[i], a) for i in range(k)]
-        lhs = space.combine(alpha, inner)
-        rhs = space.combine(compose_partitions(alpha, betas), a)
-        if space.eq(lhs, rhs):
-            return None
-        return {"alpha": {i: str(w) for i, w in alpha.items()},
-                "lhs": describe(lhs), "rhs": describe(rhs)}
-
-    return run_per_seed("axiom2", space.name, seeds, case)
+    a = [space.sample(rng) for _ in range(DEFAULT_DEPTH)]
+    k = rng.randint(1, DEFAULT_DEPTH)
+    alpha = random_partition(rng.getrandbits(32), k)
+    betas = [random_partition(rng.getrandbits(32), DEFAULT_DEPTH) for _ in range(k)]
+    inner = [space.combine(betas[i], a) for i in range(k)]
+    lhs = space.combine(alpha, inner)
+    rhs = space.combine(compose_partitions(alpha, betas), a)
+    if space.eq(lhs, rhs):
+        return None
+    return {"alpha": {i: str(w) for i, w in alpha.items()},
+            "lhs": describe(lhs), "rhs": describe(rhs)}
 
 
-def check_morphism(m: CountablyAffineMap, seeds) -> LawReport:
-    """Morphism law: the map commutes with sampled countable convex
-    combinations."""
-
-    def case(rng):
-        a = [m.source.sample(rng) for _ in range(DEFAULT_DEPTH)]
-        k = rng.randint(1, DEFAULT_DEPTH)
-        omega = random_partition(rng.getrandbits(32), k)
-        lhs = m(m.source.combine(omega, a[:k]))
-        rhs = m.target.combine(omega, [m(x) for x in a[:k]])
-        if m.target.eq(lhs, rhs):
-            return None
-        return {"omega": {i: str(w) for i, w in omega.items()},
-                "sequence": [describe(x) for x in a[:k]],
-                "lhs": describe(lhs), "rhs": describe(rhs)}
-
-    return run_per_seed("morphism", m.name, seeds, case)
+def check_morphism(m: CountablyAffineMap, rng: random.Random) -> dict | None:
+    """Morphism law: the map commutes with a sampled countable convex
+    combination."""
+    a = [m.source.sample(rng) for _ in range(DEFAULT_DEPTH)]
+    k = rng.randint(1, DEFAULT_DEPTH)
+    omega = random_partition(rng.getrandbits(32), k)
+    lhs = m(m.source.combine(omega, a[:k]))
+    rhs = m.target.combine(omega, [m(x) for x in a[:k]])
+    if m.target.eq(lhs, rhs):
+        return None
+    return {"omega": {i: str(w) for i, w in omega.items()},
+            "sequence": [describe(x) for x in a[:k]],
+            "lhs": describe(lhs), "rhs": describe(rhs)}

@@ -7,6 +7,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from girycheck.laws import (
 )
 from girycheck.meas import FiniteMeasurableSpace
 from girycheck.numerics import ExtReal
+from girycheck.reports import run_per_seed
 from girycheck.scvx import CountablyAffineMap, check_morphism
 
 F = Fraction
@@ -56,7 +58,8 @@ def test_axiom_suites_200_cases_under_10s():
 def test_morphism_suite_and_square_mutant():
     shipped = _run({"morphism-id", "morphism-affine-half", "morphism-const-third",
                     "morphism-proj1", "morphism-ext-affine"})
-    mutant = check_morphism(square_map(CFG), range(50))
+    square = square_map(CFG)
+    mutant = run_per_seed("morphism", square.name, range(50), partial(check_morphism, square))
     ok = (len(shipped) == 5 and all(r.ok for r in shipped)
           and not mutant.ok and bool(mutant.failures[0].get("omega")))
     verdict("morphism law: shipped affine maps pass, square mutant fails "

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import girycheck
 from girycheck.cli import main
 
 
@@ -293,3 +298,12 @@ def test_numeric_inputs_end_in_an_exit_code_and_an_honest_line(argv, capsys):
     if "strictly inside" in out:
         lower, upper = re.search(r"enclosure \[(\S+), (\S+)\]", out).groups()
         assert 0 < Fraction(lower) and Fraction(upper) < 1
+
+
+def test_start_up_loads_neither_openssl_nor_scipy():
+    code = ("import sys, girycheck.cli; "
+            "print([m for m in ('_hashlib', 'scipy') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(girycheck.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

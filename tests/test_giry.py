@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -31,13 +32,17 @@ from girycheck.numerics import (
     ExtReal,
     PartitionOfOne,
     UnsupportedRepresentation,
+    compose_partitions,
+    countable_combine,
 )
+from girycheck.reports import run_per_seed
 from girycheck.scvx import (
+    IntervalSpace,
+    ProductSpace,
     affine_map,
     check_axiom1,
     check_axiom2,
     identity_map,
-    make_interval_space,
 )
 
 F = Fraction
@@ -51,7 +56,7 @@ def X():
 
 @pytest.fixture
 def closed():
-    return make_interval_space("closed_unit")
+    return IntervalSpace("closed_unit")
 
 
 def uniform(atoms, base=None):
@@ -195,7 +200,7 @@ class TestBarycenter:
         assert got == Q
 
     def test_open_interval_geometric(self):
-        open_unit = make_interval_space("open_unit")
+        open_unit = IntervalSpace("open_unit")
         geo = PartitionOfOne.geometric()
         P = LazyMeasure(geo, lambda i: F(1, i + 1))
         got = barycenter(open_unit, P, n_max=50, bound=1)
@@ -203,6 +208,17 @@ class TestBarycenter:
         target = F(3862943, 10**7)
         assert got.enclosure.lower >= target - F(1, 10**6)
         assert got.enclosure.upper <= target + F(1, 10**6)
+
+    def test_product_of_geometric_mixture_of_diracs(self, closed):
+        prod = ProductSpace([closed, closed])
+        geo = PartitionOfOne.geometric()
+        point = lambda i: (ExtReal(F(1, i + 1)), ExtReal(F(1, 2)))
+        got = barycenter(prod, mixture(geo, lambda i: dirac(point(i))), n_max=30, bound=1)
+        for k in (0, 1):
+            want = closed.combine(geo, lambda i: point(i)[k], n_max=30, bound=1)
+            assert got[k].value == want.value
+            assert got[k].enclosure.lower == want.enclosure.lower
+            assert got[k].enclosure.upper == want.enclosure.upper
 
     def test_ev_consistency_enforced(self, closed):
         # a non-affine map in the generating family breaks the defining
@@ -248,8 +264,8 @@ class TestGirySpace:
     def test_axioms_hold(self, n):
         X = FiniteMeasurableSpace.powerset([f"x{i}" for i in range(n)])
         GX = GirySpace(X)
-        assert check_axiom1(GX, SEEDS).ok
-        assert check_axiom2(GX, SEEDS).ok
+        assert run_per_seed("axiom1", GX.name, SEEDS, partial(check_axiom1, GX)).ok
+        assert run_per_seed("axiom2", GX.name, SEEDS, partial(check_axiom2, GX)).ok
 
     def test_membership(self, X):
         GX = GirySpace(X)
@@ -443,3 +459,35 @@ def test_canceling_negative_entry_rejected(pairs, data):
     split = pairs[:k] + [(a, w + d), (a, -d)] + pairs[k + 1:]
     with pytest.raises(NotAMeasure, match="negative weight"):
         ProbMeasure(data.draw(st.permutations(split)))
+
+
+# A sequence of terms may come as a 1-indexed list or as a callable on
+# indices; the two forms of the same terms must give the same result.
+
+
+def interior_values(size):
+    return st.lists(st.builds(F, st.integers(1, 29), st.just(30)),
+                    min_size=size, max_size=size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_lists(4).flatmap(lambda omega: st.tuples(
+    st.just(omega),
+    interior_values(len(omega)),
+    interior_values(len(omega)),
+    st.lists(weight_lists(4), min_size=len(omega), max_size=len(omega)),
+    st.lists(components(), min_size=len(omega), max_size=len(omega)))))
+def test_list_and_callable_terms_agree(case):
+    weights, xs, ys, beta_weights, comps = case
+    omega = PartitionOfOne.finite(weights)
+    as_callable = lambda seq: (lambda i: seq[i - 1])
+    values = [ExtReal(x) for x in xs]
+    assert countable_combine(omega, values) == countable_combine(omega, as_callable(values))
+    betas = [PartitionOfOne.finite(b) for b in beta_weights]
+    assert compose_partitions(omega, betas) == compose_partitions(omega, as_callable(betas))
+    measures = [ProbMeasure(c) for c in comps]
+    assert mixture(omega, measures) == mixture(omega, as_callable(measures))
+    closed = IntervalSpace("closed_unit")
+    prod = ProductSpace([closed, closed])
+    points = [(ExtReal(x), ExtReal(y)) for x, y in zip(xs, ys)]
+    assert prod.combine(omega, points) == prod.combine(omega, as_callable(points))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -14,34 +15,40 @@ from girycheck.scvx import (
     CarrierViolation,
     CountablyAffineMap,
     FunctionSpace,
+    IntervalSpace,
+    ProductSpace,
     affine_map,
     check_axiom1,
     check_axiom2,
     check_morphism,
     constant_map,
     identity_map,
-    make_interval_space,
-    make_product_space,
 )
 from girycheck.laws import BrokenProjectionSpace, ReversedWeightsSpace
+from girycheck.reports import run_per_seed
 
 F = Fraction
 SEEDS = list(range(40))
 
 
+def run(check, instance, seeds=SEEDS):
+    """The report of a per-case checker on ``instance``, one case per seed."""
+    return run_per_seed(check.__name__, repr(instance), seeds, partial(check, instance))
+
+
 @pytest.fixture
 def closed():
-    return make_interval_space("closed_unit")
+    return IntervalSpace("closed_unit")
 
 
 @pytest.fixture
 def open_unit():
-    return make_interval_space("open_unit")
+    return IntervalSpace("open_unit")
 
 
 @pytest.fixture
 def ext():
-    return make_interval_space("ext_real_line")
+    return IntervalSpace("ext_real_line")
 
 
 class TestIntervalSpaces:
@@ -76,7 +83,7 @@ class TestIntervalSpaces:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            make_interval_space("half_line")
+            IntervalSpace("half_line")
 
     def test_samples_stay_in_carrier(self, closed, open_unit, ext):
         rng = random.Random(5)
@@ -87,63 +94,77 @@ class TestIntervalSpaces:
 
 class TestProductSpace:
     def test_componentwise_combine(self, closed):
-        prod = make_product_space([closed, closed])
+        prod = ProductSpace([closed, closed])
         half = PartitionOfOne.finite([F(1, 2), F(1, 2)])
         got = prod.combine(half, [(ExtReal(0), ExtReal(1)),
                                   (ExtReal(1), ExtReal(0))])
         assert prod.eq(got, (ExtReal(F(1, 2)), ExtReal(F(1, 2))))
 
     def test_single_factor_behaves_like_factor(self, closed):
-        prod = make_product_space([closed])
+        prod = ProductSpace([closed])
         half = PartitionOfOne.finite([F(1, 2), F(1, 2)])
         got = prod.combine(half, [(ExtReal(0),), (ExtReal(1),)])
         assert closed.eq(got[0], closed.combine(half, [0, 1]))
 
     def test_arity_mismatch(self, closed):
-        prod = make_product_space([closed, closed])
+        prod = ProductSpace([closed, closed])
         with pytest.raises(ArityMismatch):
             prod.combine(dirac_partition(1), [(ExtReal(0),)])
+        with pytest.raises(ArityMismatch):
+            prod.combine(PartitionOfOne.geometric(), lambda i: (ExtReal(0),),
+                         n_max=5, bound=1)
 
     def test_projections_are_morphisms(self, closed):
-        prod = make_product_space([closed, closed])
+        prod = ProductSpace([closed, closed])
         proj = CountablyAffineMap(prod, closed, lambda t: t[1], name="proj2")
-        assert check_morphism(proj, SEEDS).ok
+        assert run(check_morphism, proj).ok
+
+    def test_countable_combine_is_componentwise(self, closed):
+        prod = ProductSpace([closed, closed])
+        geo = PartitionOfOne.geometric()
+        seq = lambda i: (ExtReal(F(1, i + 1)), ExtReal(F(1, 2)))
+        got = prod.combine(geo, seq, n_max=30, bound=1)
+        for k in (0, 1):
+            want = closed.combine(geo, lambda i: seq(i)[k], n_max=30, bound=1)
+            assert got[k].value == want.value
+            assert got[k].enclosure.lower == want.enclosure.lower
+            assert got[k].enclosure.upper == want.enclosure.upper
 
     def test_empty_product_rejected(self):
         with pytest.raises(ValueError):
-            make_product_space([])
+            ProductSpace([])
 
 
 class TestAxiomCheckers:
     @pytest.mark.parametrize("kind", ["closed_unit", "open_unit", "ext_real_line"])
     def test_interval_instances_pass_both_axioms(self, kind):
-        space = make_interval_space(kind)
-        assert check_axiom1(space, SEEDS).ok
-        assert check_axiom2(space, SEEDS).ok
+        space = IntervalSpace(kind)
+        assert run(check_axiom1, space).ok
+        assert run(check_axiom2, space).ok
 
     def test_product_passes_both_axioms(self, closed):
-        prod = make_product_space([closed, closed])
-        assert check_axiom1(prod, SEEDS).ok
-        assert check_axiom2(prod, SEEDS).ok
+        prod = ProductSpace([closed, closed])
+        assert run(check_axiom1, prod).ok
+        assert run(check_axiom2, prod).ok
 
     def test_axiom1_holds_at_infinity(self, ext):
         a = [ExtReal(1), INF, ExtReal(-3)]
         assert ext.combine(dirac_partition(2), a) == INF
 
     def test_broken_space_fails_axiom1_with_witness(self):
-        report = check_axiom1(BrokenProjectionSpace(), SEEDS)
+        report = run(check_axiom1, BrokenProjectionSpace())
         assert not report.ok
         witness = report.failures[0]
         assert witness["j"] != 1
         assert witness["got"] != witness["expected"]
 
     def test_reversed_weights_fails_axiom2(self):
-        report = check_axiom2(ReversedWeightsSpace(), SEEDS)
+        report = run(check_axiom2, ReversedWeightsSpace())
         assert not report.ok
         assert "alpha" in report.failures[0]
 
     def test_report_serializes(self):
-        report = check_axiom1(BrokenProjectionSpace(), SEEDS[:5])
+        report = run(check_axiom1, BrokenProjectionSpace(), SEEDS[:5])
         obj = report.to_json_obj()
         assert obj["pass"] is False
         assert "counterexample" in obj
@@ -151,15 +172,15 @@ class TestAxiomCheckers:
 
 class TestMorphismChecker:
     def test_identity_passes(self, closed):
-        assert check_morphism(identity_map(closed), SEEDS).ok
+        assert run(check_morphism, identity_map(closed)).ok
 
     def test_affine_passes(self, closed):
         m = affine_map(closed, closed, F(1, 2), F(1, 2))
-        assert check_morphism(m, SEEDS).ok
+        assert run(check_morphism, m).ok
 
     def test_constant_passes(self, closed):
         m = constant_map(closed, closed, F(1, 3))
-        assert check_morphism(m, SEEDS).ok
+        assert run(check_morphism, m).ok
 
     def test_square_fails_on_the_classic_witness(self, closed):
         # the defining counterexample: (1/2*0 + 1/2*1)^2 != 1/2*0 + 1/2*1
@@ -170,7 +191,7 @@ class TestMorphismChecker:
         lhs = m(closed.combine(half, [0, 1]))
         rhs = closed.combine(half, [m(ExtReal(0)), m(ExtReal(1))])
         assert not closed.eq(lhs, rhs)
-        assert not check_morphism(m, SEEDS).ok
+        assert not run(check_morphism, m).ok
 
     def test_negative_slope_rejected(self, ext):
         with pytest.raises(ValueError):
@@ -197,7 +218,7 @@ class TestFunctionSpace:
         ]
         fs = FunctionSpace(closed, maps)
         combined = fs.combine(PartitionOfOne.finite([F(2, 3), F(1, 3)]))
-        assert check_morphism(combined, SEEDS).ok
+        assert run(check_morphism, combined).ok
 
     def test_pointwise_orders(self, closed, ext):
         f = constant_map(closed, ext, F(1, 4))
