@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import os
 import sys
+import time
 from fractions import Fraction
 from functools import partial
 
@@ -53,16 +55,32 @@ def _emit_reports(reports: list[LawReport], args) -> int:
     return EXIT_LAW_FAILURE if failed else EXIT_OK
 
 
-def cmd_laws(cfg: HarnessConfig, args) -> int:
+def _print_timings(reports: list[LawReport], workers: int, wall: float) -> None:
+    """Where the time of a ``laws`` run went, on stderr: per-suite wall time
+    and case rate, then the run's wall time against the suites' total."""
+    for r in reports:
+        rate = f"{r.cases / r.wall_time:10.0f}" if r.wall_time > 0 else f"{'-':>10}"
+        print(f"timings: {r.law:<26} {r.wall_time * 1000:9.1f} ms {rate} cases/s",
+              file=sys.stderr)
+    total = sum(r.wall_time for r in reports)
+    print(f"timings: wall {wall:.3f} s, workers {workers}, suites {len(reports)}, "
+          f"suite time {total:.3f} s", file=sys.stderr)
+
+
+def cmd_laws(cfg: HarnessConfig, args, jobs: int) -> int:
     name_filter = None
     if args.suite_glob:
         name_filter = lambda name: fnmatch.fnmatch(name, args.suite_glob)
+    start = time.perf_counter()
     reports = laws_mod.run_suites(
-        cfg, name_filter=name_filter, include_mutants=args.mutants
+        cfg, name_filter=name_filter, include_mutants=args.mutants, jobs=jobs
     )
     if not reports:
         print(f"no suite matches {args.suite_glob!r}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    if args.timings:
+        _print_timings(reports, laws_mod.pool_size(jobs, len(reports)),
+                       time.perf_counter() - start)
     return _emit_reports(reports, args)
 
 
@@ -319,6 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_laws.add_argument("--mutants", action="store_true",
                         help="include the deliberately broken instances "
                              "(they must fail; exit status 1)")
+    p_laws.add_argument("--timings", action="store_true",
+                        help="print per-suite wall time and cases/s, the "
+                             "worker count and the run's wall time to stderr")
 
     p_demo = sub.add_parser("demo", help="run a counterexample demo")
     p_demo.add_argument("name", choices=("half-cauchy", "divergent-sum",
@@ -337,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None, jobs: int = 1) -> int:
+    """Run one command.  ``laws`` runs its suites in up to ``jobs`` forked
+    worker processes; the default, 1, runs them in this process."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -351,9 +374,24 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if args.command == "laws":
-        return cmd_laws(cfg, args)
+        return cmd_laws(cfg, args, jobs)
     return cmd_scenario(cfg, args)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def entry() -> int:
+    """The ``girycheck`` command: ``main`` with one worker per usable CPU.
+    It forks, so call it only as a fresh process's entry point."""
+    return main(jobs=usable_cpus())
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -13,6 +13,7 @@ tolerance at all.
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from _blake2 import blake2s
@@ -639,16 +640,58 @@ def build_suites(cfg: HarnessConfig, include_mutants: bool = False) -> list[LawS
     return suites
 
 
+def pool_size(jobs: int, suites: int) -> int:
+    """The worker processes ``run_suites`` forks for ``suites`` suites:
+    ``jobs`` capped at ``suites``; 1 means none, the suites run in-process,
+    as they do wherever the platform cannot fork."""
+    return max(1, min(jobs, suites)) if hasattr(os, "fork") else 1
+
+
+def _run_timed(suite: LawSuite, cfg: HarnessConfig) -> LawReport:
+    start = time.perf_counter()
+    report = suite.run(suite_seeds(cfg, suite.name))
+    report.wall_time = time.perf_counter() - start
+    return report
+
+
+# the suite runs a forked worker inherits from ``run_suites``; only a
+# worker's initializer sets it, never the parent
+_inherited_runs: list = []
+
+
+def _inherit(runs: list) -> None:
+    global _inherited_runs
+    _inherited_runs = runs
+
+
+def _run_inherited(index: int) -> LawReport:
+    return _inherited_runs[index]()
+
+
 def run_suites(cfg: HarnessConfig, name_filter: Callable[[str], bool] | None = None,
-               include_mutants: bool = False) -> list[LawReport]:
-    """Run all (filtered) suites and return reports sorted by suite name."""
-    reports = []
-    for suite in build_suites(cfg, include_mutants=include_mutants):
-        if name_filter is not None and not name_filter(suite.name):
-            continue
-        start = time.perf_counter()
-        report = suite.run(suite_seeds(cfg, suite.name))
-        report.wall_time = time.perf_counter() - start
-        reports.append(report)
+               include_mutants: bool = False, jobs: int = 1) -> list[LawReport]:
+    """Run all (filtered) suites and return reports sorted by suite name.
+
+    With ``jobs`` > 1 the suites run in up to ``jobs`` forked worker
+    processes.  A worker inherits the suites built here, takes a suite's
+    index and returns its report, so the reports equal the in-process
+    ones.  The workers fork rather than spawn because the suites close
+    over lambdas that cannot be pickled, and a forked worker needs no
+    fresh import; so call this with ``jobs`` > 1 only from a process that
+    runs no other thread.
+    """
+    runs = [partial(_run_timed, suite, cfg)
+            for suite in build_suites(cfg, include_mutants=include_mutants)
+            if name_filter is None or name_filter(suite.name)]
+    jobs = pool_size(jobs, len(runs))
+    if jobs == 1:
+        reports = [run() for run in runs]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_inherit, initargs=(runs,)) as pool:
+            reports = list(pool.map(_run_inherited, range(len(runs))))
     reports.sort(key=lambda r: r.law)
     return reports

@@ -321,6 +321,7 @@ def countable_combine(
     bound: Rational | None = None,
     divergence_witness: bool = False,
     threshold: Rational = DEFAULT_DIVERGENCE_THRESHOLD,
+    within: tuple[Rational, Rational] | None = None,
 ) -> ExtReal:
     """The countable convex combination sum_i omega_i * u_i in the extended
     reals.
@@ -331,7 +332,11 @@ def countable_combine(
     infinite value forces the result to infinity.  Lazy support needs a
     certificate: ``bound`` B (all tail values satisfy |u_i| <= B) yields a
     value with enclosure width <= 2*B*tail(N), and every scanned term is
-    checked against B (ValueError if one exceeds it); ``divergence_witness``
+    checked against B (ValueError if one exceeds it).  ``within`` (lo, hi)
+    adds that every term lies in [lo, hi], as the combine contract of a
+    carrier such as [0,1] promises; the tail then adds a value in
+    [max(lo, -B), min(hi, B)] times a mass in [0, tail(N)], not
+    +-B*tail(N).  The value is the enclosure's midpoint.  ``divergence_witness``
     asserts the partial sums exceed any threshold and yields infinity
     without checking the claim.  Without a certificate the partial sums are scanned to
     ``n_max``; crossing ``threshold`` upward returns infinity, anything
@@ -368,9 +373,15 @@ def countable_combine(
         if bound is None and partial > threshold:
             return INF
     if b is not None:
-        tail = b * omega.tail_mass(n_max)
-        enc = Enclosure(partial - tail, partial + tail)
-        return ExtReal(partial, enclosure=enc)
+        lo, hi = -b, b
+        if within is not None:
+            # tail(N) bounds the tail mass from above; the mass itself may
+            # be anything in [0, tail(N)], so each end keeps 0 in reach
+            lo = min(max(lo, Fraction(within[0])), 0)
+            hi = max(min(hi, Fraction(within[1])), 0)
+        tail = omega.tail_mass(n_max)
+        enc = Enclosure(partial + lo * tail, partial + hi * tail)
+        return ExtReal((enc.lower + enc.upper) / 2, enclosure=enc)
     if partial < -threshold:
         raise Undecided(
             "partial sums diverge below every bound; the carrier has no -inf point"

@@ -93,6 +93,9 @@ class IntervalSpace(SuperConvexSpace):
         return ext_eq(x, y, self.tolerance)
 
     def combine(self, omega, seq, **certificates):
+        if self.kind != "ext_real_line":
+            # the terms lie in [0,1], so the unscanned tail does too
+            certificates.setdefault("within", (0, 1))
         result = countable_combine(omega, seq, **certificates)
         if not self.contains(result):
             raise CarrierViolation(

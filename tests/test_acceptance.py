@@ -5,6 +5,9 @@ prints one pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import partial
@@ -12,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import girycheck
 from girycheck.cli import main
 from girycheck.giry import GeneralizedPoint, dirac, phi
 from girycheck.laws import (
@@ -204,6 +208,32 @@ def test_default_laws_reports_match_recorded_digests(seed, capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     verdict(f"behaviour oracle: default laws seed {seed} report digest unchanged",
             code == 0 and digest == LAWS_DIGESTS[seed])
+
+
+def _command(*args) -> subprocess.CompletedProcess:
+    """``python -m girycheck.cli ARGS`` as a fresh process, which runs the
+    suites of ``laws`` on every CPU of its affinity mask."""
+    env = {**os.environ, "PYTHONPATH": str(Path(girycheck.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "girycheck.cli", *args],
+                          env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("seed", sorted(LAWS_DIGESTS))
+def test_default_laws_command_matches_recorded_digests(seed):
+    proc = _command("laws", "--seed", str(seed), "--output", "json")
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    verdict(f"behaviour oracle: default laws command seed {seed} report digest unchanged",
+            proc.returncode == 0 and digest == LAWS_DIGESTS[seed])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mutant_laws_command_matches_recorded_digests(seed, tmp_path):
+    path = tmp_path / "report.json"
+    proc = _command("laws", "--seed", str(seed), "--cases", "20", "--mutants",
+                    "--json", str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    verdict(f"behaviour oracle: mutant laws command seed {seed} report digest unchanged",
+            proc.returncode == 1 and digest == REPORT_DIGESTS[seed])
 
 
 # SHA-256 and exit code of `scenario FILE --output json` for the fixtures in

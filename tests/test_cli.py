@@ -59,6 +59,9 @@ class TestLawsCommand:
         code, _, err = run(["laws", "--cases", "5", "--suite", "zzz*"], capsys)
         assert code == 2
         assert "no suite matches" in err
+        # and the same with workers to spare: no pool of zero workers
+        assert main(["laws", "--cases", "5", "--suite", "zzz*"], jobs=4) == 2
+        assert "no suite matches" in capsys.readouterr().err
 
     def test_bad_cases_value_is_config_error(self, capsys):
         code, _, err = run(["laws", "--cases", "0"], capsys)
@@ -82,6 +85,29 @@ class TestLawsCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload[0]["law"] == "triangle"
+
+
+    def test_timings_go_to_stderr_and_leave_the_reports_alone(self, tmp_path, capsys):
+        args = ["laws", "--cases", "5", "--suite", "*axiom1*", "--mutants"]
+        for output in (["--output", "json"], ["--output", "text"]):
+            paths = [tmp_path / "plain.json", tmp_path / "timed.json"]
+            code, out, err = run(args + output + ["--json", str(paths[0])], capsys)
+            t_code, t_out, t_err = run(
+                args + output + ["--json", str(paths[1]), "--timings"], capsys)
+            assert code == t_code == 1 and t_out == out and err == ""
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+        lines = t_err.splitlines()
+        names = sorted(r["law"] for r in json.loads(paths[0].read_text()))
+        assert [line.split()[1] for line in lines[:-1]] == names
+        assert all(re.search(r" ms +\d+ cases/s$", line) for line in lines[:-1])
+        assert re.fullmatch(rf"timings: wall [\d.]+ s, workers 1, suites {len(names)}, "
+                            r"suite time [\d.]+ s", lines[-1])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker pool forks")
+    def test_timings_count_the_workers(self, capsys):
+        code = main(["laws", "--cases", "2", "--suite", "axiom1-*", "--timings"], jobs=2)
+        assert code == 0
+        assert ", workers 2, suites 7," in capsys.readouterr().err.splitlines()[-1]
 
 
 class TestDemoCommand:
@@ -301,8 +327,10 @@ def test_numeric_inputs_end_in_an_exit_code_and_an_honest_line(argv, capsys):
 
 
 def test_start_up_loads_neither_openssl_nor_scipy():
+    # nor the worker pool, which only a multi-suite `laws` run imports
     code = ("import sys, girycheck.cli; "
-            "print([m for m in ('_hashlib', 'scipy') if m in sys.modules])")
+            "print([m for m in ('_hashlib', 'scipy', 'multiprocessing', "
+            "'concurrent.futures') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(girycheck.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 from fractions import Fraction
 from functools import partial
 
@@ -38,6 +39,7 @@ from girycheck.meas import FiniteMeasurableSpace, generate_sigma_algebra
 from girycheck.numerics import INF, ExtReal, PartitionOfOne
 from girycheck.reports import run_per_seed
 from girycheck.scvx import (
+    CarrierViolation,
     CountablyAffineMap,
     IntervalSpace,
     affine_map,
@@ -324,6 +326,51 @@ class TestSuiteRegistry:
         cfg = HarnessConfig(cases=5)
         reports = run_suites(cfg, name_filter=lambda n: n.startswith("morphism"))
         assert reports and all(r.law.startswith("morphism") for r in reports)
+
+
+def _pid_witness(space, rng):
+    """A checker whose one case fails with the id of the process it ran in."""
+    return {"pid": os.getpid()}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker pool forks")
+class TestWorkerPool:
+    def test_forked_reports_equal_in_process_reports(self):
+        cfg = HarnessConfig(cases=20, seed=5)
+        serial = run_suites(cfg, include_mutants=True)
+        forked = run_suites(cfg, include_mutants=True, jobs=2)
+        assert [r.law for r in forked] == [r.law for r in serial]
+        assert [r.to_json() for r in forked] == [r.to_json() for r in serial]
+        assert all(r.wall_time > 0 for r in forked)
+
+    def test_suites_run_in_workers(self, monkeypatch):
+        monkeypatch.setattr(laws, "check_axiom1", _pid_witness)
+        reports = run_suites(HarnessConfig(cases=1), jobs=2,
+                             name_filter=lambda n: n.startswith("axiom1-"))
+        pids = {r.failures[0]["pid"] for r in reports}
+        assert len(reports) == 7 and os.getpid() not in pids
+
+    def test_one_matching_suite_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(laws, "check_axiom1", _pid_witness)
+        (report,) = run_suites(HarnessConfig(cases=1), jobs=4,
+                               name_filter=lambda n: n == "axiom1-giry2")
+        assert report.failures[0]["pid"] == os.getpid()
+
+    def test_a_worker_exception_reraises_in_the_parent(self, monkeypatch):
+        def violate(space, rng):
+            raise CarrierViolation(f"{space.name}: planted")
+
+        monkeypatch.setattr(laws, "check_axiom1", violate)
+        with pytest.raises(CarrierViolation, match="planted"):
+            run_suites(HarnessConfig(cases=2), jobs=2,
+                       name_filter=lambda n: n.startswith("axiom1-"))
+
+    def test_pool_size(self):
+        assert laws.pool_size(1, 28) == 1
+        assert laws.pool_size(4, 1) == 1
+        assert laws.pool_size(4, 0) == 1
+        assert laws.pool_size(4, 3) == 3
+        assert laws.pool_size(2, 28) == 2
 
 
 class TestOrderAndAveraging:

@@ -206,6 +206,21 @@ class TestCountableCombine:
         got = countable_combine(geo, lambda i: -1, n_max=20, bound=1)
         assert got.enclosure.contains(-1)
 
+    def test_within_narrows_the_tail_enclosure(self):
+        geo = PartitionOfOne.geometric()
+        got = countable_combine(geo, lambda i: 0, n_max=20, bound=1, within=(0, 1))
+        assert (got.enclosure.lower, got.enclosure.upper) == (0, F(1, 2**20))
+        assert got.value == F(1, 2**21)
+        # tail(N) = 2^-(N-1) only bounds the true mass 2^-N, so terms in
+        # [1/2, 1] still let the tail add anything from 0 upward
+        loose = PartitionOfOne(weight_fn=lambda i: F(1, 2**i),
+                               tail_fn=lambda n: F(1, 2**(n - 1)))
+        got = countable_combine(loose, lambda i: F(1, 2) if i <= 20 else 1,
+                                n_max=20, bound=1, within=(F(1, 2), 1))
+        partial = F(1, 2) * (1 - F(1, 2**20))
+        assert (got.enclosure.lower, got.enclosure.upper) == (partial, partial + F(1, 2**19))
+        assert got.enclosure.contains(partial + F(1, 2**20))
+
     def test_monotone_in_values(self):
         omega = random_partition(7, 5)
         u = [F(k, 10) for k in range(5)]

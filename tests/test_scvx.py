@@ -67,6 +67,42 @@ class TestIntervalSpaces:
         assert got.enclosure.upper <= target + F(1, 10**6)
         assert open_unit.contains(got)
 
+    def test_closed_unit_countable_combination_of_zeros(self, closed):
+        # a bound enclosure of +-B*tail around 0 dipped below [0,1]; the
+        # unscanned terms are points of [0,1], so the tail adds at least 0
+        got = closed.combine(PartitionOfOne.geometric(), lambda i: ExtReal(0),
+                             n_max=50, bound=1)
+        assert got.enclosure.lower == 0
+        assert got.enclosure.upper == F(1, 2**50)
+        assert closed.contains(got)
+
+    def test_closed_unit_countable_combination_of_one(self, closed):
+        got = closed.combine(PartitionOfOne.geometric(), lambda i: ExtReal(1),
+                             n_max=50, bound=1)
+        assert got.enclosure.upper == 1
+        assert closed.contains(got)
+
+    def test_open_unit_countable_combination_near_zero(self, open_unit):
+        # the true value 2^-60 lies in (0,1), but -B*tail reached below 0
+        got = open_unit.combine(PartitionOfOne.geometric(),
+                                lambda i: ExtReal(F(1, 2**60)), n_max=50, bound=1)
+        assert got.enclosure.lower > 0
+        assert got.enclosure.contains(F(1, 2**60))
+        assert open_unit.contains(got)
+
+    def test_open_unit_countable_combination_near_one(self, open_unit):
+        near_one = 1 - F(1, 2**60)
+        got = open_unit.combine(PartitionOfOne.geometric(),
+                                lambda i: ExtReal(near_one), n_max=50, bound=1)
+        assert got.enclosure.upper < 1
+        assert got.enclosure.contains(near_one)
+        assert open_unit.contains(got)
+
+    def test_closed_unit_still_rejects_negative_terms(self, closed):
+        with pytest.raises(CarrierViolation):
+            closed.combine(PartitionOfOne.geometric(), lambda i: ExtReal(F(-1, 2)),
+                           n_max=50, bound=1)
+
     def test_ext_real_absorbs_infinity(self, ext):
         quarter = PartitionOfOne.finite([F(1, 4), F(3, 4)])
         assert ext.combine(quarter, [8, INF]) == INF
