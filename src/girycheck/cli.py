@@ -2,7 +2,10 @@
 or a user-declared scenario file.
 
 Exit codes: 0 all checks pass, 1 at least one law failure, 2 usage or
-configuration error.
+configuration error, 3 internal error (the command crashed).
+
+Each call pays for the modules it imports, so only ``laws`` and ``demo``
+import the ``laws`` module; ``scenario`` needs none of it.
 """
 
 from __future__ import annotations
@@ -16,12 +19,10 @@ import time
 from fractions import Fraction
 from functools import partial
 
-from . import laws as laws_mod
-from .giry import NotAMeasure, ProbMeasure
-from .laws import HarnessConfig, demo_divergent_sum, demo_half_cauchy, demo_open_interval
+from .giry import NotAMeasure, ProbMeasure, check_phi_roundtrip, check_triangle
 from .meas import FiniteMeasurableSpace, generate_sigma_algebra
 from .numerics import DEFAULT_DIVERGENCE_THRESHOLD, ExtReal, as_ext
-from .reports import LawReport, run_per_seed
+from .reports import HarnessConfig, LawReport, run_per_seed, suite_seeds
 from .scvx import (
     CarrierViolation,
     CountablyAffineMap,
@@ -33,6 +34,7 @@ from .scvx import (
 EXIT_OK = 0
 EXIT_LAW_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _reports_payload(reports: list[LawReport]) -> str:
@@ -68,6 +70,8 @@ def _print_timings(reports: list[LawReport], workers: int, wall: float) -> None:
 
 
 def cmd_laws(cfg: HarnessConfig, args, jobs: int) -> int:
+    from . import laws as laws_mod
+
     name_filter = None
     if args.suite_glob:
         name_filter = lambda name: fnmatch.fnmatch(name, args.suite_glob)
@@ -85,6 +89,8 @@ def cmd_laws(cfg: HarnessConfig, args, jobs: int) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .laws import demo_divergent_sum, demo_half_cauchy, demo_open_interval
+
     if args.name == "divergent-sum":
         value = demo_divergent_sum(args.n)
         print(f"sum_(i<=N) (1/2^i)(i*2^i) at N={args.n}: {value}")
@@ -267,11 +273,11 @@ def _run_check(check, where: str, measures: dict, maps: dict,
         raise ScenarioError(f"{where}.{kind}: unknown {kind} {name!r}")
     if suite == "morphism":
         try:
-            seeds = laws_mod.suite_seeds(cfg, f"scenario-morphism-{name}")
+            seeds = suite_seeds(cfg, f"scenario-morphism-{name}")
             return run_per_seed("morphism", name, seeds, partial(check_morphism, obj))
         except CarrierViolation as exc:
             raise ScenarioError(f"maps.{name}: {exc}")
-    law = laws_mod.check_triangle if suite == "triangle" else laws_mod.check_phi_roundtrip
+    law = check_triangle if suite == "triangle" else check_phi_roundtrip
     return LawReport.single(suite, name, law(obj))
 
 
@@ -389,8 +395,18 @@ def usable_cpus() -> int:
 
 def entry() -> int:
     """The ``girycheck`` command: ``main`` with one worker per usable CPU.
-    It forks, so call it only as a fresh process's entry point."""
-    return main(jobs=usable_cpus())
+    It forks, so call it only as a fresh process's entry point.  Any
+    exception that escapes ``main``, a dead worker included, ends in
+    exit 3 with its traceback on stderr, never in the status of a law
+    failure."""
+    try:
+        return main(jobs=usable_cpus())
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        print("girycheck: internal error", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ isomorphism between measures and the generalized points they induce.
 Measures are atomic with exact rational weights; a lazy geometric variant
 covers the countably supported demos.  The space of measures on a fixed
 finite measurable space is itself a super convex space and is checked
-against the same axioms as every other instance.
+against the same axioms as every other instance.  The checkers of the
+triangle identities and of the measure/functional roundtrip live here,
+next to what they check.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .numerics import (
     ext_eq,
     map_terms,
     random_partition,
-    term,
+    terms,
 )
 from .scvx import SuperConvexSpace, describe
 
@@ -135,7 +137,7 @@ def mixture(omega: PartitionOfOne, measures, base=None):
     one.  Finite support is merged exactly; a lazy partition over Dirac
     measures yields a lazy countably supported measure."""
     if omega.is_finite:
-        picked = [(i, term(measures, i)) for i in omega.parts]
+        picked = list(zip(omega.parts, terms(measures, omega.parts)))
         bases = {id(m.base) for _, m in picked if m.base is not None}
         if len(bases) > 1:
             raise BaseMismatch("mixture components live on different bases")
@@ -294,3 +296,33 @@ def phi_inverse(J: GeneralizedPoint, X: FiniteMeasurableSpace) -> ProbMeasure:
             )
     support = [(X.set_of(a)[0], values[a]) for a in atoms if values[a] != 0]
     return ProbMeasure(support, base=X)
+
+
+# ---------------------------------------------------------------------------
+# law checks on measures: each returns None when the law holds, or a witness
+
+
+def check_triangle(P: ProbMeasure, A=None, a=None) -> dict | None:
+    """The triangle identities: flattening the point mass at the measure P
+    returns P, and, when a point a of the space A is given, the barycenter
+    of the point mass at a is a."""
+    back = monad_mu(dirac(P))
+    recovered = None if A is None else barycenter(A, dirac(a))
+    if back == P and (A is None or A.eq(recovered, a)):
+        return None
+    witness = {"measure": P.to_json_obj(), "flattened": back.to_json_obj()}
+    if A is not None:
+        witness.update(point=describe(a), recovered=describe(recovered))
+    return witness
+
+
+def check_phi_roundtrip(P: ProbMeasure) -> dict | None:
+    """phi_inverse(phi(P)) is P, for P on a finite measurable space.  The
+    two measures are compared by their mass on each atom of the
+    sigma-algebra: phi_inverse may put an atom's mass on another label of
+    the same atom."""
+    X = P.base
+    back = phi_inverse(phi(P), X)
+    if all(back.measure_of(u) == P.measure_of(u) for u in X.atoms_of_sigma()):
+        return None
+    return {"measure": P.to_json_obj(), "roundtrip": back.to_json_obj()}

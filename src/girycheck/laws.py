@@ -5,7 +5,10 @@ properties, plus the closed-form divergence demos.
 
 Each law has one checker, and it checks one case.  A seeded suite runs
 it through ``reports.run_per_seed`` once per seed, on a case drawn from
-that seed; ``scenario`` runs the same checker on a user's instance.
+that seed; ``scenario`` runs the same checker on a user's instance.  The
+checkers that ``scenario`` runs live in ``scvx`` and ``giry``, beside the
+objects they check, so ``scenario`` does not load this module; this one
+re-exports them.
 Failures carry serialized witnesses, and exact-path suites use no
 tolerance at all.
 """
@@ -16,8 +19,6 @@ import math
 import os
 import random
 import time
-from _blake2 import blake2s
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -27,6 +28,8 @@ from .giry import (
     GirySpace,
     ProbMeasure,
     barycenter,
+    check_phi_roundtrip,
+    check_triangle,
     dirac,
     integrate,
     mixture,
@@ -46,7 +49,7 @@ from .numerics import (
     scale,
     term,
 )
-from .reports import LawReport, run_per_seed
+from .reports import HarnessConfig, LawReport, run_per_seed, suite_seeds
 from .scvx import (
     CountablyAffineMap,
     IntervalSpace,
@@ -69,36 +72,12 @@ class Ambiguous(Exception):
     """The generating maps fail to separate carrier points."""
 
 
-@dataclass
-class HarnessConfig:
-    """The master seed, the cases per seeded suite, and the tolerance for
-    values that carry a nondegenerate enclosure."""
-
-    seed: int = 0
-    cases: int = 200
-    tolerance: Fraction = Fraction(1, 10**12)
-
-    def __post_init__(self):
-        if self.cases <= 0:
-            raise ValueError("--cases must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("--tolerance must be positive")
-
-
-@dataclass
 class LawSuite:
     """A named law check; ``run`` maps the suite's seeds to its report."""
 
-    name: str
-    run: Callable[[list[int]], LawReport]
-
-
-def suite_seeds(cfg: HarnessConfig, name: str) -> list[int]:
-    """``cfg.cases`` seeds for the check called ``name``, derived from the
-    master seed."""
-    digest = blake2s(f"{cfg.seed}:{name}".encode(), digest_size=8).digest()
-    rng = random.Random(int.from_bytes(digest, "big"))
-    return [rng.getrandbits(48) for _ in range(cfg.cases)]
+    def __init__(self, name: str, run: Callable[[list[int]], LawReport]):
+        self.name = name
+        self.run = run
 
 
 # ---------------------------------------------------------------------------
@@ -273,32 +252,6 @@ def check_naturality_epsilon(m: CountablyAffineMap, P: ProbMeasure) -> dict | No
         return None
     return {"map": m.name, "lhs": describe(lhs), "rhs": describe(rhs),
             "measure": P.to_json_obj()}
-
-
-def check_triangle(P: ProbMeasure, A=None, a=None) -> dict | None:
-    """The triangle identities: flattening the point mass at the measure P
-    returns P, and, when a point a of the space A is given, the barycenter
-    of the point mass at a is a."""
-    back = monad_mu(dirac(P))
-    recovered = None if A is None else barycenter(A, dirac(a))
-    if back == P and (A is None or A.eq(recovered, a)):
-        return None
-    witness = {"measure": P.to_json_obj(), "flattened": back.to_json_obj()}
-    if A is not None:
-        witness.update(point=describe(a), recovered=describe(recovered))
-    return witness
-
-
-def check_phi_roundtrip(P: ProbMeasure) -> dict | None:
-    """phi_inverse(phi(P)) is P, for P on a finite measurable space.  The
-    two measures are compared by their mass on each atom of the
-    sigma-algebra: phi_inverse may put an atom's mass on another label of
-    the same atom."""
-    X = P.base
-    back = phi_inverse(phi(P), X)
-    if all(back.measure_of(u) == P.measure_of(u) for u in X.atoms_of_sigma()):
-        return None
-    return {"measure": P.to_json_obj(), "roundtrip": back.to_json_obj()}
 
 
 def check_evaluation_point_recovery(J: GeneralizedPoint, carrier,

@@ -176,6 +176,7 @@ def is_measurable(f: MeasurableMap) -> bool:
 
 def indicator(space: FiniteMeasurableSpace, mask: int) -> MeasurableMap:
     """The characteristic function of a subset, into the extended reals."""
+    index = space.index
     return MeasurableMap(
-        space, "ext_real", lambda x: _ONE if space.member(x, mask) else _ZERO
+        space, "ext_real", lambda x: _ONE if mask >> index[x] & 1 else _ZERO
     )

@@ -118,7 +118,7 @@ class ExtReal:
         if self.is_inf:
             return "ExtReal(inf)"
         if self.enclosure is not None:
-            return f"ExtReal({self.value} ± {self.enclosure.width})"
+            return f"ExtReal({self.value} ± {self.enclosure.width / 2})"
         return f"ExtReal({self.value})"
 
     def to_json(self) -> str:
@@ -305,6 +305,14 @@ def term(seq, i: int):
     return seq[i - 1]
 
 
+def terms(seq, indices):
+    """Terms ``indices`` of ``seq``, read lazily and in order, with the
+    list-or-callable test made once."""
+    if callable(seq):
+        return map(seq, indices)
+    return (seq[i - 1] for i in indices)
+
+
 def map_terms(fn, seq):
     """``fn`` applied to every term of ``seq``, kept in the form ``seq``
     came in: a callable on indices stays lazy, anything else becomes a
@@ -343,15 +351,19 @@ def countable_combine(
     else raises Undecided.
     """
     if omega.is_finite:
-        values = []
-        for i in omega.parts:
-            ui = as_ext(term(u, i))
-            if ui.is_inf:
-                return INF
-            values.append(ui.value)
-        scale = math.lcm(*[v.denominator for v in values])
-        total = sum(p * v.numerator * (scale // v.denominator)
-                    for p, v in zip(omega.parts.values(), values))
+        nums, dens = [], []
+        for ui in terms(u, omega.parts):
+            # ints and Fractions are read as they are, the rest as ExtReals
+            if type(ui) not in (int, Fraction):
+                ui = as_ext(ui)
+                if ui.is_inf:
+                    return INF
+                ui = ui.value
+            nums.append(ui.numerator)
+            dens.append(ui.denominator)
+        scale = math.lcm(*dens)
+        total = sum(p * n * (scale // d)
+                    for p, n, d in zip(omega.parts.values(), nums, dens))
         return ExtReal(Fraction(total, omega.den * scale))
 
     if bound is not None and divergence_witness:
@@ -403,8 +415,7 @@ def compose_partitions(alpha: PartitionOfOne, betas) -> PartitionOfOne:
     if not alpha.is_finite:
         raise UnsupportedRepresentation("compose_partitions needs finite support")
     picked = []
-    for i, ai in alpha.parts.items():
-        beta_i = term(betas, i)
+    for ai, beta_i in zip(alpha.parts.values(), terms(betas, alpha.parts)):
         if not beta_i.is_finite:
             raise UnsupportedRepresentation("compose_partitions needs finite support")
         picked.append((ai, beta_i))

@@ -1,5 +1,5 @@
-"""Machine-readable results for law checks, and the one loop that runs a
-seeded check.
+"""Machine-readable results for law checks, the harness configuration,
+and the one loop that runs a seeded check.
 
 A report is deterministic for a given seed list; wall time is kept for the
 text summary but deliberately excluded from the JSON form so identical
@@ -10,19 +10,25 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from _blake2 import blake2s
+from fractions import Fraction
 
 
-@dataclass
 class LawReport:
-    law: str
-    instance: str
-    seeds: list[int] = field(default_factory=list)
-    cases: int = 0
-    passed: int = 0
-    failures: list[dict] = field(default_factory=list)
-    wall_time: float = 0.0
-    tolerance_policy: str = "exact"
+    """The outcome of one law on one instance: its seeds, the cases run
+    and passed, and a witness per failed case."""
+
+    def __init__(self, law: str, instance: str, seeds: list[int] | None = None,
+                 cases: int = 0, passed: int = 0, failures: list[dict] | None = None,
+                 wall_time: float = 0.0, tolerance_policy: str = "exact"):
+        self.law = law
+        self.instance = instance
+        self.seeds = [] if seeds is None else seeds
+        self.cases = cases
+        self.passed = passed
+        self.failures = [] if failures is None else failures
+        self.wall_time = wall_time
+        self.tolerance_policy = tolerance_policy
 
     @classmethod
     def single(cls, law: str, instance: str, witness: dict | None) -> "LawReport":
@@ -67,6 +73,29 @@ class LawReport:
         if self.failures:
             line += f"  witness={json.dumps(self.failures[0], sort_keys=True)}"
         return line
+
+
+class HarnessConfig:
+    """The master seed, the cases per seeded suite, and the tolerance for
+    values that carry a nondegenerate enclosure."""
+
+    def __init__(self, seed: int = 0, cases: int = 200,
+                 tolerance: Fraction = Fraction(1, 10**12)):
+        if cases <= 0:
+            raise ValueError("--cases must be positive")
+        if tolerance <= 0:
+            raise ValueError("--tolerance must be positive")
+        self.seed = seed
+        self.cases = cases
+        self.tolerance = tolerance
+
+
+def suite_seeds(cfg: HarnessConfig, name: str) -> list[int]:
+    """``cfg.cases`` seeds for the check called ``name``, derived from the
+    master seed."""
+    digest = blake2s(f"{cfg.seed}:{name}".encode(), digest_size=8).digest()
+    rng = random.Random(int.from_bytes(digest, "big"))
+    return [rng.getrandbits(48) for _ in range(cfg.cases)]
 
 
 def run_per_seed(law: str, instance: str, seeds, case) -> LawReport:

@@ -326,12 +326,64 @@ def test_numeric_inputs_end_in_an_exit_code_and_an_honest_line(argv, capsys):
         assert 0 < Fraction(lower) and Fraction(upper) < 1
 
 
+def _in_fresh_interpreter(code: str) -> str:
+    """The standard output of ``code`` run by a new interpreter that
+    imports girycheck from the tree under test."""
+    env = {**os.environ, "PYTHONPATH": str(Path(girycheck.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_start_up_loads_neither_openssl_nor_scipy():
-    # nor the worker pool, which only a multi-suite `laws` run imports
+    # nor the worker pool, which only a multi-suite `laws` run imports, nor
+    # dataclasses (and with it inspect) or the laws module, which only
+    # `laws` and `demo` load
     code = ("import sys, girycheck.cli; "
             "print([m for m in ('_hashlib', 'scipy', 'multiprocessing', "
-            "'concurrent.futures') if m in sys.modules])")
-    env = {**os.environ, "PYTHONPATH": str(Path(girycheck.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+            "'concurrent.futures', 'dataclasses', 'inspect', 'girycheck.laws') "
+            "if m in sys.modules])")
+    assert _in_fresh_interpreter(code) == "[]\n"
+
+
+def test_scenario_run_leaves_the_laws_module_unloaded(tmp_path):
+    path = write_scenario(tmp_path, GOOD_SCENARIO)
+    code = ("import sys; from girycheck.cli import main; "
+            f"code = main(['scenario', {str(path)!r}]); "
+            "print(code, 'girycheck.laws' in sys.modules)")
+    assert _in_fresh_interpreter(code).splitlines()[-1] == "0 False"
+
+
+LAWS_ARGV = ["girycheck", "laws", "--suite", "axiom1-*", "--cases", "1"]
+
+
+def test_a_crash_exits_three_with_its_traceback(monkeypatch, capsys):
+    from girycheck import cli, laws
+
+    def crash(space, rng):
+        raise RuntimeError("planted crash")
+
+    monkeypatch.setattr(laws, "check_axiom1", crash)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(sys, "argv", LAWS_ARGV)
+    assert cli.entry() == cli.EXIT_INTERNAL_ERROR == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: planted crash" in err
+    with pytest.raises(RuntimeError, match="planted crash"):
+        main(LAWS_ARGV[1:])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker pool forks")
+def test_a_dead_worker_exits_three_not_one(monkeypatch, capsys):
+    from concurrent.futures.process import BrokenProcessPool
+
+    from girycheck import cli, laws
+
+    # each forked worker dies inside the checker; two CPUs keep the
+    # checker out of this process
+    monkeypatch.setattr(laws, "check_axiom1", lambda space, rng: os._exit(1))
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sys, "argv", LAWS_ARGV)
+    assert cli.entry() == cli.EXIT_INTERNAL_ERROR
+    assert "BrokenProcessPool" in capsys.readouterr().err
+    with pytest.raises(BrokenProcessPool):
+        main(LAWS_ARGV[1:], jobs=2)

@@ -34,7 +34,7 @@ from girycheck.laws import (
     half_cauchy_partial_expectation,
     run_suites,
 )
-from girycheck import laws
+from girycheck import giry, laws, reports
 from girycheck.meas import FiniteMeasurableSpace, generate_sigma_algebra
 from girycheck.numerics import INF, ExtReal, PartitionOfOne
 from girycheck.reports import run_per_seed
@@ -179,7 +179,7 @@ class TestPhiRoundtrip:
         X = self.coarse()
         P = ProbMeasure([("b", F(1, 2)), ("c", F(1, 2))], base=X)
         moved = ProbMeasure([("a", F(1, 4)), ("c", F(3, 4))], base=X)
-        monkeypatch.setattr(laws, "phi_inverse", lambda J, X: moved)
+        monkeypatch.setattr(giry, "phi_inverse", lambda J, X: moved)
         witness = check_phi_roundtrip(P)
         assert witness is not None
         assert witness["roundtrip"] == moved.to_json_obj()
@@ -318,9 +318,9 @@ class TestSuiteRegistry:
         assert r1.seeds != r2.seeds
 
     def test_suite_seeds_hash_is_hashlib_blake2s(self):
-        # laws takes blake2s from _blake2, which does not load OpenSSL;
+        # reports takes blake2s from _blake2, which does not load OpenSSL;
         # the seeds, and so every pinned report, need it to be hashlib's
-        assert laws.blake2s is hashlib.blake2s
+        assert reports.blake2s is hashlib.blake2s
 
     def test_name_filter(self):
         cfg = HarnessConfig(cases=5)

@@ -90,6 +90,14 @@ class TestExtReal:
         assert not x > other and not x < other
         assert not other > x and not other < x
 
+    def test_repr_prints_the_enclosure_radius(self):
+        # the value is the enclosure's midpoint, 0 here, and the enclosure
+        # is [-2^-50, 2^-50]: the printed radius is 2^-50, not its width
+        got = countable_combine(PartitionOfOne.geometric(), lambda i: 0,
+                                n_max=50, bound=1)
+        assert repr(got) == "ExtReal(0 ± 1/1125899906842624)"
+        assert repr(ExtReal(F(1, 3))) == "ExtReal(1/3)"
+
     def test_infinity_against_itself(self):
         assert INF >= INF and INF >= float("inf") and float("inf") <= INF
         assert not INF > INF and not INF > float("inf")
@@ -314,9 +322,13 @@ def ref_combine(weights, values):
     for w, v in zip(weights, values):
         if w == 0:
             continue
-        if v is INF:
+        if isinstance(v, ExtReal):
+            if v.is_inf:
+                return INF
+            v = v.value
+        elif v == float("inf"):
             return INF
-        total += w * v
+        total += w * F(v)
     return ExtReal(total)
 
 
@@ -342,19 +354,27 @@ def fraction_partitions(min_size=1, max_size=6):
 
 
 def ext_values(size):
+    """Terms of every kind a combination reads: ints, Fractions, exact and
+    enclosed ExtReals, dyadic floats, and infinity as INF or a float."""
+    fraction = st.builds(F, st.integers(-50, 50), st.integers(1, 30))
     value = st.one_of(
-        st.builds(F, st.integers(-50, 50), st.integers(1, 30)),
-        st.just(INF),
+        fraction,
+        st.integers(-50, 50),
+        fraction.map(ExtReal),
+        fraction.map(lambda q: ExtReal(q, Enclosure(q - F(1, 64), q + F(1, 64)))),
+        st.integers(-40, 40).map(lambda k: k / 8),
+        st.sampled_from([INF, float("inf")]),
     )
     return st.lists(value, min_size=size, max_size=size)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(fraction_partitions().flatmap(
-    lambda ws: st.tuples(st.just(ws), ext_values(len(ws)))))
+    lambda ws: st.tuples(st.just(ws), ext_values(len(ws)), st.booleans())))
 def test_finite_combine_matches_fraction_reference(case):
-    weights, values = case
-    got = countable_combine(PartitionOfOne.finite(weights), values)
+    weights, values, lazy = case
+    terms = (lambda i: values[i - 1]) if lazy else values
+    got = countable_combine(PartitionOfOne.finite(weights), terms)
     want = ref_combine(weights, values)
     assert got.is_inf == want.is_inf and got.value == want.value
 
