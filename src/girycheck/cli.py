@@ -21,7 +21,7 @@ from functools import partial
 
 from .giry import NotAMeasure, ProbMeasure, check_phi_roundtrip, check_triangle
 from .meas import FiniteMeasurableSpace, generate_sigma_algebra
-from .numerics import DEFAULT_DIVERGENCE_THRESHOLD, ExtReal, as_ext
+from .numerics import DEFAULT_DIVERGENCE_THRESHOLD, DEFAULT_TOLERANCE, ExtReal, as_ext
 from .reports import HarnessConfig, LawReport, run_per_seed, suite_seeds
 from .scvx import (
     CarrierViolation,
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     checks.add_argument("--seed", type=int, default=0)
     checks.add_argument("--cases", type=int, default=200,
                         help="cases per seeded check (default 200)")
-    checks.add_argument("--tolerance", type=_rational_arg, default=Fraction(1, 10**12),
+    checks.add_argument("--tolerance", type=_rational_arg, default=DEFAULT_TOLERANCE,
                         help="tolerance for enclosure-valued comparisons, "
                              "a rational such as 1/1000000000000 or 1e-12")
     checks.add_argument("--json", dest="json_path", metavar="PATH",

@@ -43,10 +43,6 @@ class EvInconsistency(Exception):
     """A computed barycenter failed its defining evaluation property."""
 
 
-def _atom_key(a):
-    return repr(a)
-
-
 class ProbMeasure:
     """A finitely supported probability measure: the convex combination
     of the point masses at ``atoms`` with the weights of ``weights``.
@@ -67,7 +63,7 @@ class ProbMeasure:
                 raise NotAMeasure(f"negative weight {Fraction(w, den)}")
             if w:
                 merged[atom] = merged.get(atom, 0) + w
-        items = sorted(merged.items(), key=lambda kv: _atom_key(kv[0]))
+        items = sorted(merged.items(), key=lambda kv: repr(kv[0]))
         self.atoms = tuple(a for a, _ in items)
         try:
             self.weights = PartitionOfOne(
@@ -165,15 +161,9 @@ def mixture(omega: PartitionOfOne, measures, base=None):
     return LazyMeasure(omega, map_terms(atom, measures), base=base)
 
 
-def pushforward(P: ProbMeasure, m, base=None) -> ProbMeasure:
+def pushforward(P: ProbMeasure, m) -> ProbMeasure:
     """Transport atom weights through a map, merging collisions exactly."""
-    fn = m.fn if hasattr(m, "fn") else m
-    tgt = base
-    if tgt is None and hasattr(m, "target") and isinstance(
-        m.target, FiniteMeasurableSpace
-    ):
-        tgt = m.target
-    return ProbMeasure([(fn(a), w) for a, w in P.support], base=tgt)
+    return ProbMeasure([(m(a), w) for a, w in P.support])
 
 
 def integrate(P, f, **certificates) -> ExtReal:
@@ -251,10 +241,6 @@ class GeneralizedPoint:
     def from_point(cls, a) -> "GeneralizedPoint":
         return cls(lambda m: m(a))
 
-    @classmethod
-    def from_measure(cls, P) -> "GeneralizedPoint":
-        return cls(lambda m: integrate(P, m))
-
     def apply(self, m) -> ExtReal:
         return as_ext(self.fn(m))
 
@@ -262,7 +248,7 @@ class GeneralizedPoint:
 def phi(P: ProbMeasure) -> GeneralizedPoint:
     """A measure as a generalized point: the functional m -> integral of m
     against P; on indicators it returns the measure of the set."""
-    return GeneralizedPoint.from_measure(P)
+    return GeneralizedPoint(lambda m: integrate(P, m))
 
 
 def phi_inverse(J: GeneralizedPoint, X: FiniteMeasurableSpace) -> ProbMeasure:

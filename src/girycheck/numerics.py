@@ -15,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 from functools import total_ordering
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 Rational = Union[int, Fraction]
 
@@ -79,10 +79,6 @@ class ExtReal:
         self.value = value
         self.enclosure = enclosure
 
-    @classmethod
-    def infinity(cls) -> "ExtReal":
-        return cls(None)
-
     @property
     def is_inf(self) -> bool:
         return self.value is None
@@ -125,7 +121,7 @@ class ExtReal:
         return "inf" if self.is_inf else str(self.value)
 
 
-INF = ExtReal.infinity()
+INF = ExtReal(None)
 
 
 def as_ext(x) -> ExtReal:
@@ -139,6 +135,10 @@ def as_ext(x) -> ExtReal:
             return INF
         return ExtReal(Fraction(x))
     return NotImplemented
+
+
+# the default tolerance for values that carry a nondegenerate enclosure
+DEFAULT_TOLERANCE = Fraction(1, 10**12)
 
 
 def ext_eq(u, v, tolerance: Rational = 0) -> bool:

@@ -13,22 +13,21 @@ import random
 from _blake2 import blake2s
 from fractions import Fraction
 
+from .numerics import DEFAULT_TOLERANCE
+
 
 class LawReport:
     """The outcome of one law on one instance: its seeds, the cases run
     and passed, and a witness per failed case."""
 
-    def __init__(self, law: str, instance: str, seeds: list[int] | None = None,
-                 cases: int = 0, passed: int = 0, failures: list[dict] | None = None,
-                 wall_time: float = 0.0, tolerance_policy: str = "exact"):
+    def __init__(self, law: str, instance: str, seeds: list[int] | None = None):
         self.law = law
         self.instance = instance
         self.seeds = [] if seeds is None else seeds
-        self.cases = cases
-        self.passed = passed
-        self.failures = [] if failures is None else failures
-        self.wall_time = wall_time
-        self.tolerance_policy = tolerance_policy
+        self.cases = 0
+        self.passed = 0
+        self.failures: list[dict] = []
+        self.wall_time = 0.0
 
     @classmethod
     def single(cls, law: str, instance: str, witness: dict | None) -> "LawReport":
@@ -57,7 +56,7 @@ class LawReport:
             "cases": self.cases,
             "passed": self.passed,
             "pass": self.ok,
-            "tolerance_policy": self.tolerance_policy,
+            "tolerance_policy": "exact",
         }
         if self.failures:
             obj["counterexample"] = self.failures[0]
@@ -80,7 +79,7 @@ class HarnessConfig:
     values that carry a nondegenerate enclosure."""
 
     def __init__(self, seed: int = 0, cases: int = 200,
-                 tolerance: Fraction = Fraction(1, 10**12)):
+                 tolerance: Fraction = DEFAULT_TOLERANCE):
         if cases <= 0:
             raise ValueError("--cases must be positive")
         if tolerance <= 0:

@@ -11,6 +11,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .numerics import (
+    DEFAULT_TOLERANCE,
     ExtReal,
     INF,
     PartitionOfOne,
@@ -23,7 +24,6 @@ from .numerics import (
     random_partition,
 )
 
-DEFAULT_TOLERANCE = Fraction(1, 10**12)
 DEFAULT_DEPTH = 8  # length of the sampled sequences the checkers combine
 
 

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import girycheck
 from girycheck.cli import main
@@ -324,6 +326,93 @@ def test_numeric_inputs_end_in_an_exit_code_and_an_honest_line(argv, capsys):
     if "strictly inside" in out:
         lower, upper = re.search(r"enclosure \[(\S+), (\S+)\]", out).groups()
         assert 0 < Fraction(lower) and Fraction(upper) < 1
+
+
+def _key_paths(node, prefix=()):
+    """The key path of every value inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+SCENARIO_KEYS = ["schema", "spaces", "measures", "maps", "checks", "carrier", "sigma",
+                 "space", "atoms", "atom", "weight", "kind", "offset", "slope",
+                 "coeffs", "suite", "measure", "map", "X", "P", "m"]
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
+                | st.sampled_from([0.5, float("nan"), float("inf"), -float("inf")])
+                | st.sampled_from(["", "a", "b", "X", "P", "m", "1/2", "-1", "1/0",
+                                   "powerset", "affine", "poly", "triangle",
+                                   "phi-roundtrip", "morphism", "NaN"]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(SCENARIO_KEYS), inner, max_size=3)),
+    max_leaves=6)
+DROP = object()
+SCENARIO_EDITS = st.lists(
+    st.tuples(st.sampled_from(list(_key_paths(GOOD_SCENARIO))), JSON_VALUES | st.just(DROP)),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edits=SCENARIO_EDITS)
+def test_edited_scenarios_end_in_an_exit_code(edits, tmp_path_factory):
+    doc = json.loads(json.dumps(GOOD_SCENARIO))
+    for path, value in edits:
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit removed this field
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    path = tmp_path_factory.mktemp("fuzz") / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert main(["scenario", str(path), "--cases", "3"]) in (0, 1, 2)
+
+
+NUMBER_JUNK = st.sampled_from(["", "x", "nan", "inf", "-inf", "1/0", "1e-3", "1e400",
+                               "3.5", "-0", "0x10", " 7"])
+ANY_NUMBER = st.integers(-10**30, 10**30).map(str) | NUMBER_JUNK
+
+
+def _small_number(low, high):
+    return st.integers(low, high).map(str) | NUMBER_JUNK
+
+
+NUMERIC_ARGV = st.one_of(
+    st.tuples(st.just("laws"), st.just("--suite"), st.just("triangle"),
+              st.just("--cases"), _small_number(-3, 5), st.just("--seed"), ANY_NUMBER,
+              st.just("--tolerance"), ANY_NUMBER),
+    st.tuples(st.just("scenario"), st.just("GOOD"), st.just("--cases"),
+              _small_number(-3, 5), st.just("--seed"), ANY_NUMBER,
+              st.just("--tolerance"), ANY_NUMBER),
+    st.tuples(st.just("demo"), st.just("divergent-sum"), st.just("--n"),
+              _small_number(-3, 10**4)),
+    st.tuples(st.just("demo"), st.just("open-interval"), st.just("--depth"),
+              _small_number(-3, 200)),
+    st.tuples(st.just("demo"), st.just("half-cauchy"), st.just("--n-list"))
+    .flatmap(lambda head: st.lists(ANY_NUMBER, max_size=3).map(lambda ns: head + tuple(ns))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=NUMERIC_ARGV)
+def test_numeric_argv_ends_in_an_exit_code(argv, tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv") / "scn.json"
+    path.write_text(json.dumps(GOOD_SCENARIO))
+    argv = [str(path) if a == "GOOD" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed value with status 2
+        code = exc.code
+    assert code in (0, 1, 2)
 
 
 def _in_fresh_interpreter(code: str) -> str:

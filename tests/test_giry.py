@@ -305,9 +305,7 @@ class TestPhi:
     def test_point_backed_functional_recovers_dirac(self, X):
         J = GeneralizedPoint.from_point("c")
         # evaluation at a point applies the map directly
-        got = phi_inverse(
-            GeneralizedPoint.from_measure(dirac("c", base=X)), X
-        )
+        got = phi_inverse(phi(dirac("c", base=X)), X)
         assert got == dirac("c", base=X)
         assert J.apply(indicator(X, X.mask_of(["c"]))) == ExtReal(1)
 

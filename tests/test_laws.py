@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 from fractions import Fraction
@@ -34,7 +35,7 @@ from girycheck.laws import (
     half_cauchy_partial_expectation,
     run_suites,
 )
-from girycheck import giry, laws, reports
+from girycheck import cli, giry, laws, reports
 from girycheck.meas import FiniteMeasurableSpace, generate_sigma_algebra
 from girycheck.numerics import INF, ExtReal, PartitionOfOne
 from girycheck.reports import run_per_seed
@@ -90,13 +91,17 @@ class TestImageProperty:
         m = constant_map(closed, closed, F(2, 5))
         assert check_image_property(J, m) is None
 
+    def test_constant_map_of_the_extended_reals_has_a_point_image(self, ext):
+        J = GeneralizedPoint(lambda m: ExtReal(5))
+        witness = check_image_property(J, constant_map(ext, ext, 2))
+        assert witness is not None and witness["image"] == "{2}"
+
 
 class TestGeneralizedPointNaturality:
     def test_measure_backed_passes_family(self, closed, ext):
-        cfg = HarnessConfig()
         J = phi(uniform([ExtReal(F(1, 4)), ExtReal(F(3, 4))]))
         m = affine_map(closed, ext, F(1, 8), F(1, 2))
-        assert check_generalized_point_naturality(J, m, affine_endomap_family(cfg)) is None
+        assert check_generalized_point_naturality(J, m, affine_endomap_family(ext)) is None
 
     def test_weak_averaging_via_constants(self, closed, ext):
         J = phi(uniform([ExtReal(0), ExtReal(1)]))
@@ -118,13 +123,12 @@ class TestGeneralizedPointNaturality:
         assert lhs == ExtReal(expected)
 
     def test_nonlinear_functional_fails(self, closed, ext):
-        cfg = HarnessConfig()
         P = uniform([ExtReal(0), ExtReal(1)])
         J = GeneralizedPoint(
             lambda m: ExtReal(integrate(P, m).value ** 2)
         )
         m = identity_map(closed)
-        witness = check_generalized_point_naturality(J, m, affine_endomap_family(cfg))
+        witness = check_generalized_point_naturality(J, m, affine_endomap_family(ext))
         assert witness is not None
 
 
@@ -326,6 +330,51 @@ class TestSuiteRegistry:
         cfg = HarnessConfig(cases=5)
         reports = run_suites(cfg, name_filter=lambda n: n.startswith("morphism"))
         assert reports and all(r.law.startswith("morphism") for r in reports)
+
+
+# A fault planted on the binding a suite's checker reads, and a key its
+# failure witness must carry.
+PLANTED_FAULTS = [
+    pytest.param("triangle", giry, "monad_mu", lambda Q: dirac("planted"),
+                 "recovered", id="triangle-flatten"),
+    pytest.param("naturality-epsilon", laws, "pushforward", lambda P, m: P,
+                 "measure", id="naturality-epsilon-unmapped"),
+    pytest.param("countable-additivity", laws, "scale", lambda s, u: u,
+                 "via_rescaling", id="countable-additivity-unscaled"),
+    pytest.param("monad-laws", laws, "monad_mu", lambda Q: dirac("planted"),
+                 "left_unit", id="monad-laws-flatten"),
+    pytest.param("image-property", laws, "phi",
+                 lambda P: GeneralizedPoint(lambda m: ExtReal(5)),
+                 "image", id="image-property-outside"),
+    pytest.param("recovery", laws, "phi",
+                 lambda P: GeneralizedPoint(lambda m: ExtReal(7)),
+                 "error", id="recovery-no-point"),
+    pytest.param("recovery", laws, "check_evaluation_point_recovery",
+                 lambda J, carrier, maps: dirac("planted"),
+                 "got", id="recovery-wrong-point"),
+    pytest.param("sigma-agreement", laws, "mixture",
+                 lambda omega, measures, base: dirac(base.carrier[0], base=base),
+                 "mixture_mass", id="sigma-agreement-collapsed"),
+]
+
+
+class TestPlantedFaults:
+    @pytest.mark.parametrize("suite, module, name, fault, key", PLANTED_FAULTS)
+    def test_suite_fails_with_a_seeded_witness(self, suite, module, name, fault,
+                                               key, monkeypatch):
+        monkeypatch.setattr(module, name, fault)
+        (report,) = run_suites(HarnessConfig(cases=3), name_filter=lambda n: n == suite)
+        assert not report.ok and report.cases == 3
+        assert all(w["seed"] in report.seeds for w in report.failures)
+        (payload,) = json.loads(cli._reports_payload([report]))
+        assert payload["pass"] is False
+        assert payload["counterexample"]["seed"] == report.failures[0]["seed"]
+        assert key in payload["counterexample"]
+
+    def test_a_planted_fault_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(laws, "monad_mu", lambda Q: dirac("planted"))
+        assert cli.main(["laws", "--suite", "monad-laws", "--cases", "3"]) == 1
+        assert "[FAIL] monad-laws" in capsys.readouterr().out
 
 
 def _pid_witness(space, rng):
