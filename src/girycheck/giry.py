@@ -51,8 +51,11 @@ class ProbMeasure:
     ``weight / den``.  Every weight must be nonnegative; colliding atoms
     are merged, zero weights dropped and the atoms sorted.  ``weights`` is
     one finite partition of one with weight i on ``atoms[i-1]``, so
-    equality and hashing are exact.
+    equality and hashing are exact.  Its ``repr``, the sort key of a
+    measure on measures, is made once.
     """
+
+    _repr = None
 
     def __init__(self, support, base=None, den=1):
         if den < 1:
@@ -63,12 +66,12 @@ class ProbMeasure:
                 raise NotAMeasure(f"negative weight {Fraction(w, den)}")
             if w:
                 merged[atom] = merged.get(atom, 0) + w
-        items = sorted(merged.items(), key=lambda kv: repr(kv[0]))
-        self.atoms = tuple(a for a, _ in items)
+        if len(merged) > 1:
+            merged = {a: merged[a] for a in sorted(merged, key=repr)}
+        self.atoms = tuple(merged)
         try:
-            self.weights = PartitionOfOne(
-                {i: w for i, (_, w) in enumerate(items, start=1)}, den=den
-            )
+            self.weights = PartitionOfOne(dict(enumerate(merged.values(), start=1)),
+                                          den=den)
         except ValueError as exc:
             raise NotAMeasure(str(exc)) from None
         self.base = base
@@ -103,8 +106,10 @@ class ProbMeasure:
         }
 
     def __repr__(self):
-        inner = " + ".join(f"{w}*d[{a!r}]" for a, w in self.support)
-        return f"ProbMeasure({inner})"
+        if self._repr is None:
+            inner = " + ".join(f"{w}*d[{a!r}]" for a, w in self.support)
+            self._repr = f"ProbMeasure({inner})"
+        return self._repr
 
 
 class LazyMeasure:
@@ -134,8 +139,9 @@ def mixture(omega: PartitionOfOne, measures, base=None):
     measures yields a lazy countably supported measure."""
     if omega.is_finite:
         picked = list(zip(omega.parts, terms(measures, omega.parts)))
-        bases = {id(m.base) for _, m in picked if m.base is not None}
-        if len(bases) > 1:
+        # equal spaces are one base, even when each was built on its own
+        bases = [m.base for _, m in picked if m.base is not None]
+        if any(b is not bases[0] and b != bases[0] for b in bases):
             raise BaseMismatch("mixture components live on different bases")
         if not all(m.weights.is_finite for _, m in picked):
             raise UnsupportedRepresentation(
@@ -148,8 +154,8 @@ def mixture(omega: PartitionOfOne, measures, base=None):
             f = omega.parts[i] * (scale // m.weights.den)
             for a, p in zip(m.atoms, m.weights.parts.values()):
                 support.append((a, f * p))
-        shared = next((m.base for _, m in picked if m.base is not None), base)
-        return ProbMeasure(support, base=shared, den=omega.den * scale)
+        return ProbMeasure(support, base=bases[0] if bases else base,
+                           den=omega.den * scale)
 
     def atom(m):
         if not isinstance(m, ProbMeasure) or len(m.atoms) != 1:
@@ -163,7 +169,8 @@ def mixture(omega: PartitionOfOne, measures, base=None):
 
 def pushforward(P: ProbMeasure, m) -> ProbMeasure:
     """Transport atom weights through a map, merging collisions exactly."""
-    return ProbMeasure([(m(a), w) for a, w in P.support])
+    return ProbMeasure(zip(map(m, P.atoms), P.weights.parts.values()),
+                       den=P.weights.den)
 
 
 def integrate(P, f, **certificates) -> ExtReal:
@@ -220,13 +227,11 @@ class GirySpace(SuperConvexSpace):
 
 def monad_mu(Q: ProbMeasure) -> ProbMeasure:
     """Flatten a measure on measures: the barycenter of Q inside the space
-    of measures, i.e. the weighted mixture of its atom measures."""
+    of measures, i.e. the weighted mixture of its atom measures, which
+    must share one base."""
     for m in Q.atoms:
         if not isinstance(m, ProbMeasure):
             raise BaseMismatch("monad_mu needs a measure whose atoms are measures")
-    bases = {id(m.base) for m in Q.atoms if m.base is not None}
-    if len(bases) > 1:
-        raise BaseMismatch("atom measures live on different bases")
     return mixture(Q.weights, Q.atoms)
 
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import random
+import signal
 import time
 from fractions import Fraction
 from functools import partial
@@ -169,7 +171,9 @@ def check_image_property(J: GeneralizedPoint, m: CountablyAffineMap,
                          probe_grid=None) -> dict | None:
     """J(m) must land in the image of m.  Interval carriers use the
     image's interval classification with the endpoint openness of the
-    carrier; any other source needs a probe grid."""
+    carrier; any other source needs a probe grid.  A map whose image it
+    cannot classify, such as a map of R-inf that is not affine, raises
+    ValueError."""
     val = J.apply(m)
     ok, image_desc = _image_contains(m, val, probe_grid)
     if ok:
@@ -181,10 +185,15 @@ def _image_contains(m, val: ExtReal, probe_grid=None):
     source = m.source
     if isinstance(source, IntervalSpace):
         if source.kind == "ext_real_line":
-            # an affine map of R-inf is either constant or onto
+            # an affine map of R-inf is either constant or onto; a map that
+            # leaves its interpolant through m(0) and m(1) is neither
             at0, at1 = as_ext(m(ExtReal(0))), as_ext(m(ExtReal(1)))
             if at0 == at1:
                 return _interval_hull_contains({at0}, val, closed=True)
+            if at0.is_inf or at1.is_inf or not as_ext(m(INF)).is_inf or any(
+                    as_ext(m(ExtReal(x))) != at0.value + (at1.value - at0.value) * x
+                    for x in (-2, Fraction(1, 2), 3)):
+                raise ValueError(f"{m.name} is not an affine map of R-inf")
             return True, "R-inf"
         probes = probe_grid
         if probes is None:
@@ -271,10 +280,8 @@ def check_sigma_agreement(X: FiniteMeasurableSpace, rng: random.Random) -> dict 
     components = [GX.sample(rng) for _ in range(k)]
     mixed = mixture(parts, components, base=X)
     mass = mixed.measure_of(u)
-    weighted = sum(
-        (parts.weight(i + 1) * c.measure_of(u) for i, c in enumerate(components)),
-        Fraction(0),
-    )
+    weighted = sum(p * c.measure_of(u)
+                   for p, c in zip(parts.parts.values(), components)) / parts.den
     if mass == weighted:
         return None
     return {"set": [str(x) for x in X.set_of(u)], "mixture_mass": str(mass),
@@ -350,9 +357,7 @@ def _sample_unit_measure(rng: random.Random, space) -> ProbMeasure:
             seen.add(a)
             atoms.append(a)
     part = random_partition(rng.getrandbits(32), len(atoms))
-    return ProbMeasure(
-        [(a, part.weight(i + 1)) for i, a in enumerate(atoms)]
-    )
+    return ProbMeasure(zip(atoms, part.parts.values()), den=part.den)
 
 
 def _random_powerset_space(rng: random.Random, max_points: int) -> FiniteMeasurableSpace:
@@ -427,15 +432,12 @@ def _monad_laws_case(rng):
     right_unit = monad_mu(pushforward(P, lambda x: dirac(x, base=X))) == P
 
     # a measure on measures on measures, flattened both ways
-    def rand_QQ():
+    def rand_measure(sample):
         k = rng.randint(1, 3)
         part = random_partition(rng.getrandbits(32), k)
-        return ProbMeasure(
-            [(GX.sample(rng), part.weight(i + 1)) for i in range(k)]
-        )
-    k = rng.randint(1, 3)
-    part = random_partition(rng.getrandbits(32), k)
-    T = ProbMeasure([(rand_QQ(), part.weight(i + 1)) for i in range(k)])
+        return ProbMeasure([(sample(), p) for p in part.parts.values()], den=part.den)
+
+    T = rand_measure(lambda: rand_measure(partial(GX.sample, rng)))
     assoc = monad_mu(pushforward(T, monad_mu)) == monad_mu(monad_mu(T))
     if left_unit and right_unit and assoc:
         return None
@@ -557,18 +559,63 @@ def _run_timed(run: Callable[[], LawReport]) -> LawReport:
     return report
 
 
-# the suite runs a forked worker inherits from ``run_suites``; only a
-# worker's initializer sets it, never the parent
-_inherited_runs: list = []
+class WorkerDied(Exception):
+    """A forked worker of ``run_suites`` ended without sending a result."""
 
 
-def _inherit(runs: list) -> None:
-    global _inherited_runs
-    _inherited_runs = runs
+def _work(runs: list, tasks: int, out: int):
+    """A forked worker's whole life: run the suites whose indices it reads
+    from the ``tasks`` pipe until that is empty, write their reports, or
+    the exception that stopped it, pickled to ``out``, and exit."""
+    try:
+        try:
+            result = [runs[int.from_bytes(index, "big")]()
+                      for index in iter(partial(os.read, tasks, 4), b"")]
+        except BaseException as exc:
+            import traceback
+
+            if hasattr(exc, "add_note"):
+                exc.add_note("raised in a worker:\n" + traceback.format_exc())
+            result = exc
+        with os.fdopen(out, "wb") as fh:
+            fh.write(pickle.dumps(result))
+    finally:
+        os._exit(0)
 
 
-def _run_inherited(index: int) -> LawReport:
-    return _inherited_runs[index]()
+def _fork_pool(runs: list, jobs: int) -> list[LawReport]:
+    """The reports of ``runs``, in no set order, from ``jobs`` forked
+    workers that take suite indices from one pipe whenever they are idle.
+    Every worker is reaped before this returns or raises."""
+    tasks, feed = os.pipe()
+    # one write, far below a pipe's atomic size, so each read of 4 bytes
+    # takes exactly one index
+    os.write(feed, b"".join(i.to_bytes(4, "big") for i in range(len(runs))))
+    os.close(feed)
+    workers, reports = [], []
+    try:
+        for _ in range(jobs):
+            back, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(runs, tasks, out)
+            os.close(out)
+            workers.append((pid, os.fdopen(back, "rb")))
+        for pid, back in workers:
+            payload = back.read()
+            if not payload:
+                raise WorkerDied(f"worker {pid} ended without a result")
+            result = pickle.loads(payload)
+            if isinstance(result, BaseException):
+                raise result
+            reports += result
+    finally:
+        os.close(tasks)
+        for pid, back in workers:
+            back.close()
+            os.kill(pid, signal.SIGKILL)  # a no-op for one that has finished
+            os.waitpid(pid, 0)
+    return reports
 
 
 def run_suites(cfg: HarnessConfig, name_filter: Callable[[str], bool] | None = None,
@@ -576,25 +623,17 @@ def run_suites(cfg: HarnessConfig, name_filter: Callable[[str], bool] | None = N
     """Run all (filtered) suites and return reports sorted by suite name.
 
     With ``jobs`` > 1 the suites run in up to ``jobs`` forked worker
-    processes.  A worker inherits the suites built here, takes a suite's
-    index and returns its report, so the reports equal the in-process
-    ones.  The workers fork rather than spawn because the suites close
-    over lambdas that cannot be pickled, and a forked worker needs no
-    fresh import; so call this with ``jobs`` > 1 only from a process that
-    runs no other thread.
+    processes.  A worker inherits the suites built here and sends back
+    their reports, so the reports equal the in-process ones; an exception
+    that stops a worker is raised here.  The workers fork rather than
+    spawn because the suites close over lambdas that cannot be pickled,
+    and a forked worker needs no fresh import; so call this with ``jobs``
+    > 1 only from a process that runs no other thread.
     """
     runs = [partial(_run_timed, run)
             for name, run in build_suites(cfg, include_mutants=include_mutants).items()
             if name_filter is None or name_filter(name)]
     jobs = pool_size(jobs, len(runs))
-    if jobs == 1:
-        reports = [run() for run in runs]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_inherit, initargs=(runs,)) as pool:
-            reports = list(pool.map(_run_inherited, range(len(runs))))
+    reports = [run() for run in runs] if jobs == 1 else _fork_pool(runs, jobs)
     reports.sort(key=lambda r: r.law)
     return reports

@@ -11,13 +11,7 @@ algebra is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .numerics import as_ext
-
-
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
 
 
 class InfiniteCarrier(Exception):
@@ -175,8 +169,9 @@ def is_measurable(f: MeasurableMap) -> bool:
 
 
 def indicator(space: FiniteMeasurableSpace, mask: int) -> MeasurableMap:
-    """The characteristic function of a subset, into the extended reals."""
+    """The characteristic function of a subset, into the extended reals,
+    as the ints 0 and 1."""
     index = space.index
     return MeasurableMap(
-        space, "ext_real", lambda x: _ONE if mask >> index[x] & 1 else _ZERO
+        space, "ext_real", lambda x: mask >> index[x] & 1
     )

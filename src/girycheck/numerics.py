@@ -201,27 +201,33 @@ class PartitionOfOne:
         weight_fn: Callable[[int], Fraction] | None = None,
         tail_fn: Callable[[int], Fraction] | None = None,
     ):
-        """Finite support: weight i is ``weights[i] / den``.  Lazy support:
-        ``weight_fn`` and ``tail_fn``."""
+        """Finite support: weight i is ``weights[i] / den``, each weight an
+        int or a Fraction.  Lazy support: ``weight_fn`` and ``tail_fn``."""
         if weights is not None:
             if den < 1:
                 raise ValueError("den must be a positive integer")
-            scale = math.lcm(*[w.denominator for w in weights.values()])
-            den *= scale
-            parts = {}
-            for i, w in sorted(weights.items()):
-                if i < 1:
-                    raise ValueError("indices start at 1")
-                p = w.numerator * (scale // w.denominator)
-                if p < 0:
-                    raise ValueError(f"weight {Fraction(p, den)} outside [0, 1]")
-                if p:
-                    parts[i] = p
-            if sum(parts.values()) != den:
+            items = sorted(weights.items())
+            if items and items[0][0] < 1:
+                raise ValueError("indices start at 1")
+            parts = dict(items)
+            try:
+                g = math.gcd(den, *parts.values())
+            except TypeError:
+                # not all ints: rescale by the lcm of the denominators
+                for i, w in items:
+                    if not isinstance(w, (int, Fraction)):
+                        raise TypeError(f"weight {i} is {w!r}, not an int or a Fraction")
+                scale = math.lcm(*[w.denominator for _, w in items])
+                parts = {i: w.numerator * (scale // w.denominator) for i, w in items}
+                den *= scale
+                g = math.gcd(den, *parts.values())
+            values = parts.values()
+            if parts and (low := min(values)) < 0:
+                raise ValueError(f"weight {Fraction(low, den)} outside [0, 1]")
+            if sum(values) != den:
                 raise ValueError("weights must sum to 1")
-            g = math.gcd(den, *parts.values())
-            if g > 1:
-                parts = {i: p // g for i, p in parts.items()}
+            if g > 1 or 0 in values:
+                parts = {i: p // g for i, p in parts.items() if p}
                 den //= g
             self.parts = parts
             self.den = den
@@ -335,8 +341,8 @@ def countable_combine(
     reals.
 
     ``u`` is a sequence (1-indexed via position) or a callable on indices.
-    Finite support is summed exactly, as one integer dot product over the
-    lcm of the values' denominators; any strictly positive weight on an
+    Finite support is summed exactly, in one pass of integer products
+    over a running common denominator; any strictly positive weight on an
     infinite value forces the result to infinity.  Lazy support needs a
     certificate: ``bound`` B (all tail values satisfy |u_i| <= B) yields a
     value with enclosure width <= 2*B*tail(N), and every scanned term is
@@ -351,20 +357,22 @@ def countable_combine(
     else raises Undecided.
     """
     if omega.is_finite:
-        nums, dens = [], []
-        for ui in terms(u, omega.parts):
-            # ints and Fractions are read as they are, the rest as ExtReals
-            if type(ui) not in (int, Fraction):
-                ui = as_ext(ui)
-                if ui.is_inf:
+        # one pass over a running common denominator d; ints need none
+        num, d = 0, 1
+        for p, ui in zip(omega.parts.values(), terms(u, omega.parts)):
+            if type(ui) is int:
+                num += p * ui * d
+                continue
+            if type(ui) is not Fraction:
+                ui = as_ext(ui).value
+                if ui is None:
                     return INF
-                ui = ui.value
-            nums.append(ui.numerator)
-            dens.append(ui.denominator)
-        scale = math.lcm(*dens)
-        total = sum(p * n * (scale // d)
-                    for p, n, d in zip(omega.parts.values(), nums, dens))
-        return ExtReal(Fraction(total, omega.den * scale))
+            q = ui.denominator
+            if d % q:
+                f = q // math.gcd(d, q)
+                num, d = num * f, d * f
+            num += p * ui.numerator * (d // q)
+        return ExtReal(Fraction(num, omega.den * d))
 
     if bound is not None and divergence_witness:
         raise ValueError("bound and divergence witness are exclusive")
@@ -433,7 +441,12 @@ def random_partition(seed: int, support_size: int) -> PartitionOfOne:
     composition of ``support_size`` parts, normalized exactly."""
     if support_size < 1:
         raise ValueError("support_size must be >= 1")
-    rng = random.Random(seed)
-    parts = [rng.randint(1, 1000) for _ in range(support_size)]
-    return PartitionOfOne(dict(enumerate(parts, start=1)), den=sum(parts))
-
+    # each part is drawn as rng.randint(1, 1000) draws it
+    getrandbits = random.Random(seed).getrandbits
+    parts = {}
+    for i in range(1, support_size + 1):
+        p = getrandbits(10)
+        while p >= 1000:
+            p = getrandbits(10)
+        parts[i] = p + 1
+    return PartitionOfOne(parts, den=sum(parts.values()))

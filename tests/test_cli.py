@@ -463,8 +463,6 @@ def test_a_crash_exits_three_with_its_traceback(monkeypatch, capsys):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker pool forks")
 def test_a_dead_worker_exits_three_not_one(monkeypatch, capsys):
-    from concurrent.futures.process import BrokenProcessPool
-
     from girycheck import cli, laws
 
     # each forked worker dies inside the checker; two CPUs keep the
@@ -473,6 +471,6 @@ def test_a_dead_worker_exits_three_not_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
     monkeypatch.setattr(sys, "argv", LAWS_ARGV)
     assert cli.entry() == cli.EXIT_INTERNAL_ERROR
-    assert "BrokenProcessPool" in capsys.readouterr().err
-    with pytest.raises(BrokenProcessPool):
+    assert "WorkerDied" in capsys.readouterr().err
+    with pytest.raises(laws.WorkerDied):
         main(LAWS_ARGV[1:], jobs=2)

@@ -86,6 +86,10 @@ class TestProbMeasure:
             ProbMeasure(support, den=den)
         assert str(info.value) == message
 
+    def test_a_float_weight_is_a_type_error(self):
+        with pytest.raises(TypeError, match="weight 1 is 0.5"):
+            ProbMeasure([("a", 0.5), ("b", 0.5)])
+
     def test_negative_entry_rejected_before_merging(self):
         # merged, "a" would weigh 1/2 and the measure would be valid
         with pytest.raises(NotAMeasure, match="negative weight -1/2"):
@@ -148,6 +152,16 @@ class TestMixture:
         half = PartitionOfOne.finite([F(1, 2), F(1, 2)])
         with pytest.raises(BaseMismatch):
             mixture(half, [dirac("a", base=X1), dirac("b", base=X2)])
+
+    def test_equal_bases_built_apart_are_one_base(self):
+        X1 = FiniteMeasurableSpace.powerset(["x1", "x2"])
+        X2 = FiniteMeasurableSpace.powerset(["x1", "x2"])
+        half = PartitionOfOne.finite([F(1, 2), F(1, 2)])
+        got = mixture(half, [dirac("x1", base=X1), dirac("x2", base=X2)])
+        assert got == uniform(["x1", "x2"]) and got.base is X1
+        Q = ProbMeasure([(dirac("x1", base=X1), F(1, 2)),
+                         (dirac("x2", base=X2), F(1, 2))])
+        assert monad_mu(Q) == got
 
     def test_lazy_mixture_of_nondiracs_rejected(self):
         geo = PartitionOfOne.geometric()
@@ -257,6 +271,12 @@ class TestMonadMu:
     def test_atoms_must_be_measures(self):
         with pytest.raises(BaseMismatch):
             monad_mu(uniform(["a", "b"]))
+
+    def test_atom_measures_on_different_bases_are_rejected(self):
+        Q = uniform([dirac("a", base=FiniteMeasurableSpace.powerset(["a"])),
+                     dirac("b", base=FiniteMeasurableSpace.powerset(["b"]))])
+        with pytest.raises(BaseMismatch):
+            monad_mu(Q)
 
 
 class TestGirySpace:
@@ -489,3 +509,19 @@ def test_list_and_callable_terms_agree(case):
     prod = ProductSpace([closed, closed])
     points = [(ExtReal(x), ExtReal(y)) for x, y in zip(xs, ys)]
     assert prod.combine(omega, points) == prod.combine(omega, as_callable(points))
+
+
+@settings(max_examples=100, deadline=None)
+@given(atom_weight_lists(), atom_weight_lists())
+def test_a_cached_repr_is_a_fresh_repr(pairs, other):
+    # the repr is made once, so it must be the one the measure would print
+    def fresh(P):
+        inner = " + ".join(f"{w}*d[{a!r}]" for a, w in P.support)
+        return f"ProbMeasure({inner})"
+
+    P, Q = ProbMeasure(pairs), ProbMeasure(other)
+    nested = ProbMeasure([(P, F(1, 3)), (Q, F(2, 3))])
+    for M in (P, Q, nested):
+        assert repr(M) == fresh(M) and repr(M) is repr(M)
+    assert repr(nested) == fresh(ProbMeasure([(ProbMeasure(pairs), F(1, 3)),
+                                              (ProbMeasure(other), F(2, 3))]))

@@ -96,6 +96,18 @@ class TestImageProperty:
         witness = check_image_property(J, constant_map(ext, ext, 2))
         assert witness is not None and witness["image"] == "{2}"
 
+    def test_a_map_of_the_extended_reals_that_is_not_affine_raises(self, ext):
+        # clamping to [0,1] agrees with x at 0 and 1, so it looked onto
+        def clamp(x):
+            return ExtReal(1) if x.is_inf else ExtReal(min(max(x.value, 0), 1))
+
+        J = GeneralizedPoint(lambda m: ExtReal(5))
+        m = CountablyAffineMap(ext, ext, clamp, name="clamp")
+        with pytest.raises(ValueError, match="clamp is not an affine map"):
+            check_image_property(J, m)
+        onto = affine_map(ext, ext, F(-3), F(2))
+        assert check_image_property(J, onto) is None
+
 
 class TestGeneralizedPointNaturality:
     def test_measure_backed_passes_family(self, closed, ext):
@@ -377,6 +389,10 @@ class TestPlantedFaults:
         assert "[FAIL] monad-laws" in capsys.readouterr().out
 
 
+def _violate(space, rng):
+    raise CarrierViolation(f"{space.name}: planted")
+
+
 def _pid_witness(space, rng):
     """A checker whose one case fails with the id of the process it ran in."""
     return {"pid": os.getpid()}
@@ -413,6 +429,24 @@ class TestWorkerPool:
         with pytest.raises(CarrierViolation, match="planted"):
             run_suites(HarnessConfig(cases=2), jobs=2,
                        name_filter=lambda n: n.startswith("axiom1-"))
+
+    @pytest.mark.parametrize("fault, raised", [
+        (None, None),
+        (_violate, CarrierViolation),
+        (lambda space, rng: os._exit(1), laws.WorkerDied),
+    ])
+    def test_every_worker_is_reaped(self, monkeypatch, fault, raised):
+        if fault is not None:
+            monkeypatch.setattr(laws, "check_axiom1", fault)
+        run = partial(run_suites, HarnessConfig(cases=2), jobs=2,
+                      name_filter=lambda n: n.startswith("axiom1-"))
+        if raised is None:
+            assert len(run()) == 7
+        else:
+            with pytest.raises(raised):
+                run()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_pool_size(self):
         assert laws.pool_size(1, 28) == 1

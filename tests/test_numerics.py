@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -162,6 +164,15 @@ class TestPartitionOfOne:
     def test_finite_validation(self, weights, den, match):
         with pytest.raises(ValueError, match=match):
             PartitionOfOne(weights, den=den)
+
+    @pytest.mark.parametrize("weights, match", [
+        ([0.5, 0.5], "weight 1 is 0.5"),
+        ([F(1, 2), "1/2"], "weight 2 is '1/2'"),
+        ([None, 1], "weight 1 is None"),
+    ])
+    def test_a_weight_that_is_not_rational_is_a_type_error(self, weights, match):
+        with pytest.raises(TypeError, match=match):
+            PartitionOfOne.finite(weights)
 
 
 class TestCountableCombine:
@@ -402,3 +413,15 @@ def test_equal_partitions_have_equal_parts_and_hashes(weights, c):
                        den=common * c)
     assert a == b and hash(a) == hash(b) and (a.parts, a.den) == (b.parts, b.den)
     assert a.items() == [(i, w) for i, w in enumerate(weights, start=1) if w != 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 8))
+def test_random_partition_draws_as_randint_does(seed, size):
+    # the reference draws each part with randint, as the kernel once did
+    rng = random.Random(seed)
+    drawn = [rng.randint(1, 1000) for _ in range(size)]
+    g = math.gcd(*drawn)
+    p = random_partition(seed, size)
+    assert p.parts == {i: d // g for i, d in enumerate(drawn, start=1)}
+    assert p.den == sum(drawn) // g
