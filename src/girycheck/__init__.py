@@ -35,7 +35,6 @@ from .scvx import (
 from .meas import (
     FiniteMeasurableSpace,
     InfiniteCarrier,
-    MeasurableMap,
     generate_sigma_algebra,
     indicator,
     is_measurable,

@@ -62,8 +62,12 @@ class ProbMeasure:
             raise ValueError("den must be a positive integer")
         merged: dict = {}
         for atom, w in support:
-            if w < 0:
-                raise NotAMeasure(f"negative weight {Fraction(w, den)}")
+            try:
+                if w < 0:
+                    raise NotAMeasure(f"negative weight {Fraction(w, den)}")
+            except TypeError:
+                raise TypeError(f"atom {atom!r}: weight {w!r} is not an int "
+                                f"or a Fraction") from None
             if w:
                 merged[atom] = merged.get(atom, 0) + w
         if len(merged) > 1:
@@ -74,6 +78,9 @@ class ProbMeasure:
                                           den=den)
         except ValueError as exc:
             raise NotAMeasure(str(exc)) from None
+        except TypeError as exc:  # it names the weight by index, not by atom
+            atom = next(a for a, w in merged.items() if not isinstance(w, (int, Fraction)))
+            raise TypeError(f"atom {atom!r}: {exc}") from None
         self.base = base
 
     @property
@@ -177,8 +184,7 @@ def integrate(P, f, **certificates) -> ExtReal:
     """The integral of an extended-real-valued map against a measure:
     exact on finite support, certified enclosure or infinity on lazy
     support."""
-    fn = f.fn if hasattr(f, "fn") else f
-    return countable_combine(P.weights, map_terms(fn, P.atoms), **certificates)
+    return countable_combine(P.weights, map_terms(f, P.atoms), **certificates)
 
 
 def barycenter(A: SuperConvexSpace, P, generating_maps=(), **certificates):

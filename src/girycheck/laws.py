@@ -167,62 +167,35 @@ def half_cauchy_generalized_point() -> GeneralizedPoint:
 # witness
 
 
-def check_image_property(J: GeneralizedPoint, m: CountablyAffineMap,
-                         probe_grid=None) -> dict | None:
-    """J(m) must land in the image of m.  Interval carriers use the
-    image's interval classification with the endpoint openness of the
-    carrier; any other source needs a probe grid.  A map whose image it
-    cannot classify, such as a map of R-inf that is not affine, raises
-    ValueError."""
-    val = J.apply(m)
-    ok, image_desc = _image_contains(m, val, probe_grid)
-    if ok:
-        return None
-    return {"map": m.name, "value": describe(val), "image": image_desc}
-
-
-def _image_contains(m, val: ExtReal, probe_grid=None):
-    source = m.source
-    if isinstance(source, IntervalSpace):
-        if source.kind == "ext_real_line":
-            # an affine map of R-inf is either constant or onto; a map that
-            # leaves its interpolant through m(0) and m(1) is neither
-            at0, at1 = as_ext(m(ExtReal(0))), as_ext(m(ExtReal(1)))
-            if at0 == at1:
-                return _interval_hull_contains({at0}, val, closed=True)
-            if at0.is_inf or at1.is_inf or not as_ext(m(INF)).is_inf or any(
-                    as_ext(m(ExtReal(x))) != at0.value + (at1.value - at0.value) * x
-                    for x in (-2, Fraction(1, 2), 3)):
-                raise ValueError(f"{m.name} is not an affine map of R-inf")
-            return True, "R-inf"
-        probes = probe_grid
-        if probes is None:
-            probes = [ExtReal(Fraction(k, 8)) for k in range(9)]
-        vals = [as_ext(m(p)) for p in probes]
-        closed = source.kind == "closed_unit"
-        return _interval_hull_contains(set(vals), val, closed=closed)
-    if probe_grid is not None:
-        vals = {as_ext(m(p)) for p in probe_grid}
-        return _interval_hull_contains(vals, val, closed=True)
-    raise ValueError("cannot classify the image without a probe grid")
-
-
-def _interval_hull_contains(vals: set, val: ExtReal, closed: bool):
-    finite = sorted(v.value for v in vals if not v.is_inf)
-    has_inf = any(v.is_inf for v in vals)
-    if not finite:
-        return (val.is_inf, "{inf}")
-    lo, hi = finite[0], finite[-1]
-    if lo == hi and not has_inf:
-        return (not val.is_inf and val.value == lo, f"{{{lo}}}")
-    desc = f"[{lo}, {'inf' if has_inf else hi}{']' if closed else ')'}"
-    if val.is_inf:
-        return (has_inf, desc)
-    if closed:
-        ok = lo <= val.value and (has_inf or val.value <= hi)
+def check_image_property(J: GeneralizedPoint, m: CountablyAffineMap) -> dict | None:
+    """J(m) must land in the image of m, a map of [0,1], (0,1) or R-inf:
+    the one value of a constant map (m(0) = m(1)), else the values whose
+    preimage a under the line through m(0) and m(1), infinity for
+    infinity, is a point of the source.  A map off that line at 1/4, 1/2,
+    3/4 (inside every carrier) or at a is not affine: ValueError."""
+    source, val = m.source, J.apply(m)
+    at0, at1 = as_ext(m(ExtReal(0))), as_ext(m(ExtReal(1)))
+    quarters = [Fraction(k, 4) for k in (1, 2, 3)]
+    if at0 == at1:
+        expect, inside = [(x, at0) for x in quarters], val == at0
+    elif at0.is_inf or at1.is_inf:
+        expect, inside = None, False
     else:
-        ok = lo < val.value and (has_inf or val.value < hi)
-    return (ok, desc)
+        slope = at1.value - at0.value
+        expect = [(x, at0.value + slope * x) for x in quarters]
+        a = INF if val.is_inf else (val.value - at0.value) / slope
+        if inside := source.contains(a):
+            expect.append((a, val))
+    if expect is None or any(as_ext(m(as_ext(x))) != y for x, y in expect):
+        raise ValueError(f"{m.name} is not an affine map of {source.name}")
+    if inside:
+        return None
+    if at0 == at1:
+        image = f"{{{describe(at0)}}}"
+    else:  # a carrier that misses a is [0,1] or (0,1): m(0) and m(1) are the ends
+        lo, hi = sorted([at0.value, at1.value])
+        image = f"[{lo}, {hi}]" if source.contains(0) else f"({lo}, {hi})"
+    return {"map": m.name, "value": describe(val), "image": image}
 
 
 def check_generalized_point_naturality(J: GeneralizedPoint, m,
@@ -299,8 +272,8 @@ def demo_divergent_sum(n: int) -> Fraction:
     combinations."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # each term (1/2^i)(i*2^i) is exactly the integer i
-    return Fraction(sum(range(1, n + 1)))
+    # each term (1/2^i)(i*2^i) is exactly the integer i: the sum is n(n+1)/2
+    return Fraction(n * (n + 1) // 2)
 
 
 def half_cauchy_partial_expectation(n: float) -> float:
@@ -496,9 +469,9 @@ def _mutant_image() -> LawReport:
     """The half-line documentation case: an infinite 'expectation' cannot
     be the evaluation of any point of the nonnegative reals."""
     val = half_cauchy_generalized_point().apply(as_ext)  # the inclusion
-    probes = [ExtReal(Fraction(k, 2)) for k in range(9)]
-    ok, image_desc = _interval_hull_contains(set(probes), val, closed=True)
-    witness = None if ok else {"value": describe(val), "image": image_desc}
+    # the hull of the inclusion at the probes 0, 1/2, ..., 4
+    ok = not val.is_inf and 0 <= val.value <= 4
+    witness = None if ok else {"value": describe(val), "image": "[0, 4]"}
     return LawReport.single("mutant-image-halfcauchy", "R+ inclusion", witness)
 
 

@@ -117,12 +117,10 @@ def generate_sigma_algebra(carrier, generators) -> FiniteMeasurableSpace:
 
 
 def sigma_functor(carrier, generating_maps) -> FiniteMeasurableSpace:
-    """The measurable space a finite-carrier space inherits from maps into
-    the extended reals: the sigma-algebra generated by the maps' fiber
+    """The measurable space a finite carrier inherits from maps into the
+    extended reals: the sigma-algebra generated by the maps' fiber
     partitions (equivalent, on a finite carrier, to generating by
     preimages of Borel sets)."""
-    if hasattr(carrier, "carrier"):
-        carrier = carrier.carrier
     if not hasattr(carrier, "__len__"):
         raise InfiniteCarrier(
             "sigma_functor is only realized concretely on finite carriers"
@@ -138,40 +136,20 @@ def sigma_functor(carrier, generating_maps) -> FiniteMeasurableSpace:
     return generate_sigma_algebra(carrier, generators)
 
 
-class MeasurableMap:
-    """A point map between a finite measurable space and either another
-    finite measurable space or the extended real line with its Borel-plus-
-    infinity structure (handled through fibers on the finite source)."""
-
-    def __init__(self, source: FiniteMeasurableSpace, target, fn):
-        self.source = source
-        self.target = target  # FiniteMeasurableSpace or the string "ext_real"
-        self.fn = fn
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-def is_measurable(f: MeasurableMap) -> bool:
-    """True iff every preimage of a measurable target set is measurable:
-    f sends each source atom into a single target atom.  For an
-    extended-real target, whose Borel sets separate points, f must be
-    constant on each source atom."""
-    if isinstance(f.target, FiniteMeasurableSpace):
-        tgt = f.target
-        block = lambda y: next(a for a in tgt.atoms if tgt.member(y, a))
-    elif f.target == "ext_real":
+def is_measurable(f, source: FiniteMeasurableSpace, target=None) -> bool:
+    """True iff ``f`` sends each atom of ``source`` into one atom of
+    ``target``, so every preimage of a measurable set is measurable.  A
+    ``target`` of None is the extended real line, whose Borel sets
+    separate points: f must be constant on each source atom."""
+    if target is None:
         block = as_ext
     else:
-        raise ValueError(f"unknown target {f.target!r}")
-    return all(len({block(f.fn(x)) for x in f.source.set_of(a)}) == 1
-               for a in f.source.atoms)
+        block = lambda y: next(a for a in target.atoms if target.member(y, a))
+    return all(len({block(f(x)) for x in source.set_of(a)}) == 1 for a in source.atoms)
 
 
-def indicator(space: FiniteMeasurableSpace, mask: int) -> MeasurableMap:
+def indicator(space: FiniteMeasurableSpace, mask: int):
     """The characteristic function of a subset, into the extended reals,
     as the ints 0 and 1."""
     index = space.index
-    return MeasurableMap(
-        space, "ext_real", lambda x: mask >> index[x] & 1
-    )
+    return lambda x: mask >> index[x] & 1

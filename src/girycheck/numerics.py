@@ -32,34 +32,25 @@ class UnsupportedRepresentation(Exception):
 
 
 class Enclosure:
-    """A rational interval [lower, upper] guaranteed to contain a value.
-
-    ``upper is None`` encodes an unbounded-above enclosure.
-    """
+    """A bounded rational interval [lower, upper] that contains a value."""
 
     __slots__ = ("lower", "upper")
 
-    def __init__(self, lower: Rational, upper: Rational | None):
+    def __init__(self, lower: Rational, upper: Rational):
         self.lower = Fraction(lower)
-        self.upper = None if upper is None else Fraction(upper)
-        if self.upper is not None and self.lower > self.upper:
+        self.upper = Fraction(upper)
+        if self.lower > self.upper:
             raise ValueError("enclosure has lower > upper")
 
     @property
-    def width(self) -> Fraction | None:
-        if self.upper is None:
-            return None
+    def width(self) -> Fraction:
         return self.upper - self.lower
 
     def contains(self, q: Rational) -> bool:
-        q = Fraction(q)
-        if q < self.lower:
-            return False
-        return self.upper is None or q <= self.upper
+        return self.lower <= Fraction(q) <= self.upper
 
     def __repr__(self):
-        hi = "inf" if self.upper is None else str(self.upper)
-        return f"Enclosure[{self.lower}, {hi}]"
+        return f"Enclosure[{self.lower}, {self.upper}]"
 
 
 @total_ordering

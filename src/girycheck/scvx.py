@@ -80,14 +80,12 @@ class IntervalSpace(SuperConvexSpace):
             return True
         if x.is_inf:
             return False
-        if x.enclosure is not None and x.enclosure.width != 0:
-            lo, hi = x.enclosure.lower, x.enclosure.upper
-            if self.kind == "closed_unit":
-                return 0 <= lo and hi is not None and hi <= 1
-            return 0 < lo and hi is not None and hi < 1
+        # every value the enclosure, if any, leaves possible
+        enc = x.enclosure
+        lo, hi = (x.value, x.value) if enc is None else (enc.lower, enc.upper)
         if self.kind == "closed_unit":
-            return 0 <= x.value <= 1
-        return 0 < x.value < 1
+            return 0 <= lo and hi <= 1
+        return 0 < lo and hi < 1
 
     def eq(self, x, y) -> bool:
         return ext_eq(x, y, self.tolerance)

@@ -123,6 +123,15 @@ class TestDemoCommand:
         assert "N=2000000: 2000001000000" in out
         assert "exceeds divergence threshold 1000000000000" in out
 
+    def test_divergent_sum_at_a_huge_n_returns_at_once(self, capsys):
+        # the closed form n(n+1)/2; summing term by term would take days
+        n = 10**15
+        start = time.perf_counter()
+        code, out, _ = run(["demo", "divergent-sum", "--n", str(n)], capsys)
+        assert code == 0 and time.perf_counter() - start < 5
+        assert f"N={n}: {n * (n + 1) // 2}" in out
+        assert "exceeds divergence threshold" in out
+
     def test_half_cauchy(self, capsys):
         code, out, _ = run(["demo", "half-cauchy", "--n-list", "1"], capsys)
         assert code == 0

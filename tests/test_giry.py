@@ -90,6 +90,17 @@ class TestProbMeasure:
         with pytest.raises(TypeError, match="weight 1 is 0.5"):
             ProbMeasure([("a", 0.5), ("b", 0.5)])
 
+    @pytest.mark.parametrize("support, atom, weight", [
+        ([("a", "1/2"), ("b", "1/2")], "'a'", "'1/2'"),
+        ([("a", F(1, 2)), ("b", None)], "'b'", "None"),
+        ([("b", F(1, 2)), ("a", 0.5)], "'a'", "0.5"),
+        ([("a", -0.5), ("b", F(3, 2))], "'a'", "-0.5"),
+    ], ids=["str", "none", "float", "negative-float"])
+    def test_a_weight_of_the_wrong_type_names_its_atom(self, support, atom, weight):
+        with pytest.raises(TypeError) as info:
+            ProbMeasure(support)
+        assert atom in str(info.value) and weight in str(info.value)
+
     def test_negative_entry_rejected_before_merging(self):
         # merged, "a" would weigh 1/2 and the measure would be valid
         with pytest.raises(NotAMeasure, match="negative weight -1/2"):

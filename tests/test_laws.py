@@ -6,6 +6,8 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girycheck.giry import (
     GeneralizedPoint,
@@ -31,7 +33,6 @@ from girycheck.laws import (
     demo_divergent_sum,
     demo_half_cauchy,
     demo_open_interval,
-    half_cauchy_generalized_point,
     half_cauchy_partial_expectation,
     run_suites,
 )
@@ -76,15 +77,13 @@ class TestImageProperty:
         J = phi(uniform([ExtReal(0), ExtReal(1)]))
         assert check_image_property(J, identity_map(closed)) is None
 
-    def test_half_line_expectation_flagged(self, ext):
+    def test_half_line_expectation_flagged(self):
         # documentation case: an infinite expectation cannot land in the
         # image of the half-line inclusion
-        J = half_cauchy_generalized_point()
-        inclusion = CountablyAffineMap(None, ext, lambda x: x, name="inclusion")
-        probes = [ExtReal(F(k, 2)) for k in range(9)]
-        witness = check_image_property(J, inclusion, probe_grid=probes)
-        assert witness is not None
+        run = build_suites(HarnessConfig(), include_mutants=True)["mutant-image-halfcauchy"]
+        (witness,) = run().failures
         assert witness["value"] == "inf"
+        assert witness["image"] == "[0, 4]"
 
     def test_constant_map_image_is_a_point(self, closed):
         J = phi(uniform([ExtReal(0), ExtReal(1)]))
@@ -107,6 +106,57 @@ class TestImageProperty:
             check_image_property(J, m)
         onto = affine_map(ext, ext, F(-3), F(2))
         assert check_image_property(J, onto) is None
+
+    def test_a_map_of_the_extended_reals_with_equal_ends_is_probed(self, ext):
+        # x(x-1) is 0 at 0 and at 1 but not constant; 2 lies in its image
+        J = GeneralizedPoint.from_point(ExtReal(2))
+        m = CountablyAffineMap(
+            ext, ext, lambda x: INF if x.is_inf else ExtReal(x.value * (x.value - 1)),
+            name="x(x-1)")
+        with pytest.raises(ValueError, match=r"x\(x-1\) is not an affine map"):
+            check_image_property(J, m)
+
+    def test_a_map_of_the_unit_interval_that_is_not_affine_raises(self, closed):
+        J = phi(dirac(ExtReal(F(1, 3))))
+        m = CountablyAffineMap(closed, closed,
+                               lambda x: ExtReal(x.value ** 2), name="square")
+        with pytest.raises(ValueError, match="square is not an affine map"):
+            check_image_property(J, m)
+
+    @pytest.mark.parametrize("kind", ["closed_unit", "open_unit", "ext_real_line"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_verdict_matches_a_reference_image(self, kind, data):
+        space = IntervalSpace(kind)
+        slope = data.draw(st.sampled_from([0, F(1, 4), F(1, 2), 1, 3]))
+        offset = data.draw(st.fractions(-2, 2, max_denominator=8))
+        m = affine_map(space, space, offset, slope)
+        # points in and around the carrier, infinity among them
+        points = st.one_of(st.fractions(-2, 3, max_denominator=8).map(ExtReal),
+                           st.just(INF))
+        if data.draw(st.booleans()):
+            J = GeneralizedPoint.from_point(data.draw(points))
+        else:
+            atoms = data.draw(st.lists(points, min_size=1, max_size=4, unique=True))
+            parts = data.draw(st.lists(st.integers(1, 9), min_size=len(atoms),
+                                       max_size=len(atoms)))
+            J = phi(ProbMeasure(zip(atoms, parts), den=sum(parts)))
+        val = J.apply(m)
+        # the reference image: m(0) alone for a constant map, all of R-inf
+        # for any other map of R-inf, else the interval between m(0) and
+        # m(1) with the carrier's open or closed ends
+        lo, hi = sorted([m(ExtReal(0)).value, m(ExtReal(1)).value])
+        if lo == hi:
+            inside = val == ExtReal(lo)
+        elif kind == "ext_real_line":
+            inside = True
+        elif val.is_inf:
+            inside = False
+        elif kind == "closed_unit":
+            inside = lo <= val.value <= hi
+        else:
+            inside = lo < val.value < hi
+        assert (check_image_property(J, m) is None) == inside
 
 
 class TestGeneralizedPointNaturality:
@@ -278,6 +328,11 @@ class TestDemos:
         # oracle: sum of the first n integers
         for n in (1, 5, 37, 100):
             assert demo_divergent_sum(n) == F(n * (n + 1), 2)
+
+    def test_divergent_sum_is_exact_at_a_huge_n(self):
+        n = 10**18
+        assert demo_divergent_sum(n) == n * (n + 1) // 2
+        assert demo_divergent_sum(n) == 500000000000000000500000000000000000
 
     def test_divergent_sum_strictly_increasing(self):
         values = [demo_divergent_sum(n) for n in range(1, 20)]
