@@ -227,7 +227,7 @@ class GirySpace(SuperConvexSpace):
         n = len(self.X.carrier)
         k = rng.randint(1, n)
         atoms = rng.sample(self.X.carrier, k)
-        part = random_partition(rng.getrandbits(32), k)
+        part = random_partition(rng, k)
         return ProbMeasure(zip(atoms, part.parts.values()), base=self.X, den=part.den)
 
 
@@ -270,29 +270,32 @@ def phi_inverse(J: GeneralizedPoint, X: FiniteMeasurableSpace) -> ProbMeasure:
     blocks."""
     values: dict[int, Fraction] = {}
     for u in sorted(X.sigma):
-        v = J.apply(indicator(X, u))
-        if v.is_inf:
+        v = J.apply(indicator(X, u)).value
+        if v is None:
             raise NotAMeasure(f"J(chi_U) infinite on U={X.set_of(u)}")
-        values[u] = v.value
-    if values[0] != 0:
+        values[u] = v
+    # the checks run on integer numerators over one common denominator
+    den = math.lcm(*[v.denominator for v in values.values()])
+    nums = {u: v.numerator * (den // v.denominator) for u, v in values.items()}
+    if nums[0] != 0:
         raise NotAMeasure("J(chi_empty) != 0: not weakly averaging")
-    if values[X.full_mask] != 1:
+    if nums[X.full_mask] != den:
         raise NotAMeasure("J(chi_X) != 1: not weakly averaging")
     # the atom holding the lowest point of a union of atoms has the same
     # lowest point; splitting that atom off every set and checking the sum
     # is, by induction on the number of atoms, full additivity
     atoms = X.atoms_of_sigma()
     first_atom = {a & -a: a for a in atoms}
-    for u, vu in values.items():
-        if not 0 <= vu <= 1:
-            raise NotAMeasure(f"J(chi_U)={vu} outside [0,1]")
+    for u, nu in nums.items():
+        if not 0 <= nu <= den:
+            raise NotAMeasure(f"J(chi_U)={values[u]} outside [0,1]")
         a = first_atom.get(u & -u, u)
-        if a != u and vu != values[a] + values[u & ~a]:
+        if a != u and nu != nums[a] + nums[u & ~a]:
             raise NotAMeasure(
                 f"additivity fails on {X.set_of(a)} and {X.set_of(u & ~a)}"
             )
-    support = [(X.set_of(a)[0], values[a]) for a in atoms if values[a] != 0]
-    return ProbMeasure(support, base=X)
+    support = [(X.set_of(a)[0], nums[a]) for a in atoms if nums[a]]
+    return ProbMeasure(support, base=X, den=den)
 
 
 # ---------------------------------------------------------------------------

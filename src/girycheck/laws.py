@@ -228,10 +228,8 @@ def check_evaluation_point_recovery(J: GeneralizedPoint, carrier,
     """The unique carrier point whose evaluations under every generating
     map agree with the functional.  Raises NoPoint when none matches and
     Ambiguous when the maps fail to separate candidates."""
-    candidates = []
-    for a in carrier:
-        if all(J.apply(m) == as_ext(m(a)) for m in generating_maps):
-            candidates.append(a)
+    pairs = [(m, J.apply(m)) for m in generating_maps]
+    candidates = [a for a in carrier if all(jm == as_ext(m(a)) for m, jm in pairs)]
     if not candidates:
         raise NoPoint("no carrier point matches the functional's evaluations")
     if len(candidates) > 1:
@@ -249,7 +247,7 @@ def check_sigma_agreement(X: FiniteMeasurableSpace, rng: random.Random) -> dict 
     sigma = sorted(X.sigma)
     u = sigma[rng.randrange(len(sigma))]
     k = rng.randint(1, 4)
-    parts = random_partition(rng.getrandbits(32), k)
+    parts = random_partition(rng, k)
     components = [GX.sample(rng) for _ in range(k)]
     mixed = mixture(parts, components, base=X)
     mass = mixed.measure_of(u)
@@ -329,7 +327,7 @@ def _sample_unit_measure(rng: random.Random, space) -> ProbMeasure:
         if a not in seen:
             seen.add(a)
             atoms.append(a)
-    part = random_partition(rng.getrandbits(32), len(atoms))
+    part = random_partition(rng, len(atoms))
     return ProbMeasure(zip(atoms, part.parts.values()), den=part.den)
 
 
@@ -407,7 +405,7 @@ def _monad_laws_case(rng):
     # a measure on measures on measures, flattened both ways
     def rand_measure(sample):
         k = rng.randint(1, 3)
-        part = random_partition(rng.getrandbits(32), k)
+        part = random_partition(rng, k)
         return ProbMeasure([(sample(), p) for p in part.parts.values()], den=part.den)
 
     T = rand_measure(lambda: rand_measure(partial(GX.sample, rng)))

@@ -120,10 +120,13 @@ def sigma_functor(carrier, generating_maps) -> FiniteMeasurableSpace:
     """The measurable space a finite carrier inherits from maps into the
     extended reals: the sigma-algebra generated by the maps' fiber
     partitions (equivalent, on a finite carrier, to generating by
-    preimages of Borel sets)."""
+    preimages of Borel sets).  The carrier must have a ``len()``: an
+    iterator without one, finite or not, raises InfiniteCarrier, so pass
+    ``list(...)`` of a finite one."""
     if not hasattr(carrier, "__len__"):
         raise InfiniteCarrier(
-            "sigma_functor is only realized concretely on finite carriers"
+            f"sigma_functor needs a finite carrier with a len(), got a "
+            f"{type(carrier).__name__}; pass list(...) of a finite one"
         )
     carrier = list(carrier)
     generators = []

@@ -12,7 +12,6 @@ by heuristic); anything else raises ``Undecided``.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from functools import total_ordering
 from typing import Callable, Iterable, Union
@@ -427,13 +426,15 @@ def compose_partitions(alpha: PartitionOfOne, betas) -> PartitionOfOne:
     return PartitionOfOne(gamma, den=alpha.den * scale)
 
 
-def random_partition(seed: int, support_size: int) -> PartitionOfOne:
-    """A deterministic random finite-support partition: a random integer
-    composition of ``support_size`` parts, normalized exactly."""
+def random_partition(rng, support_size: int) -> PartitionOfOne:
+    """A random finite-support partition drawn from the generator ``rng``
+    (a ``random.Random``): a random integer composition of
+    ``support_size`` parts, normalized exactly.  Each part is drawn as
+    ``rng.randint(1, 1000)`` draws it, so the partition takes from ``rng``
+    exactly the bits of ``support_size`` such calls."""
     if support_size < 1:
         raise ValueError("support_size must be >= 1")
-    # each part is drawn as rng.randint(1, 1000) draws it
-    getrandbits = random.Random(seed).getrandbits
+    getrandbits = rng.getrandbits
     parts = {}
     for i in range(1, support_size + 1):
         p = getrandbits(10)

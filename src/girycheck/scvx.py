@@ -255,8 +255,8 @@ def check_axiom2(space: SuperConvexSpace, rng: random.Random) -> dict | None:
     the composed partition, for random finite-support partitions."""
     a = [space.sample(rng) for _ in range(DEFAULT_DEPTH)]
     k = rng.randint(1, DEFAULT_DEPTH)
-    alpha = random_partition(rng.getrandbits(32), k)
-    betas = [random_partition(rng.getrandbits(32), DEFAULT_DEPTH) for _ in range(k)]
+    alpha = random_partition(rng, k)
+    betas = [random_partition(rng, DEFAULT_DEPTH) for _ in range(k)]
     inner = [space.combine(betas[i], a) for i in range(k)]
     lhs = space.combine(alpha, inner)
     rhs = space.combine(compose_partitions(alpha, betas), a)
@@ -271,7 +271,7 @@ def check_morphism(m: CountablyAffineMap, rng: random.Random) -> dict | None:
     combination."""
     a = [m.source.sample(rng) for _ in range(DEFAULT_DEPTH)]
     k = rng.randint(1, DEFAULT_DEPTH)
-    omega = random_partition(rng.getrandbits(32), k)
+    omega = random_partition(rng, k)
     lhs = m(m.source.combine(omega, a[:k]))
     rhs = m.target.combine(omega, [m(x) for x in a[:k]])
     if m.target.eq(lhs, rhs):

@@ -391,6 +391,81 @@ class TestPhi:
             assert back.measure_of(u) == P.measure_of(u)
 
 
+# The Fraction loop phi_inverse ran before it checked integer numerators
+# over one common denominator: the same checks in the same order, with the
+# same messages.
+
+
+def ref_phi_inverse(J, X):
+    values = {}
+    for u in sorted(X.sigma):
+        v = J.apply(indicator(X, u))
+        if v.is_inf:
+            raise NotAMeasure(f"J(chi_U) infinite on U={X.set_of(u)}")
+        values[u] = v.value
+    if values[0] != 0:
+        raise NotAMeasure("J(chi_empty) != 0: not weakly averaging")
+    if values[X.full_mask] != 1:
+        raise NotAMeasure("J(chi_X) != 1: not weakly averaging")
+    atoms = X.atoms_of_sigma()
+    first_atom = {a & -a: a for a in atoms}
+    for u, vu in values.items():
+        if not 0 <= vu <= 1:
+            raise NotAMeasure(f"J(chi_U)={vu} outside [0,1]")
+        a = first_atom.get(u & -u, u)
+        if a != u and vu != values[a] + values[u & ~a]:
+            raise NotAMeasure(
+                f"additivity fails on {X.set_of(a)} and {X.set_of(u & ~a)}"
+            )
+    support = [(X.set_of(a)[0], values[a]) for a in atoms if values[a] != 0]
+    return ProbMeasure(support, base=X)
+
+
+SET_VALUES = st.fractions(F(-1, 2), F(3, 2), max_denominator=12)
+
+
+@st.composite
+def set_function_tables(draw):
+    """A powerset of 1-4 points and a value for each of its sets: random
+    Fractions, the masses of a random measure with one set's value made
+    infinite, or with one set's value perturbed."""
+    n = draw(st.integers(1, 4))
+    X = FiniteMeasurableSpace.powerset([f"x{i}" for i in range(n)])
+    sets = sorted(X.sigma)
+    kind = draw(st.sampled_from(["fractions", "inf", "perturbed"]))
+    if kind == "fractions":
+        table = {u: draw(SET_VALUES) for u in sets}
+        if draw(st.booleans()):  # normalized, to reach the later checks
+            table[0], table[X.full_mask] = F(0), F(1)
+        return X, table
+    parts = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))
+    table = {u: F(sum(p for i, p in enumerate(parts) if u >> i & 1), sum(parts))
+             for u in sets}
+    u = draw(st.sampled_from(sets))
+    delta = draw(st.just(F(0)) | SET_VALUES.map(lambda v: v - F(1, 2)))
+    table[u] = INF if kind == "inf" else table[u] + delta
+    return X, table
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_function_tables())
+def test_phi_inverse_matches_fraction_reference(case):
+    X, table = case
+    J = GeneralizedPoint(
+        lambda m: table[X.mask_of([x for x in X.carrier if m(x) == 1])]
+    )
+    got, expected = outcome(phi_inverse, J, X), outcome(ref_phi_inverse, J, X)
+    assert got == expected and repr(got) == repr(expected)
+
+
 # Plain-Fraction reference for mixture weights: omega_i times each
 # component weight, merged per atom.
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -295,6 +296,14 @@ class TestEvaluationPointRecovery:
         with pytest.raises(Ambiguous):
             check_evaluation_point_recovery(J, carrier, [const])
 
+    def test_functional_applied_once_per_map(self):
+        X, carrier, maps = self._setup(6)
+        J = GeneralizedPoint.from_point(carrier[4])
+        apply, applied = J.apply, []
+        J.apply = lambda m: applied.append(m) or apply(m)
+        assert check_evaluation_point_recovery(J, carrier, maps) == carrier[4]
+        assert len(applied) == len(maps)
+
 
 class TestSigmaAgreement:
     def test_four_point_space(self):
@@ -392,6 +401,21 @@ class TestSuiteRegistry:
         # reports takes blake2s from _blake2, which does not load OpenSSL;
         # the seeds, and so every pinned report, need it to be hashlib's
         assert reports.blake2s is hashlib.blake2s
+
+    def test_a_case_seeds_one_generator(self, monkeypatch):
+        # every draw of a case, its partitions included, comes from the one
+        # generator run_per_seed seeds for it; suite_seeds seeds one more
+        # to derive the case seeds
+        seed, seeded = random.Random.seed, []
+
+        def counting_seed(self, *args, **kwargs):
+            seeded.append(args)
+            return seed(self, *args, **kwargs)
+
+        monkeypatch.setattr(random.Random, "seed", counting_seed)
+        report = build_suites(HarnessConfig(cases=5))["axiom2-giry4"]()
+        assert report.ok and report.cases == 5
+        assert seeded[1:] == [(s,) for s in report.seeds]
 
     def test_name_filter(self):
         cfg = HarnessConfig(cases=5)

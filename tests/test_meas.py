@@ -137,6 +137,13 @@ class TestSigmaFunctor:
         with pytest.raises(InfiniteCarrier):
             sigma_functor(itertools.count(), [lambda x: F(0)])
 
+    def test_carrier_without_len_rejected_with_the_rule(self):
+        # a finite generator cannot be told from an endless one without
+        # consuming it, so the message names the type and the way out
+        with pytest.raises(InfiniteCarrier, match="generator") as exc:
+            sigma_functor((x for x in "ab"), [lambda x: F(0)])
+        assert "list" in str(exc.value)
+
 
 class TestIsMeasurable:
     def test_identity_measurable(self):

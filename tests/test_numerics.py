@@ -241,7 +241,7 @@ class TestCountableCombine:
         assert got.enclosure.contains(partial + F(1, 2**20))
 
     def test_monotone_in_values(self):
-        omega = random_partition(7, 5)
+        omega = random_partition(random.Random(7), 5)
         u = [F(k, 10) for k in range(5)]
         v = [x + F(1, 3) for x in u]
         assert countable_combine(omega, u) < countable_combine(omega, v)
@@ -249,7 +249,7 @@ class TestCountableCombine:
 
 class TestComposePartitions:
     def test_dirac_projects_to_component(self):
-        betas = [random_partition(s, 4) for s in (11, 12, 13)]
+        betas = [random_partition(random.Random(s), 4) for s in (11, 12, 13)]
         assert compose_partitions(dirac_partition(2), betas) == betas[1]
 
     def test_even_split_of_diracs(self):
@@ -273,16 +273,16 @@ class TestComposePartitions:
 
 class TestRandomPartition:
     def test_size_one_is_certain(self):
-        assert random_partition(0, 1) == PartitionOfOne.finite([F(1)])
+        assert random_partition(random.Random(0), 1) == PartitionOfOne.finite([F(1)])
 
     def test_weights_sum_exactly(self):
-        p = random_partition(42, 3)
+        p = random_partition(random.Random(42), 3)
         assert sum(w for _, w in p.items()) == 1
         assert len(p.items()) <= 3
 
     def test_deterministic_per_seed(self):
-        assert random_partition(42, 6) == random_partition(42, 6)
-        assert random_partition(42, 6) != random_partition(43, 6)
+        assert random_partition(random.Random(42), 6) == random_partition(random.Random(42), 6)
+        assert random_partition(random.Random(42), 6) != random_partition(random.Random(43), 6)
 
 
 class TestScale:
@@ -297,7 +297,7 @@ class TestScale:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 8))
 def test_random_partition_always_sums_to_one(seed, size):
-    p = random_partition(seed, size)
+    p = random_partition(random.Random(seed), size)
     assert sum(w for _, w in p.items()) == 1
     assert all(0 < w <= 1 for _, w in p.items())
 
@@ -308,8 +308,8 @@ def test_random_partition_always_sums_to_one(seed, size):
 def test_associativity_identity_on_rationals(seed_a, seed_b, values):
     # composing partitions commutes with evaluating against values
     rngs = [seed_b + i for i in range(4)]
-    alpha = random_partition(seed_a, 4)
-    betas = [random_partition(s, 6) for s in rngs]
+    alpha = random_partition(random.Random(seed_a), 4)
+    betas = [random_partition(random.Random(s), 6) for s in rngs]
     lhs = countable_combine(
         alpha, [countable_combine(b, values) for b in betas]
     )
@@ -419,9 +419,12 @@ def test_equal_partitions_have_equal_parts_and_hashes(weights, c):
 @given(st.integers(0, 2**32), st.integers(1, 8))
 def test_random_partition_draws_as_randint_does(seed, size):
     # the reference draws each part with randint, as the kernel once did
-    rng = random.Random(seed)
-    drawn = [rng.randint(1, 1000) for _ in range(size)]
+    twin = random.Random(seed)
+    drawn = [twin.randint(1, 1000) for _ in range(size)]
     g = math.gcd(*drawn)
-    p = random_partition(seed, size)
+    rng = random.Random(seed)
+    p = random_partition(rng, size)
     assert p.parts == {i: d // g for i, d in enumerate(drawn, start=1)}
     assert p.den == sum(drawn) // g
+    # and it consumes exactly the bits of those randint calls
+    assert rng.getstate() == twin.getstate()
