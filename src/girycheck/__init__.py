@@ -10,7 +10,6 @@ from .numerics import (
     PartitionOfOne,
     Undecided,
     UnsupportedRepresentation,
-    binary_combine,
     compose_partitions,
     countable_combine,
     dirac_partition,

@@ -48,6 +48,7 @@ from .numerics import (
     PartitionOfOne,
     as_ext,
     countable_combine,
+    draw_int,
     random_partition,
     scale,
     term,
@@ -245,8 +246,8 @@ def check_sigma_agreement(X: FiniteMeasurableSpace, rng: random.Random) -> dict 
     components put there."""
     GX = GirySpace(X)
     sigma = sorted(X.sigma)
-    u = sigma[rng.randrange(len(sigma))]
-    k = rng.randint(1, 4)
+    u = sigma[draw_int(rng, 0, len(sigma) - 1)]
+    k = draw_int(rng, 1, 4)
     parts = random_partition(rng, k)
     components = [GX.sample(rng) for _ in range(k)]
     mixed = mixture(parts, components, base=X)
@@ -319,7 +320,7 @@ def affine_endomap_family(ext: IntervalSpace):
 
 
 def _sample_unit_measure(rng: random.Random, space) -> ProbMeasure:
-    k = rng.randint(1, 6)
+    k = draw_int(rng, 1, 6)
     atoms = []
     seen = set()
     while len(atoms) < k:
@@ -332,15 +333,15 @@ def _sample_unit_measure(rng: random.Random, space) -> ProbMeasure:
 
 
 def _random_powerset_space(rng: random.Random, max_points: int) -> FiniteMeasurableSpace:
-    n = rng.randint(2, max_points)
+    n = draw_int(rng, 2, max_points)
     return FiniteMeasurableSpace.powerset([f"x{i}" for i in range(1, n + 1)])
 
 
 def _random_affine_map(rng, source, target, max_eighths: int):
     """offset + slope * x with slope in eighths up to max_eighths/8 and an
     offset that keeps [0,1] inside [0,1]."""
-    slope = Fraction(rng.randint(0, max_eighths), 8)
-    offset = Fraction(rng.randint(0, max_eighths), 8) * (1 - slope)
+    slope = Fraction(draw_int(rng, 0, max_eighths), 8)
+    offset = Fraction(draw_int(rng, 0, max_eighths), 8) * (1 - slope)
     return affine_map(source, target, offset, slope)
 
 
@@ -366,10 +367,10 @@ def _countable_additivity_case(rng):
     n = len(X.carrier)
     # random disjoint family: each point assigned to one of k blocks or
     # left out entirely
-    k = rng.randint(2, min(8, n))
+    k = draw_int(rng, 2, min(8, n))
     blocks = [0] * k
     for i in range(n):
-        slot = rng.randint(0, k)
+        slot = draw_int(rng, 0, k)
         if slot > 0:
             blocks[slot - 1] |= 1 << i
     union = 0
@@ -404,7 +405,7 @@ def _monad_laws_case(rng):
 
     # a measure on measures on measures, flattened both ways
     def rand_measure(sample):
-        k = rng.randint(1, 3)
+        k = draw_int(rng, 1, 3)
         part = random_partition(rng, k)
         return ProbMeasure([(sample(), p) for p in part.parts.values()], den=part.den)
 
@@ -417,7 +418,7 @@ def _monad_laws_case(rng):
 
 
 def _image_property_case(spaces, rng):
-    space = spaces[rng.choice(["closed-unit", "open-unit", "ext-real"])]
+    space = spaces[("closed-unit", "open-unit", "ext-real")[draw_int(rng, 0, 2)]]
     m = _random_affine_map(rng, space, space, 4)
     witness = check_image_property(phi(_sample_unit_measure(rng, space)), m)
     if witness is None:
@@ -436,8 +437,8 @@ def _gp_naturality_case(closed, ext, family, rng):
 
 def _recovery_case(rng):
     X = _random_powerset_space(rng, 6)
-    maps = [lambda P, x=x: ExtReal(P.measure_of([x])) for x in X.carrier]
-    a = rng.choice(X.carrier)
+    maps = [lambda P, u=u: ExtReal(P.measure_of(u)) for u in X.atoms]
+    a = X.carrier[draw_int(rng, 0, len(X.carrier) - 1)]
     carrier_points = [dirac(x, base=X) for x in X.carrier]
     expected = dirac(a, base=X)
     for J in (GeneralizedPoint.from_point(expected), phi(dirac(expected))):

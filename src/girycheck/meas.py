@@ -80,14 +80,6 @@ class FiniteMeasurableSpace:
         """The minimal nonempty measurable sets; they partition the carrier."""
         return self.atoms
 
-    def to_json_obj(self) -> dict:
-        return {
-            "carrier": [str(x) for x in self.carrier],
-            "sigma": sorted(
-                sorted(str(x) for x in self.set_of(u)) for u in self.sigma
-            ),
-        }
-
     def __eq__(self, other):
         if not isinstance(other, FiniteMeasurableSpace):
             return NotImplemented

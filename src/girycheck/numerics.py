@@ -155,22 +155,6 @@ def scale(s: Rational, u: ExtReal) -> ExtReal:
     return ExtReal(s * u.value)
 
 
-def binary_combine(r: Rational, u, v) -> ExtReal:
-    """(1-r)u + rv on the extended reals, with (1-r)u + r*inf = inf for r > 0
-    and a weight of exactly 0 on infinity dropping that argument."""
-    r = Fraction(r)
-    if not 0 <= r <= 1:
-        raise ValueError("weight must lie in [0, 1]")
-    u, v = as_ext(u), as_ext(v)
-    if r == 0:
-        return u
-    if r == 1:
-        return v
-    if u.is_inf or v.is_inf:
-        return INF
-    return ExtReal((1 - r) * u.value + r * v.value)
-
-
 class PartitionOfOne:
     """A countable sequence of weights in [0,1] summing to one.
 
@@ -426,19 +410,27 @@ def compose_partitions(alpha: PartitionOfOne, betas) -> PartitionOfOne:
     return PartitionOfOne(gamma, den=alpha.den * scale)
 
 
+def draw_int(rng, lo: int, hi: int) -> int:
+    """``randint(lo, hi)`` of the ``random.Random`` ``rng``, drawn as it
+    draws: for n = hi - lo + 1, ``n.bit_length()`` bits from
+    ``rng.getrandbits`` until they are < n.  The one draw rule of the
+    samplers: ``seq[draw_int(rng, 0, len(seq) - 1)]`` is a ``choice``."""
+    n = hi - lo + 1
+    if n < 1:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def random_partition(rng, support_size: int) -> PartitionOfOne:
     """A random finite-support partition drawn from the generator ``rng``
     (a ``random.Random``): a random integer composition of
-    ``support_size`` parts, normalized exactly.  Each part is drawn as
-    ``rng.randint(1, 1000)`` draws it, so the partition takes from ``rng``
-    exactly the bits of ``support_size`` such calls."""
+    ``support_size`` parts, each ``draw_int(rng, 1, 1000)``, normalized
+    exactly."""
     if support_size < 1:
         raise ValueError("support_size must be >= 1")
-    getrandbits = rng.getrandbits
-    parts = {}
-    for i in range(1, support_size + 1):
-        p = getrandbits(10)
-        while p >= 1000:
-            p = getrandbits(10)
-        parts[i] = p + 1
+    parts = {i: draw_int(rng, 1, 1000) for i in range(1, support_size + 1)}
     return PartitionOfOne(parts, den=sum(parts.values()))

@@ -63,9 +63,6 @@ class LawReport:
             obj["failures"] = self.failures
         return obj
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
     def summary_line(self) -> str:
         status = "pass" if self.ok else "FAIL"
         line = f"[{status}] {self.law} on {self.instance}: {self.passed}/{self.cases}"

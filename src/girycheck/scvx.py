@@ -19,6 +19,7 @@ from .numerics import (
     compose_partitions,
     countable_combine,
     dirac_partition,
+    draw_int,
     ext_eq,
     map_terms,
     random_partition,
@@ -103,14 +104,14 @@ class IntervalSpace(SuperConvexSpace):
 
     def sample(self, rng: random.Random) -> ExtReal:
         if self.kind == "closed_unit":
-            d = rng.randint(1, 32)
-            return ExtReal(Fraction(rng.randint(0, d), d))
+            d = draw_int(rng, 1, 32)
+            return ExtReal(Fraction(draw_int(rng, 0, d), d))
         if self.kind == "open_unit":
-            d = rng.randint(3, 33)
-            return ExtReal(Fraction(rng.randint(1, d - 1), d))
+            d = draw_int(rng, 3, 33)
+            return ExtReal(Fraction(draw_int(rng, 1, d - 1), d))
         if rng.random() < 0.15:
             return INF
-        return ExtReal(Fraction(rng.randint(-160, 160), rng.randint(1, 16)))
+        return ExtReal(Fraction(draw_int(rng, -160, 160), draw_int(rng, 1, 16)))
 
 
 class ProductSpace(SuperConvexSpace):
@@ -156,6 +157,8 @@ class CountablyAffineMap:
 
     def __init__(self, source: SuperConvexSpace, target: SuperConvexSpace,
                  fn, name: str = "map"):
+        if source is None or target is None:
+            raise TypeError(f"map {name!r}: a map between no spaces is a plain callable")
         self.source = source
         self.target = target
         self.fn = fn
@@ -242,7 +245,7 @@ def check_axiom1(space: SuperConvexSpace, rng: random.Random) -> dict | None:
     """Projection axiom: combining a sampled sequence with a point mass at
     j returns the j-th element."""
     a = [space.sample(rng) for _ in range(DEFAULT_DEPTH)]
-    j = rng.randint(1, DEFAULT_DEPTH)
+    j = draw_int(rng, 1, DEFAULT_DEPTH)
     got = space.combine(dirac_partition(j), a)
     if space.eq(got, a[j - 1]):
         return None
@@ -254,7 +257,7 @@ def check_axiom2(space: SuperConvexSpace, rng: random.Random) -> dict | None:
     """Associativity axiom: combining combinations equals combining with
     the composed partition, for random finite-support partitions."""
     a = [space.sample(rng) for _ in range(DEFAULT_DEPTH)]
-    k = rng.randint(1, DEFAULT_DEPTH)
+    k = draw_int(rng, 1, DEFAULT_DEPTH)
     alpha = random_partition(rng, k)
     betas = [random_partition(rng, DEFAULT_DEPTH) for _ in range(k)]
     inner = [space.combine(betas[i], a) for i in range(k)]
@@ -270,7 +273,7 @@ def check_morphism(m: CountablyAffineMap, rng: random.Random) -> dict | None:
     """Morphism law: the map commutes with a sampled countable convex
     combination."""
     a = [m.source.sample(rng) for _ in range(DEFAULT_DEPTH)]
-    k = rng.randint(1, DEFAULT_DEPTH)
+    k = draw_int(rng, 1, DEFAULT_DEPTH)
     omega = random_partition(rng, k)
     lhs = m(m.source.combine(omega, a[:k]))
     rhs = m.target.combine(omega, [m(x) for x in a[:k]])

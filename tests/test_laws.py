@@ -256,12 +256,7 @@ class TestEvaluationPointRecovery:
     def _setup(self, n=3):
         X = FiniteMeasurableSpace.powerset([f"x{i}" for i in range(n)])
         carrier = [dirac(x, base=X) for x in X.carrier]
-        maps = [
-            CountablyAffineMap(None, None,
-                               lambda P, x=x: ExtReal(P.measure_of([x])),
-                               name=f"ev_{x}")
-            for x in X.carrier
-        ]
+        maps = [lambda P, i=i: ExtReal(P.measure_of(1 << i)) for i in range(n)]
         return X, carrier, maps
 
     def test_point_backed_recovery(self):
@@ -291,7 +286,7 @@ class TestEvaluationPointRecovery:
 
     def test_ambiguous_when_maps_cannot_separate(self):
         X, carrier, maps = self._setup()
-        const = CountablyAffineMap(None, None, lambda P: ExtReal(1), name="const")
+        const = lambda P: ExtReal(1)
         J = GeneralizedPoint.from_point(carrier[0])
         with pytest.raises(Ambiguous):
             check_evaluation_point_recovery(J, carrier, [const])
@@ -386,8 +381,8 @@ class TestSuiteRegistry:
 
     def test_deterministic_per_seed(self):
         cfg = HarnessConfig(cases=10, seed=7)
-        a = [r.to_json() for r in run_suites(cfg)]
-        b = [r.to_json() for r in run_suites(cfg)]
+        a = [r.to_json_obj() for r in run_suites(cfg)]
+        b = [r.to_json_obj() for r in run_suites(cfg)]
         assert a == b
 
     def test_seed_changes_cases(self):
@@ -484,7 +479,7 @@ class TestWorkerPool:
         serial = run_suites(cfg, include_mutants=True)
         forked = run_suites(cfg, include_mutants=True, jobs=2)
         assert [r.law for r in forked] == [r.law for r in serial]
-        assert [r.to_json() for r in forked] == [r.to_json() for r in serial]
+        assert [r.to_json_obj() for r in forked] == [r.to_json_obj() for r in serial]
         assert all(r.wall_time > 0 for r in forked)
 
     def test_suites_run_in_workers(self, monkeypatch):

@@ -94,12 +94,6 @@ class TestFiniteMeasurableSpace:
         atoms = space.atoms_of_sigma()
         assert sorted(space.set_of(a) for a in atoms) == [["a", "b"], ["c", "d"]]
 
-    def test_json_form_is_sorted_labels(self):
-        space = generate_sigma_algebra(["b", "a"], [["a"]])
-        obj = space.to_json_obj()
-        assert obj["carrier"] == ["b", "a"]
-        assert [["a"], ["a", "b"], ["b"]] == [s for s in obj["sigma"] if s]
-
 
 class TestSigmaFunctor:
     def test_injective_map_gives_powerset(self):

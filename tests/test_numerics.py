@@ -13,10 +13,10 @@ from girycheck.numerics import (
     PartitionOfOne,
     Undecided,
     UnsupportedRepresentation,
-    binary_combine,
     compose_partitions,
     countable_combine,
     dirac_partition,
+    draw_int,
     ext_eq,
     random_partition,
     scale,
@@ -107,18 +107,24 @@ class TestExtReal:
 
 
 class TestBinaryCombine:
+    """(1-r)u + rv is countable_combine over the two-part partition (1-r, r)."""
+
+    @staticmethod
+    def combine(r, u, v):
+        return countable_combine(PartitionOfOne.finite([1 - r, r]), [u, v])
+
     def test_midpoint(self):
-        assert binary_combine(F(1, 2), 1, 3) == ExtReal(2)
+        assert self.combine(F(1, 2), 1, 3) == ExtReal(2)
 
     def test_positive_weight_on_infinity(self):
-        assert binary_combine(F(1, 4), 8, INF) == INF
+        assert self.combine(F(1, 4), 8, INF) == INF
 
     def test_zero_weight_on_infinity_drops_it(self):
-        assert binary_combine(0, 5, INF) == ExtReal(5)
+        assert self.combine(0, 5, INF) == ExtReal(5)
 
     def test_weight_out_of_range(self):
         with pytest.raises(ValueError):
-            binary_combine(F(3, 2), 0, 1)
+            self.combine(F(3, 2), 0, 1)
 
 
 class TestPartitionOfOne:
@@ -428,3 +434,27 @@ def test_random_partition_draws_as_randint_does(seed, size):
     assert p.den == sum(drawn) // g
     # and it consumes exactly the bits of those randint calls
     assert rng.getstate() == twin.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.integers(-2**40, 2**40),
+       st.one_of(st.integers(0, 40), st.integers(0, 2**60)),
+       st.sampled_from(["randint", "randrange", "choice"]))
+def test_draw_int_draws_as_random_does(seed, lo, width, how):
+    # width 0 is a range of one value, which still takes one bit
+    hi = lo + width
+    rng, twin = random.Random(seed), random.Random(seed)
+    if how == "randint":
+        got, expected = draw_int(rng, lo, hi), twin.randint(lo, hi)
+    elif how == "randrange":
+        got, expected = draw_int(rng, 0, width), twin.randrange(width + 1)
+    else:
+        seq = range(lo, hi + 1)
+        got, expected = seq[draw_int(rng, 0, len(seq) - 1)], twin.choice(seq)
+    assert got == expected
+    assert rng.getstate() == twin.getstate()
+
+
+def test_draw_int_rejects_an_empty_range():
+    with pytest.raises(ValueError, match="empty range"):
+        draw_int(random.Random(0), 1, 0)

@@ -24,8 +24,13 @@ from girycheck.scvx import (
     constant_map,
     identity_map,
 )
-from girycheck.laws import BrokenProjectionSpace, ReversedWeightsSpace
-from girycheck.reports import run_per_seed
+from girycheck.laws import (
+    BrokenProjectionSpace,
+    ReversedWeightsSpace,
+    shipped_maps,
+    shipped_spaces,
+)
+from girycheck.reports import HarnessConfig, run_per_seed
 
 F = Fraction
 SEEDS = list(range(40))
@@ -232,6 +237,17 @@ class TestMorphismChecker:
     def test_negative_slope_rejected(self, ext):
         with pytest.raises(ValueError):
             affine_map(ext, ext, 0, -1)
+
+    def test_a_map_needs_both_spaces(self, closed):
+        # without one, repr failed on the missing space's name
+        for source, target in [(None, closed), (closed, None), (None, None)]:
+            with pytest.raises(TypeError, match="'ev'.*plain callable"):
+                CountablyAffineMap(source, target, lambda x: x, name="ev")
+
+    def test_shipped_maps_print(self):
+        maps = shipped_maps(shipped_spaces(HarnessConfig()))
+        assert repr(maps["proj1"]) == "<map proj1: [0,1] x [0,1] -> [0,1]>"
+        assert all(repr(m).startswith(f"<map {m.name}: ") for m in maps.values())
 
 
 class TestFunctionSpace:
