@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 from .meas import FiniteMeasurableSpace, indicator
 from .numerics import (
@@ -25,7 +26,6 @@ from .numerics import (
     countable_combine,
     draw_int,
     map_terms,
-    random_partition,
     terms,
 )
 from .scvx import SuperConvexSpace, describe
@@ -45,13 +45,18 @@ class ProbMeasure:
 
     Built from ``(atom, weight)`` pairs, where the mass of an atom is
     ``weight / den``.  Every weight must be nonnegative; colliding atoms
-    are merged, zero weights dropped and the atoms sorted.  ``weights`` is
-    one finite partition of one with weight i on ``atoms[i-1]``, so
-    equality and hashing are exact.  Its ``repr``, the sort key of a
-    measure on measures, is made once.
+    are merged and zero weights dropped.  The masses are the integer
+    ``parts`` over one reduced ``den``, listed with the ``atoms`` in the
+    ``repr`` order of the labels.  A measure on a finite measurable space
+    ``base`` stores only ``vec``, the part of each carrier position, and
+    derives the rest from it on first use; an atom outside the carrier is
+    rejected.  A measure without a base stores its atoms and ``weights``,
+    one finite partition of one with weight i on ``atoms[i-1]``.
+    Equality and hashing are exact; the hash and the ``repr``, the sort
+    key of a measure on measures, are made once.
     """
 
-    _repr = None
+    _atoms = _weights = _repr = _hash = None
 
     def __init__(self, support, base=None, den=1):
         if den < 1:
@@ -68,21 +73,69 @@ class ProbMeasure:
                 merged[atom] = merged.get(atom, 0) + w
         if len(merged) > 1:
             merged = {a: merged[a] for a in sorted(merged, key=repr)}
-        self.atoms = tuple(merged)
         try:
-            self.weights = PartitionOfOne(dict(enumerate(merged.values(), start=1)),
-                                          den=den)
+            weights = PartitionOfOne(dict(enumerate(merged.values(), start=1)),
+                                     den=den)
         except ValueError as exc:
             raise NotAMeasure(str(exc)) from None
         except TypeError as exc:  # it names the weight by index, not by atom
             atom = next(a for a, w in merged.items() if not isinstance(w, (int, Fraction)))
             raise TypeError(f"atom {atom!r}: {exc}") from None
         self.base = base
+        self.den = weights.den
+        if base is None:
+            self._atoms, self._weights = tuple(merged), weights
+            return
+        vec = [0] * len(base.carrier)
+        for atom, p in zip(merged, weights.parts.values()):
+            i = base.index.get(atom)
+            if i is None:
+                raise NotAMeasure(f"atom {atom!r} is not a point of the base")
+            vec[i] = p
+        self.vec = tuple(vec)
+
+    @classmethod
+    def on_base(cls, base, vec, den) -> "ProbMeasure":
+        """The measure on ``base`` with mass ``vec[i] / den`` at
+        ``base.carrier[i]``.  The caller guarantees nonnegative int parts
+        that sum to ``den``; they are reduced by their gcd."""
+        P = cls.__new__(cls)
+        g = math.gcd(den, *vec)
+        if g > 1:
+            vec = [p // g for p in vec]
+            den //= g
+        P.base, P.den, P.vec = base, den, tuple(vec)
+        return P
+
+    @property
+    def atoms(self) -> tuple:
+        """The points of positive mass, in the ``repr`` order of their labels."""
+        if self._atoms is None:
+            vec, carrier = self.vec, self.base.carrier
+            self._atoms = tuple(carrier[i] for i in self.base.repr_order if vec[i])
+        return self._atoms
+
+    @property
+    def parts(self) -> tuple:
+        """The integer parts of the atoms over ``den``, in atom order."""
+        if self.base is None:
+            return tuple(self._weights.parts.values())
+        vec = self.vec
+        return tuple(vec[i] for i in self.base.repr_order if vec[i])
+
+    @property
+    def weights(self) -> PartitionOfOne:
+        """The masses as one finite partition of one, weight i on ``atoms[i-1]``."""
+        if self._weights is None:
+            self._weights = PartitionOfOne(dict(enumerate(self.parts, start=1)),
+                                           den=self.den)
+        return self._weights
 
     @property
     def support(self) -> tuple:
         """The ``(atom, Fraction)`` pairs, in atom order."""
-        return tuple(zip(self.atoms, (w for _, w in self.weights.items())))
+        den = self.den
+        return tuple(zip(self.atoms, (Fraction(p, den) for p in self.parts)))
 
     def measure_of(self, mask: int) -> Fraction:
         """Probability of a measurable set of the base, given as its
@@ -90,18 +143,23 @@ class ProbMeasure:
         if not isinstance(mask, int) or self.base is None:
             raise TypeError("measure_of takes a bitmask over the measure's base; "
                             "make one with base.mask_of(labels)")
-        index = self.base.index
-        parts = zip(self.atoms, self.weights.parts.values())
-        return Fraction(sum(p for a, p in parts if mask >> index[a] & 1),
-                        self.weights.den)
+        return Fraction(sum(p for i, p in enumerate(self.vec) if mask >> i & 1),
+                        self.den)
 
     def __eq__(self, other):
         if not isinstance(other, ProbMeasure):
             return NotImplemented
-        return self.atoms == other.atoms and self.weights == other.weights
+        if self.den != other.den:
+            return False
+        a, b = self.base, other.base
+        if a is not None and b is not None and (a is b or a.carrier == b.carrier):
+            return self.vec == other.vec
+        return self.atoms == other.atoms and self.parts == other.parts
 
     def __hash__(self):
-        return hash((self.atoms, self.weights))
+        if self._hash is None:
+            self._hash = hash((self.atoms, self.parts))
+        return self._hash
 
     def to_json_obj(self) -> dict:
         return {
@@ -133,32 +191,39 @@ class LazyMeasure:
 
 def dirac(x, base=None) -> ProbMeasure:
     """The unit: the point mass at x."""
-    return ProbMeasure([(x, Fraction(1))], base=base)
+    return ProbMeasure([(x, 1)], base=base)
 
 
 def mixture(omega: PartitionOfOne, measures, base=None):
     """The convex mixture of measures with weights from a partition of
-    one.  Finite support is merged exactly; a lazy partition over Dirac
-    measures yields a lazy countably supported measure."""
+    one.  Measures on one base mix as an integer matrix-vector product of
+    their vectors, other finite supports are merged exactly, and a lazy
+    partition over Dirac measures yields a lazy countably supported
+    measure."""
     if omega.is_finite:
-        picked = list(zip(omega.parts, terms(measures, omega.parts)))
-        # equal spaces are one base, even when each was built on its own
-        bases = [m.base for _, m in picked if m.base is not None]
-        if any(b is not bases[0] and b != bases[0] for b in bases):
-            raise BaseMismatch("mixture components live on different bases")
-        if not all(m.weights.is_finite for _, m in picked):
+        ms = list(terms(measures, omega.parts))
+        bases = [m.base for m in ms if m.base is not None]
+        X = bases[0] if bases else base
+        for b in bases:  # equal spaces are one base, even when built apart
+            if b is not X and b != X:
+                raise BaseMismatch("mixture components live on different bases")
+        try:
+            dens = [m.den for m in ms]
+        except AttributeError:  # a LazyMeasure has no den
             raise UnsupportedRepresentation(
                 "finite mixture of lazy measures is not represented"
-            )
-        # omega_i * m_i(a) as integer parts over omega.den * lcm(m_i totals)
-        scale = math.lcm(*[m.weights.den for _, m in picked])
-        support = []
-        for i, m in picked:
-            f = omega.parts[i] * (scale // m.weights.den)
-            for a, p in zip(m.atoms, m.weights.parts.values()):
-                support.append((a, f * p))
-        return ProbMeasure(support, base=bases[0] if bases else base,
-                           den=omega.den * scale)
+            ) from None
+        # omega_i * m_i(a) as integer parts over omega.den * lcm(m_i dens)
+        scale = math.lcm(*dens)
+        factors = [w * (scale // d) for w, d in zip(omega.parts.values(), dens)]
+        den = omega.den * scale
+        if len(bases) == len(ms):
+            # one base: an integer matrix-vector product
+            vec = [sum(map(mul, factors, column)) for column in zip(*[m.vec for m in ms])]
+            return ProbMeasure.on_base(X, vec, den)
+        support = [(a, f * p) for f, m in zip(factors, ms)
+                   for a, p in zip(m.atoms, m.parts)]
+        return ProbMeasure(support, base=X, den=den)
 
     def atom(m):
         if not isinstance(m, ProbMeasure) or len(m.atoms) != 1:
@@ -172,8 +237,7 @@ def mixture(omega: PartitionOfOne, measures, base=None):
 
 def pushforward(P: ProbMeasure, m) -> ProbMeasure:
     """Transport atom weights through a map, merging collisions exactly."""
-    return ProbMeasure(zip(map(m, P.atoms), P.weights.parts.values()),
-                       den=P.weights.den)
+    return ProbMeasure(zip(map(m, P.atoms), P.parts), den=P.den)
 
 
 def integrate(P, f, **certificates) -> ExtReal:
@@ -210,11 +274,12 @@ class GirySpace(SuperConvexSpace):
         return mixture(omega, seq, base=self.X)
 
     def sample(self, rng: random.Random) -> ProbMeasure:
+        # the draws of rng.sample(carrier, k), then of random_partition(rng, k)
         n = len(self.X.carrier)
-        k = draw_int(rng, 1, n)
-        atoms = rng.sample(self.X.carrier, k)
-        part = random_partition(rng, k)
-        return ProbMeasure(zip(atoms, part.parts.values()), base=self.X, den=part.den)
+        vec = [0] * n
+        for i in rng.sample(range(n), draw_int(rng, 1, n)):
+            vec[i] = draw_int(rng, 1, 1000)
+        return ProbMeasure.on_base(self.X, vec, sum(vec))
 
 
 def monad_mu(Q: ProbMeasure) -> ProbMeasure:

@@ -11,6 +11,8 @@ algebra is exact.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .numerics import as_ext
 
 
@@ -73,8 +75,12 @@ class FiniteMeasurableSpace:
     def set_of(self, mask: int) -> list:
         return [x for i, x in enumerate(self.carrier) if mask >> i & 1]
 
-    def member(self, x, mask: int) -> bool:
-        return bool(mask >> self.index[x] & 1)
+    @cached_property
+    def repr_order(self) -> tuple[int, ...]:
+        """The carrier positions in the ``repr`` order of their labels: the
+        order in which a measure on this space lists its atoms."""
+        carrier = self.carrier
+        return tuple(sorted(range(len(carrier)), key=lambda i: repr(carrier[i])))
 
     def atoms_of_sigma(self) -> tuple[int, ...]:
         """The minimal nonempty measurable sets; they partition the carrier."""
@@ -139,7 +145,7 @@ def is_measurable(f, source: FiniteMeasurableSpace, target=None) -> bool:
     if target is None:
         block = as_ext
     else:
-        block = lambda y: next(a for a in target.atoms if target.member(y, a))
+        block = lambda y: next(a for a in target.atoms if a >> target.index[y] & 1)
     return all(len({block(f(x)) for x in source.set_of(a)}) == 1 for a in source.atoms)
 
 

@@ -45,9 +45,6 @@ class Enclosure:
     def width(self) -> Fraction:
         return self.upper - self.lower
 
-    def contains(self, q: Rational) -> bool:
-        return self.lower <= Fraction(q) <= self.upper
-
     def __repr__(self):
         return f"Enclosure[{self.lower}, {self.upper}]"
 
@@ -133,12 +130,17 @@ DEFAULT_TOLERANCE = Fraction(1, 10**12)
 
 def ext_eq(u, v, tolerance: Rational = 0) -> bool:
     """Equality on extended reals; exact values compare exactly, values
-    carrying a nondegenerate enclosure compare within ``tolerance``."""
+    carrying a nondegenerate enclosure compare within ``tolerance``, and
+    two disjoint enclosures hold different values, however close."""
     u, v = as_ext(u), as_ext(v)
     if u.is_inf or v.is_inf:
         return u.is_inf and v.is_inf
     if u.is_exact and v.is_exact:
         return u.value == v.value
+    if not (u.is_exact or v.is_exact):
+        a, b = u.enclosure, v.enclosure
+        if a.upper < b.lower or b.upper < a.lower:
+            return False
     return abs(u.value - v.value) <= Fraction(tolerance)
 
 

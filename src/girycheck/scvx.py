@@ -204,7 +204,7 @@ def affine_map(source: SuperConvexSpace, target: SuperConvexSpace,
 class FunctionSpace:
     """A finite generating family of countably affine maps into the
     extended reals, standing in for the full function space, with the
-    pointwise combine and pointwise partial orders."""
+    pointwise combine."""
 
     def __init__(self, base: SuperConvexSpace, maps):
         self.base = base
@@ -220,12 +220,6 @@ class FunctionSpace:
             return countable_combine(omega, [as_ext(m(x)) for m in maps])
 
         return CountablyAffineMap(self.base, self.target, fn, name="pointwise-combine")
-
-    def le(self, f, g, probes) -> bool:
-        return all(as_ext(f(x)) <= as_ext(g(x)) for x in probes)
-
-    def lt(self, f, g, probes) -> bool:
-        return all(as_ext(f(x)) < as_ext(g(x)) for x in probes)
 
 
 def describe(x):

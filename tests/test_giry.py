@@ -33,6 +33,8 @@ from girycheck.numerics import (
     UnsupportedRepresentation,
     compose_partitions,
     countable_combine,
+    draw_int,
+    random_partition,
 )
 from girycheck.reports import run_per_seed
 from girycheck.scvx import (
@@ -617,3 +619,159 @@ def test_a_cached_repr_is_a_fresh_repr(pairs, other):
         assert repr(M) == fresh(M) and repr(M) is repr(M)
     assert repr(nested) == fresh(ProbMeasure([(ProbMeasure(pairs), F(1, 3)),
                                               (ProbMeasure(other), F(2, 3))]))
+
+
+# A measure on a base is an integer vector over the carrier.  The reference
+# keeps a dict of Fractions per measure; labels x1..x12 in a shuffled
+# carrier make the repr order of the atoms differ from carrier order
+# ('x10' sorts before 'x2').
+
+
+def ref_of(pairs, den):
+    merged = {}
+    for a, w in pairs:
+        merged[a] = merged.get(a, F(0)) + F(w) / den
+    return {a: w for a, w in merged.items() if w}
+
+
+def ref_mix(weights, refs):
+    mixed = {}
+    for w, ref in zip(weights, refs):
+        for a, m in ref.items():
+            mixed[a] = mixed.get(a, F(0)) + w * m
+    return {a: m for a, m in mixed.items() if m}
+
+
+def ref_listing(ref):
+    """atoms, support, to_json_obj and repr, as the measure must give them."""
+    atoms = tuple(sorted(ref, key=repr))
+    support = tuple((a, ref[a]) for a in atoms)
+    inner = " + ".join(f"{w}*d[{a!r}]" for a, w in support)
+    return (atoms, support,
+            {"atoms": [{"atom": repr(a), "weight": str(w)} for a, w in support]},
+            f"ProbMeasure({inner})")
+
+
+def listing(P):
+    return P.atoms, P.support, P.to_json_obj(), repr(P)
+
+
+@st.composite
+def shuffled_bases(draw, max_points=12):
+    n = draw(st.integers(1, max_points))
+    return FiniteMeasurableSpace.powerset(
+        draw(st.permutations([f"x{i}" for i in range(1, n + 1)])))
+
+
+@st.composite
+def weighted_pairs(draw, X):
+    """(pairs, den) summing to one over labels of X: int weights, zero
+    weights, and atoms split into colliding Fraction weights."""
+    raw = draw(st.lists(st.tuples(st.sampled_from(X.carrier), st.integers(0, 9)),
+                        min_size=1, max_size=10).filter(lambda es: any(p for _, p in es)))
+    scale = draw(st.integers(1, 3))
+    pairs = []
+    for a, p in raw:
+        q = draw(st.integers(1, 4))
+        if q == 1:
+            pairs.append((a, p * scale))
+        else:  # a Fraction part and its complement, either may be zero
+            r = draw(st.integers(0, q))
+            pairs += [(a, F(p * scale * r, q)), (a, F(p * scale * (q - r), q))]
+    return draw(st.permutations(pairs)), scale * sum(p for _, p in raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_vector_measure_matches_fraction_reference(data):
+    X = data.draw(shuffled_bases())
+    pairs, den = data.draw(weighted_pairs(X))
+    ref = ref_of(pairs, den)
+    P = ProbMeasure(pairs, base=X, den=den)
+    assert listing(P) == ref_listing(ref)
+    # the same atoms without a base, or on an equal base built apart
+    twin = FiniteMeasurableSpace.powerset(X.carrier)
+    for Q in (ProbMeasure(pairs, den=den), ProbMeasure(pairs[::-1], base=twin, den=den)):
+        assert P == Q and Q == P and hash(P) == hash(Q) and listing(Q) == listing(P)
+    mask = data.draw(st.integers(0, X.full_mask))
+    assert P.measure_of(mask) == sum(
+        (w for a, w in ref.items() if X.mask_of([a]) & mask), F(0))
+    assert integrate(P, indicator(X, mask)) == ExtReal(P.measure_of(mask))
+    other = data.draw(weighted_pairs(X))
+    assert (P == ProbMeasure(other[0], base=X, den=other[1])) == (ref == ref_of(*other))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_vector_mixture_and_flatten_match_fraction_reference(data):
+    X = data.draw(shuffled_bases())
+    comps = data.draw(st.lists(weighted_pairs(X), min_size=1, max_size=4))
+    omega = data.draw(weight_lists(len(comps)).filter(lambda ws: len(ws) == len(comps)))
+    refs = [ref_of(*c) for c in comps]
+    expected = ref_listing(ref_mix(omega, refs))
+    based = [ProbMeasure(pairs, base=X, den=den) for pairs, den in comps]
+    got = mixture(PartitionOfOne.finite(omega), based)
+    assert got.base is X and listing(got) == expected
+    # components without a base join the base of the others; a component
+    # of weight zero is not read
+    unbased = [ProbMeasure(pairs, den=den) for pairs, den in comps]
+    mixed = [data.draw(st.sampled_from(pair)) for pair in zip(based, unbased)]
+    got_mixed = mixture(PartitionOfOne.finite(omega), mixed)
+    assert listing(got_mixed) == expected and got_mixed == got
+    read = [m.base for w, m in zip(omega, mixed) if w]
+    assert got_mixed.base is (X if X in read else None)
+    Q = ProbMeasure(zip(based, omega))
+    assert listing(monad_mu(Q)) == expected and monad_mu(Q) == got
+
+
+def test_vector_measure_messages_are_the_atom_list_messages():
+    # a measure on a base rejects what a measure without one rejects, in
+    # the same words
+    X = FiniteMeasurableSpace.powerset(["x2", "x10", "x1"])
+    cases = [
+        ([("x2", 3), ("x10", -1)], 4, NotAMeasure, "negative weight -1/4"),
+        ([("x2", F(1, 2)), ("x10", F(1, 4))], 1, NotAMeasure, "weights must sum to 1"),
+        ([("x10", F(1, 2)), ("x2", 0.5)], 1, TypeError,
+         "atom 'x2': weight 2 is 0.5, not an int or a Fraction"),
+        ([("x10", None), ("x2", 1)], 1, TypeError,
+         "atom 'x10': weight None is not an int or a Fraction"),
+    ]
+    for pairs, den, error, message in cases:
+        expected = (error, message)
+        assert outcome(ProbMeasure, pairs, None, den) == expected
+        assert outcome(ProbMeasure, pairs, X, den) == expected
+    half = PartitionOfOne.finite([F(1, 2), F(1, 2)])
+    Y = FiniteMeasurableSpace.powerset(["x2", "x1", "x10"])
+    assert outcome(mixture, half, [dirac("x1", base=X), dirac("x1", base=Y)]) == (
+        BaseMismatch, "mixture components live on different bases")
+
+
+def test_an_atom_outside_the_base_is_rejected():
+    X = FiniteMeasurableSpace.powerset(["a", "b"])
+    with pytest.raises(NotAMeasure, match="atom 'z' is not a point of the base"):
+        ProbMeasure([("a", 1), ("z", 1)], base=X, den=2)
+    with pytest.raises(NotAMeasure, match="'z'"):
+        dirac("z", base=X)
+    half = PartitionOfOne.finite([F(1, 2), F(1, 2)])
+    with pytest.raises(NotAMeasure, match="'z'"):
+        GirySpace(X).combine(half, [dirac("a", base=X), dirac("z")])
+
+
+def old_giry_sample(X, rng):
+    """GirySpace.sample as it drew a measure before measures on a base
+    were vectors: sampled atoms and a random partition of one."""
+    k = draw_int(rng, 1, len(X.carrier))
+    atoms = rng.sample(X.carrier, k)
+    part = random_partition(rng, k)
+    return ProbMeasure(zip(atoms, part.parts.values()), base=X, den=part.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_bases(max_points=30), st.integers(0, 2**32))
+def test_giry_sample_draws_as_the_atom_list_sampler_drew(X, seed):
+    GX = GirySpace(X)
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        P, Q = GX.sample(new), old_giry_sample(X, old)
+        assert P == Q and listing(P) == listing(Q) and P.vec == Q.vec
+    assert new.getstate() == old.getstate()

@@ -193,7 +193,7 @@ def measurable_by_definition(f, src, tgt) -> bool:
         fibers = {as_ext(f(x)) for x in src.carrier}
         tests = [lambda y, v=v: as_ext(y) == v for v in fibers]
     else:
-        tests = [lambda y, v=v: tgt.member(y, v) for v in tgt.sigma]
+        tests = [lambda y, v=v: v >> tgt.index[y] & 1 for v in tgt.sigma]
     return all(preimage(member) in src.sigma for member in tests)
 
 

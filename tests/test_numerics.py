@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girycheck.numerics import (
+    DEFAULT_TOLERANCE,
     INF,
     Enclosure,
     ExtReal,
@@ -53,6 +54,16 @@ class TestExtReal:
         enclosed = ExtReal(near.value, Enclosure(near.value - F(1, 2**50),
                                                  near.value + F(1, 2**50)))
         assert ext_eq(exact, enclosed, F(1, 10**12))
+
+    def test_disjoint_enclosures_are_unequal(self):
+        # midpoints 10^-14 and 4*10^-14 lie within the default tolerance,
+        # but no value lies in both enclosures
+        u = ExtReal(F(1, 10**14), Enclosure(0, F(2, 10**14)))
+        v = ExtReal(F(4, 10**14), Enclosure(F(3, 10**14), F(5, 10**14)))
+        assert not ext_eq(u, v, DEFAULT_TOLERANCE)
+        assert not ext_eq(v, u, DEFAULT_TOLERANCE)
+        overlapping = ExtReal(F(3, 10**14), Enclosure(F(1, 10**14), F(5, 10**14)))
+        assert ext_eq(u, overlapping, DEFAULT_TOLERANCE)
 
     def test_hash_agrees_with_equality(self):
         assert ExtReal(1) == 1 and len({ExtReal(1), 1}) == 1
@@ -199,7 +210,7 @@ class TestCountableCombine:
         geo = PartitionOfOne.geometric()
         got = countable_combine(geo, lambda i: 1, n_max=30, bound=1)
         assert got.enclosure.width <= 2 * F(1, 2**30)
-        assert got.enclosure.contains(1)
+        assert got.enclosure.lower <= 1 <= got.enclosure.upper
 
     def test_positively_weighted_infinity_forces_infinity(self):
         omega = PartitionOfOne.finite([F(3, 4), F(1, 4)])
@@ -229,7 +240,7 @@ class TestCountableCombine:
         with pytest.raises(ValueError, match="u_7 = 2"):
             countable_combine(geo, lambda i: 1 if i < 7 else 2, n_max=20, bound=1)
         got = countable_combine(geo, lambda i: -1, n_max=20, bound=1)
-        assert got.enclosure.contains(-1)
+        assert got.enclosure.lower <= -1 <= got.enclosure.upper
 
     def test_within_narrows_the_tail_enclosure(self):
         geo = PartitionOfOne.geometric()
@@ -244,7 +255,7 @@ class TestCountableCombine:
                                 n_max=20, bound=1, within=(F(1, 2), 1))
         partial = F(1, 2) * (1 - F(1, 2**20))
         assert (got.enclosure.lower, got.enclosure.upper) == (partial, partial + F(1, 2**19))
-        assert got.enclosure.contains(partial + F(1, 2**20))
+        assert got.enclosure.lower <= partial + F(1, 2**20) <= got.enclosure.upper
 
     def test_monotone_in_values(self):
         omega = random_partition(random.Random(7), 5)

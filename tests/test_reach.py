@@ -1,17 +1,20 @@
 """No helper that nothing calls: every top-level function and class of
 ``src/girycheck`` is named by the package's own code, or is the console
-entry point that ``pyproject.toml`` declares.
+entry point that ``pyproject.toml`` declares, and every method other than
+a dunder is named as an attribute by the package's own code.
 
 Each module is parsed with ``ast``.  A definition counts as reached when
 an ``ast.Name`` or ``ast.Attribute`` spells its name somewhere in
 ``src/girycheck`` outside ``__init__.py`` and outside the definition
-itself; a re-export in ``__init__.py`` or a call from a test does not
-count.  The guard does not see methods, so a method that only tests call
-passes it, and it matches names, not bindings.
+itself; a method, when an ``ast.Attribute`` spells it there outside the
+method's own body.  A re-export in ``__init__.py`` or a call from a test
+does not count.  The guard matches names, not bindings: a method is
+reached when any attribute of that name is read, on any object.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "girycheck"
@@ -67,3 +70,24 @@ def test_every_top_level_definition_is_reached():
 def test_allowlist_names_existing_definitions():
     definitions, _ = _definitions_and_uses()
     assert ALLOWED <= {name for _, name in definitions}
+
+
+def _attributes(node) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def test_every_method_is_named_as_an_attribute():
+    spelled, methods = Counter(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        spelled += _attributes(tree)
+        methods += [(f"{path.stem}.{cls.name}.{fn.name}", fn)
+                    for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                    and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+    assert methods
+    unreached = [label for label, fn in methods
+                 if spelled[fn.name] <= _attributes(fn)[fn.name]]
+    assert unreached == []

@@ -92,7 +92,7 @@ class TestIntervalSpaces:
         got = open_unit.combine(PartitionOfOne.geometric(),
                                 lambda i: ExtReal(F(1, 2**60)), n_max=50, bound=1)
         assert got.enclosure.lower > 0
-        assert got.enclosure.contains(F(1, 2**60))
+        assert got.enclosure.lower <= F(1, 2**60) <= got.enclosure.upper
         assert open_unit.contains(got)
 
     def test_open_unit_countable_combination_near_one(self, open_unit):
@@ -100,7 +100,7 @@ class TestIntervalSpaces:
         got = open_unit.combine(PartitionOfOne.geometric(),
                                 lambda i: ExtReal(near_one), n_max=50, bound=1)
         assert got.enclosure.upper < 1
-        assert got.enclosure.contains(near_one)
+        assert got.enclosure.lower <= near_one <= got.enclosure.upper
         assert open_unit.contains(got)
 
     def test_closed_unit_still_rejects_negative_terms(self, closed):
@@ -271,12 +271,3 @@ class TestFunctionSpace:
         fs = FunctionSpace(closed, maps)
         combined = fs.combine(PartitionOfOne.finite([F(2, 3), F(1, 3)]))
         assert run(check_morphism, combined).ok
-
-    def test_pointwise_orders(self, closed, ext):
-        f = constant_map(closed, ext, F(1, 4))
-        g = constant_map(closed, ext, F(1, 2))
-        fs = FunctionSpace(closed, [f, g])
-        probes = [ExtReal(F(k, 4)) for k in range(5)]
-        assert fs.lt(f, g, probes)
-        assert fs.le(f, g, probes)
-        assert not fs.le(g, f, probes)
