@@ -234,10 +234,10 @@ def _map(entry, where: str, name: str, closed) -> CountablyAffineMap:
             raise ScenarioError(f"{where}.coeffs: must be nonempty")
 
         def poly(x, coeffs=tuple(coeffs)):
-            x = as_ext(x)
+            x = as_ext(x).value
             acc = Fraction(0)
             for c in reversed(coeffs):
-                acc = acc * x.value + c
+                acc = acc * x + c
             return ExtReal(acc)
 
         return CountablyAffineMap(closed, closed, poly, name=name)

@@ -25,8 +25,10 @@ from .numerics import (
     as_ext,
     countable_combine,
     draw_int,
+    draw_parts,
     map_terms,
     terms,
+    weighted_sum,
 )
 from .scvx import SuperConvexSpace, describe
 
@@ -242,8 +244,10 @@ def pushforward(P: ProbMeasure, m) -> ProbMeasure:
 
 def integrate(P, f, **certificates) -> ExtReal:
     """The integral of an extended-real-valued map against a measure:
-    exact on finite support, certified enclosure or infinity on lazy
-    support."""
+    exact on finite support (read from the vector of a measure on a
+    base), certified enclosure or infinity on lazy support."""
+    if isinstance(P, ProbMeasure) and P.base is not None:
+        return weighted_sum([(p, f(x)) for p, x in zip(P.vec, P.base.carrier) if p], P.den)
     return countable_combine(P.weights, map_terms(f, P.atoms), **certificates)
 
 
@@ -277,8 +281,9 @@ class GirySpace(SuperConvexSpace):
         # the draws of rng.sample(carrier, k), then of random_partition(rng, k)
         n = len(self.X.carrier)
         vec = [0] * n
-        for i in rng.sample(range(n), draw_int(rng, 1, n)):
-            vec[i] = draw_int(rng, 1, 1000)
+        k = draw_int(rng, 1, n)
+        for i, p in zip(rng.sample(range(n), k), draw_parts(rng, k)):
+            vec[i] = p
         return ProbMeasure.on_base(self.X, vec, sum(vec))
 
 
@@ -319,15 +324,15 @@ def phi_inverse(J: GeneralizedPoint, X: FiniteMeasurableSpace) -> ProbMeasure:
     function fails normalization, range, or additivity; the measure is
     returned supported on representatives of the sigma-algebra's minimal
     blocks."""
-    values: dict[int, Fraction] = {}
+    values: dict[int, ExtReal] = {}
     for u in sorted(X.sigma):
-        v = J.apply(indicator(X, u)).value
-        if v is None:
+        v = J.apply(indicator(X, u))
+        if v.num is None:
             raise NotAMeasure(f"J(chi_U) infinite on U={X.set_of(u)}")
         values[u] = v
     # the checks run on integer numerators over one common denominator
-    den = math.lcm(*[v.denominator for v in values.values()])
-    nums = {u: v.numerator * (den // v.denominator) for u, v in values.items()}
+    den = math.lcm(*[v.den for v in values.values()])
+    nums = {u: v.num * (den // v.den) for u, v in values.items()}
     if nums[0] != 0:
         raise NotAMeasure("J(chi_empty) != 0: not weakly averaging")
     if nums[X.full_mask] != den:
@@ -339,7 +344,7 @@ def phi_inverse(J: GeneralizedPoint, X: FiniteMeasurableSpace) -> ProbMeasure:
     first_atom = {a & -a: a for a in atoms}
     for u, nu in nums.items():
         if not 0 <= nu <= den:
-            raise NotAMeasure(f"J(chi_U)={values[u]} outside [0,1]")
+            raise NotAMeasure(f"J(chi_U)={values[u].value} outside [0,1]")
         a = first_atom.get(u & -u, u)
         if a != u and nu != nums[a] + nums[u & ~a]:
             raise NotAMeasure(

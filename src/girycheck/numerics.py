@@ -1,9 +1,9 @@
 """Exact and certified arithmetic on the extended real line and on
 countable partitions of one.
 
-Finite values are exact ``fractions.Fraction``s; the single added point
-``inf`` compares above every finite value.  Countable convex combinations
-follow limit-or-infinity semantics.  A lazy sum is decided by a tail
+Finite values are exact rationals held as reduced pairs of ints; the
+single added point ``inf`` compares above every finite value.  Countable
+convex combinations follow limit-or-infinity semantics.  A lazy sum is decided by a tail
 bound B (a rational enclosure), by a divergence witness (``inf``, taken on
 the caller's word), or by scanning partial sums past a threshold (``inf``
 by heuristic); anything else raises ``Undecided``.
@@ -12,6 +12,7 @@ by heuristic); anything else raises ``Undecided``.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import total_ordering
 from typing import Callable, Iterable, Union
@@ -53,59 +54,82 @@ class Enclosure:
 class ExtReal:
     """A point of the real line extended by a single point at infinity.
 
-    Finite points carry an exact rational; a finite point produced by a
+    A finite point is the exact rational ``num / den``, kept reduced with
+    ``den > 0``; infinity has ``num`` None.  A finite point produced by a
     certified truncation additionally carries the enclosure that contains
     the true limit (its value is the enclosure midpoint).
     """
 
-    __slots__ = ("value", "enclosure")
+    __slots__ = ("num", "den", "enclosure")
 
     def __init__(self, value: Rational | None, enclosure: Enclosure | None = None):
-        if value is not None and not isinstance(value, Fraction):
-            value = Fraction(value)
-        self.value = value
+        if value is None or type(value) is int:
+            self.num, self.den = value, 1
+        else:
+            q = value if isinstance(value, Fraction) else Fraction(value)
+            self.num, self.den = q.numerator, q.denominator
         self.enclosure = enclosure
+
+    @classmethod
+    def ratio(cls, n: int, d: int) -> "ExtReal":
+        """The exact value n / d of ints n and d > 0, reduced by one gcd."""
+        x = cls.__new__(cls)
+        g = math.gcd(n, d)
+        x.num, x.den, x.enclosure = n // g, d // g, None
+        return x
+
+    @property
+    def value(self) -> Fraction | None:
+        """The exact value as a Fraction; None for infinity."""
+        return None if self.num is None else Fraction(self.num, self.den)
 
     @property
     def is_inf(self) -> bool:
-        return self.value is None
+        return self.num is None
 
     @property
     def is_exact(self) -> bool:
         return self.enclosure is None or self.enclosure.width == 0
 
     def __float__(self) -> float:
-        return float("inf") if self.is_inf else float(self.value)
+        return math.inf if self.num is None else self.num / self.den
 
     def __eq__(self, other) -> bool:
         other = as_ext(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.value == other.value
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # equal to the hash of the int, Fraction or float it compares equal to
-        return hash(float("inf") if self.is_inf else self.value)
+        # equal to the hash of the int, Fraction or float it compares equal
+        # to, by Fraction's rule: |num| / den modulo the hash modulus
+        n = self.num
+        if n is None:
+            return hash(math.inf)
+        try:
+            h = hash(hash(abs(n)) * pow(self.den, -1, sys.hash_info.modulus))
+        except ValueError:  # den is a multiple of the modulus
+            h = sys.hash_info.inf
+        return hash(h if n >= 0 else -h)
 
     def __lt__(self, other) -> bool:
         other = as_ext(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_inf:
+        if self.num is None:
             return False
-        if other.is_inf:
+        if other.num is None:
             return True
-        return self.value < other.value
+        return self.num * other.den < other.num * self.den
 
     def __repr__(self):
-        if self.is_inf:
-            return "ExtReal(inf)"
         if self.enclosure is not None:
             return f"ExtReal({self.value} ± {self.enclosure.width / 2})"
-        return f"ExtReal({self.value})"
+        return f"ExtReal({self.to_json()})"
 
     def to_json(self) -> str:
-        return "inf" if self.is_inf else str(self.value)
+        n, d = self.num, self.den
+        return "inf" if n is None else str(n) if d == 1 else f"{n}/{d}"
 
 
 INF = ExtReal(None)
@@ -131,16 +155,16 @@ DEFAULT_TOLERANCE = Fraction(1, 10**12)
 def ext_eq(u, v, tolerance: Rational = 0) -> bool:
     """Equality on extended reals; exact values compare exactly, values
     carrying a nondegenerate enclosure compare within ``tolerance``, and
-    two disjoint enclosures hold different values, however close."""
+    two disjoint enclosures hold different values, however close.  An
+    exact value is the enclosure [v, v]."""
     u, v = as_ext(u), as_ext(v)
-    if u.is_inf or v.is_inf:
-        return u.is_inf and v.is_inf
+    if u.num is None or v.num is None:
+        return u.num is None and v.num is None
     if u.is_exact and v.is_exact:
-        return u.value == v.value
-    if not (u.is_exact or v.is_exact):
-        a, b = u.enclosure, v.enclosure
-        if a.upper < b.lower or b.upper < a.lower:
-            return False
+        return u.num == v.num and u.den == v.den
+    a, b = (x.enclosure or Enclosure(x.value, x.value) for x in (u, v))
+    if a.upper < b.lower or b.upper < a.lower:
+        return False
     return abs(u.value - v.value) <= Fraction(tolerance)
 
 
@@ -154,7 +178,7 @@ def scale(s: Rational, u: ExtReal) -> ExtReal:
         if s == 0:
             raise ValueError("0 * inf is undefined")
         return INF
-    return ExtReal(s * u.value)
+    return ExtReal.ratio(s.numerator * u.num, s.denominator * u.den)
 
 
 class PartitionOfOne:
@@ -333,22 +357,7 @@ def countable_combine(
     else raises Undecided.
     """
     if omega.is_finite:
-        # one pass over a running common denominator d; ints need none
-        num, d = 0, 1
-        for p, ui in zip(omega.parts.values(), terms(u, omega.parts)):
-            if type(ui) is int:
-                num += p * ui * d
-                continue
-            if type(ui) is not Fraction:
-                ui = as_ext(ui).value
-                if ui is None:
-                    return INF
-            q = ui.denominator
-            if d % q:
-                f = q // math.gcd(d, q)
-                num, d = num * f, d * f
-            num += p * ui.numerator * (d // q)
-        return ExtReal(Fraction(num, omega.den * d))
+        return weighted_sum(zip(omega.parts.values(), terms(u, omega.parts)), omega.den)
 
     if bound is not None and divergence_witness:
         raise ValueError("bound and divergence witness are exclusive")
@@ -386,6 +395,30 @@ def countable_combine(
         f"no certificate supplied and partial sums neither stabilized nor "
         f"crossed {threshold} by depth {n_max}"
     )
+
+
+def weighted_sum(pairs, den: int) -> ExtReal:
+    """The sum of p * u / den over the ``(p, u)`` pairs, for int parts
+    p >= 0 and extended-real terms u: the finite convex combination.  One
+    pass of integer products over a running common denominator d, ints
+    needing none; a positive part on an infinite term gives infinity."""
+    num, d = 0, 1
+    for p, u in pairs:
+        if type(u) is int:
+            num += p * u * d
+            continue
+        if type(u) is not ExtReal:
+            u = as_ext(u)
+        n, q = u.num, u.den
+        if n is None:
+            if p:
+                return INF
+            continue
+        if d % q:
+            f = q // math.gcd(d, q)
+            num, d = num * f, d * f
+        num += p * n * (d // q)
+    return ExtReal.ratio(num, den * d)
 
 
 def compose_partitions(alpha: PartitionOfOne, betas) -> PartitionOfOne:
@@ -427,12 +460,23 @@ def draw_int(rng, lo: int, hi: int) -> int:
     return lo + r
 
 
+def draw_parts(rng, k: int) -> list[int]:
+    """k draws of ``draw_int(rng, 1, 1000)`` in one loop, with the same
+    bits: the parts of a sampled partition or measure."""
+    bits, parts = rng.getrandbits, []
+    for _ in range(k):
+        r = bits(10)
+        while r >= 1000:
+            r = bits(10)
+        parts.append(r + 1)
+    return parts
+
+
 def random_partition(rng, support_size: int) -> PartitionOfOne:
     """A random finite-support partition drawn from the generator ``rng``
     (a ``random.Random``): a random integer composition of
-    ``support_size`` parts, each ``draw_int(rng, 1, 1000)``, normalized
-    exactly."""
+    ``support_size`` parts drawn by ``draw_parts``, normalized exactly."""
     if support_size < 1:
         raise ValueError("support_size must be >= 1")
-    parts = {i: draw_int(rng, 1, 1000) for i in range(1, support_size + 1)}
-    return PartitionOfOne(parts, den=sum(parts.values()))
+    parts = draw_parts(rng, support_size)
+    return PartitionOfOne(dict(enumerate(parts, start=1)), den=sum(parts))

@@ -81,12 +81,12 @@ class IntervalSpace(SuperConvexSpace):
             return True
         if x.is_inf:
             return False
-        # every value the enclosure, if any, leaves possible
+        # every value the enclosure, if any, leaves possible: lo/one to hi/one
         enc = x.enclosure
-        lo, hi = (x.value, x.value) if enc is None else (enc.lower, enc.upper)
+        lo, hi, one = (x.num, x.num, x.den) if enc is None else (enc.lower, enc.upper, 1)
         if self.kind == "closed_unit":
-            return 0 <= lo and hi <= 1
-        return 0 < lo and hi < 1
+            return 0 <= lo and hi <= one
+        return 0 < lo and hi < one
 
     def eq(self, x, y) -> bool:
         return ext_eq(x, y, self.tolerance)
@@ -105,13 +105,13 @@ class IntervalSpace(SuperConvexSpace):
     def sample(self, rng: random.Random) -> ExtReal:
         if self.kind == "closed_unit":
             d = draw_int(rng, 1, 32)
-            return ExtReal(Fraction(draw_int(rng, 0, d), d))
+            return ExtReal.ratio(draw_int(rng, 0, d), d)
         if self.kind == "open_unit":
             d = draw_int(rng, 3, 33)
-            return ExtReal(Fraction(draw_int(rng, 1, d - 1), d))
+            return ExtReal.ratio(draw_int(rng, 1, d - 1), d)
         if rng.random() < 0.15:
             return INF
-        return ExtReal(Fraction(draw_int(rng, -160, 160), draw_int(rng, 1, 16)))
+        return ExtReal.ratio(draw_int(rng, -160, 160), draw_int(rng, 1, 16))
 
 
 class ProductSpace(SuperConvexSpace):
@@ -189,12 +189,14 @@ def affine_map(source: SuperConvexSpace, target: SuperConvexSpace,
     slope = Fraction(slope)
     if slope < 0:
         raise ValueError("slope must be nonnegative to respect the added point")
+    (a, b), (c, d) = offset.as_integer_ratio(), slope.as_integer_ratio()
 
     def fn(x):
         x = as_ext(x)
-        if x.is_inf:
+        if x.num is None:
             return ExtReal(offset) if slope == 0 else INF
-        return ExtReal(offset + slope * x.value)
+        # a/b + c/d * num/den as one ratio of ints
+        return ExtReal.ratio(a * d * x.den + c * b * x.num, b * d * x.den)
 
     return CountablyAffineMap(
         source, target, fn, name=name or f"affine({offset}+{slope}x)"

@@ -28,9 +28,11 @@ from girycheck.giry import (
 from girycheck.meas import FiniteMeasurableSpace, indicator
 from girycheck.numerics import (
     INF,
+    Enclosure,
     ExtReal,
     PartitionOfOne,
     UnsupportedRepresentation,
+    as_ext,
     compose_partitions,
     countable_combine,
     draw_int,
@@ -775,3 +777,34 @@ def test_giry_sample_draws_as_the_atom_list_sampler_drew(X, seed):
         P, Q = GX.sample(new), old_giry_sample(X, old)
         assert P == Q and listing(P) == listing(Q) and P.vec == Q.vec
     assert new.getstate() == old.getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integrate_matches_fraction_reference(data):
+    # a measure on a shuffled base, summed from its vector, and the same
+    # atoms without a base, summed as a countable combination, against a
+    # dict-of-Fraction sum over the drawn pairs
+    X = data.draw(shuffled_bases(max_points=8))
+    pairs, den = data.draw(weighted_pairs(X))
+    q = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+    term = st.one_of(st.integers(-40, 40), q, q.map(ExtReal),
+                     q.map(lambda v: ExtReal(v, Enclosure(v - 1, v + 1))),
+                     st.sampled_from([INF, float("inf")]))
+    values = {x: data.draw(term) for x in X.carrier}
+    mass: dict = {}
+    for a, w in pairs:
+        mass[a] = mass.get(a, F(0)) + F(w) / den
+    terms = {a: as_ext(values[a]) for a, w in mass.items() if w}
+    if INF in terms.values():
+        want = INF
+    else:
+        want = ExtReal(sum((mass[a] * v.value for a, v in terms.items()), F(0)))
+    seen = []
+    f = lambda x: seen.append(x) or values[x]
+    for P in (ProbMeasure(pairs, base=X, den=den), ProbMeasure(pairs, den=den)):
+        seen.clear()
+        got = integrate(P, f)
+        assert (got.num, got.den) == (want.num, want.den) and got.enclosure is None
+        # f is read only at the points of positive mass
+        assert set(seen) == set(P.atoms)

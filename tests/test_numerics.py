@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,11 @@ from girycheck.numerics import (
     countable_combine,
     dirac_partition,
     draw_int,
+    draw_parts,
     ext_eq,
     random_partition,
     scale,
+    weighted_sum,
 )
 
 F = Fraction
@@ -53,7 +56,19 @@ class TestExtReal:
         assert not ext_eq(exact, near, F(1, 10**12))
         enclosed = ExtReal(near.value, Enclosure(near.value - F(1, 2**50),
                                                  near.value + F(1, 2**50)))
-        assert ext_eq(exact, enclosed, F(1, 10**12))
+        # the midpoints are within the tolerance, but 1/3 lies below the
+        # enclosure, whose lower end is 1/3 + 1.1e-16
+        assert not ext_eq(exact, enclosed, F(1, 10**12))
+        around = ExtReal(near.value, Enclosure(exact.value, near.value + F(1, 10**15)))
+        assert ext_eq(exact, around, F(1, 10**12))
+
+    def test_an_exact_value_outside_an_enclosure_is_unequal(self):
+        third = F(1, 3)
+        lower = third + F(11, 10**17)
+        enclosed = ExtReal(lower + F(1, 10**16), Enclosure(lower, lower + F(2, 10**16)))
+        assert not ext_eq(ExtReal(third), enclosed, DEFAULT_TOLERANCE)
+        assert not ext_eq(enclosed, third, DEFAULT_TOLERANCE)
+        assert ext_eq(lower, enclosed, DEFAULT_TOLERANCE)
 
     def test_disjoint_enclosures_are_unequal(self):
         # midpoints 10^-14 and 4*10^-14 lie within the default tolerance,
@@ -469,3 +484,100 @@ def test_draw_int_draws_as_random_does(seed, lo, width, how):
 def test_draw_int_rejects_an_empty_range():
     with pytest.raises(ValueError, match="empty range"):
         draw_int(random.Random(0), 1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 12))
+def test_draw_parts_draws_as_randint_does(seed, k):
+    # one loop for the k parts of a sampler: the values and the generator
+    # state of k calls of randint(1, 1000)
+    rng, twin = random.Random(seed), random.Random(seed)
+    assert draw_parts(rng, k) == [twin.randint(1, 1000) for _ in range(k)]
+    assert rng.getstate() == twin.getstate()
+
+
+# The int-pair ExtReal against Fraction, the type that held its value.
+
+HASH_MODULUS = sys.hash_info.modulus  # a den it divides has no inverse mod it
+
+reference_fractions = st.one_of(
+    st.builds(F, st.integers(-10**20, 10**20), st.integers(1, 10**6)),
+    st.builds(F, st.integers(-50, 50), st.sampled_from([HASH_MODULUS, 2 * HASH_MODULUS])),
+)
+
+
+def ext_of(q):
+    """q as an ExtReal: INF for None, else exact or carrying an enclosure."""
+    kind, q = q
+    if q is None:
+        return INF
+    if kind == "enclosed":
+        return ExtReal(q, Enclosure(q - F(1, 7), q + F(1, 7)))
+    return ExtReal(q)
+
+
+ext_cases = st.tuples(st.sampled_from(["exact", "enclosed"]),
+                      st.none() | reference_fractions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**6), st.integers(1, 10**4))
+def test_ratio_reduces_as_fraction_does(n, d, k):
+    x = ExtReal.ratio(n * k, d * k)
+    q = F(n, d)
+    assert x == ExtReal(q) and (x.num, x.den) == (q.numerator, q.denominator)
+    assert x.value == q and x.enclosure is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(ext_cases, ext_cases)
+def test_int_pair_ext_real_matches_fraction(a, b):
+    x, y = ext_of(a), ext_of(b)
+    p, q = a[1], b[1]
+    assert (x == y) == (p == q)
+    assert (x < y) == (p is not None and (q is None or p < q))
+    if p is None:
+        assert float(x) == math.inf and x.to_json() == "inf" and x.value is None
+        assert hash(x) == hash(math.inf)
+        return
+    assert float(x) == float(p)
+    assert x.to_json() == str(p) and x.value == p
+    assert hash(x) == hash(p) and hash(ExtReal(p)) == hash(p)
+    # against the plain number, on either side
+    assert x == p and p == x and not x < p and x <= p
+    if q is not None:
+        assert (x < q) == (p < q) and (q < x) == (q < p)
+
+
+# weighted_sum and the finite countable_combine against a dict-of-Fraction
+# sum: weight i is parts[i] / den, and a zero weight drops its term, INF
+# included.
+
+def fraction_sum(weights, values):
+    """The combination of a {i: Fraction weight} dict with terms by index."""
+    total = F(0)
+    for i, w in weights.items():
+        if w == 0:
+            continue
+        v = values[i]
+        if v == INF or v == float("inf"):
+            return INF
+        total += w * (v.value if isinstance(v, ExtReal) else F(v))
+    return ExtReal(total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=8).filter(any)
+       .flatmap(lambda ps: st.tuples(st.just(ps), ext_values(len(ps)))))
+def test_weighted_sum_matches_fraction_reference(case):
+    parts, values = case
+    den = sum(parts)
+    weights = {i: F(p, den) for i, p in enumerate(parts)}
+    got = weighted_sum(zip(parts, values), den)
+    want = fraction_sum(weights, dict(enumerate(values)))
+    assert got.is_inf == want.is_inf and got.value == want.value
+    assert (got.num, got.den) == (want.num, want.den) and got.enclosure is None
+    # the same sum as a countable combination, zero parts dropped
+    omega = PartitionOfOne(dict(enumerate(parts, start=1)), den=den)
+    via_combine = countable_combine(omega, values)
+    assert (via_combine.num, via_combine.den) == (want.num, want.den)

@@ -3,9 +3,12 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from girycheck.numerics import (
     INF,
+    Enclosure,
     ExtReal,
     PartitionOfOne,
     dirac_partition,
@@ -271,3 +274,19 @@ class TestFunctionSpace:
         fs = FunctionSpace(closed, maps)
         combined = fs.combine(PartitionOfOne.finite([F(2, 3), F(1, 3)]))
         assert run(check_morphism, combined).ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(-20, 20, max_denominator=60), st.fractions(0, 20, max_denominator=60),
+       st.none() | st.fractions(-10**6, 10**6, max_denominator=10**4), st.booleans())
+def test_affine_map_matches_the_fraction_formula(offset, slope, x, enclosed):
+    ext = IntervalSpace("ext_real_line")
+    m = affine_map(ext, ext, offset, slope)
+    if x is None:
+        want = ExtReal(offset) if slope == 0 else INF
+        assert m(INF) == want and m(float("inf")) == want
+        return
+    point = ExtReal(x, Enclosure(x - 1, x + 1)) if enclosed else ExtReal(x)
+    got = m(point)
+    assert got.value == offset + slope * x and got.enclosure is None
+    assert m(x) == got
