@@ -41,13 +41,13 @@ from .meas import (
 )
 from .giry import (
     BaseMismatch,
-    GeneralizedPoint,
     GirySpace,
     LazyMeasure,
     NotAMeasure,
     ProbMeasure,
     barycenter,
     dirac,
+    evaluation,
     integrate,
     mixture,
     monad_mu,

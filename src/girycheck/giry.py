@@ -5,7 +5,9 @@ isomorphism between measures and the generalized points they induce.
 Measures are atomic with exact rational weights; a lazy geometric variant
 covers the countably supported demos.  The space of measures on a fixed
 finite measurable space is itself a super convex space and is checked
-against the same axioms as every other instance.  The checkers of the
+against the same axioms as every other instance.  A generalized point
+is any callable J(m) that returns an ``ExtReal`` for a map m into the
+extended reals: ``evaluation(a)`` and ``phi(P)``.  The checkers of the
 triangle identities and of the measure/functional roundtrip live here,
 next to what they check.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from operator import mul
 
 from .meas import FiniteMeasurableSpace, indicator
@@ -139,14 +142,14 @@ class ProbMeasure:
         den = self.den
         return tuple(zip(self.atoms, (Fraction(p, den) for p in self.parts)))
 
-    def measure_of(self, mask: int) -> Fraction:
+    def measure_of(self, mask: int) -> ExtReal:
         """Probability of a measurable set of the base, given as its
         bitmask: ``base.mask_of(labels)`` makes one from labels."""
         if not isinstance(mask, int) or self.base is None:
             raise TypeError("measure_of takes a bitmask over the measure's base; "
                             "make one with base.mask_of(labels)")
-        return Fraction(sum(p for i, p in enumerate(self.vec) if mask >> i & 1),
-                        self.den)
+        return ExtReal.ratio(sum(p for i, p in enumerate(self.vec) if mask >> i & 1),
+                             self.den)
 
     def __eq__(self, other):
         if not isinstance(other, ProbMeasure):
@@ -297,36 +300,26 @@ def monad_mu(Q: ProbMeasure) -> ProbMeasure:
     return mixture(Q.weights, Q.atoms)
 
 
-class GeneralizedPoint:
-    """A functional on affine maps: evaluation at a point, integration
-    against a measure, or a raw functional (for mutants)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    @classmethod
-    def from_point(cls, a) -> "GeneralizedPoint":
-        return cls(lambda m: m(a))
-
-    def apply(self, m) -> ExtReal:
-        return as_ext(self.fn(m))
+def evaluation(a):
+    """A point as a generalized point: the functional m -> m(a)."""
+    return lambda m: as_ext(m(a))
 
 
-def phi(P: ProbMeasure) -> GeneralizedPoint:
+def phi(P: ProbMeasure):
     """A measure as a generalized point: the functional m -> integral of m
     against P; on indicators it returns the measure of the set."""
-    return GeneralizedPoint(lambda m: integrate(P, m))
+    return partial(integrate, P)
 
 
-def phi_inverse(J: GeneralizedPoint, X: FiniteMeasurableSpace) -> ProbMeasure:
-    """Recover a measure from a generalized point via indicators: the set
+def phi_inverse(J, X: FiniteMeasurableSpace) -> ProbMeasure:
+    """Recover a measure from a generalized point J via indicators: the set
     function U -> J(chi_U).  Raises NotAMeasure when the induced set
     function fails normalization, range, or additivity; the measure is
     returned supported on representatives of the sigma-algebra's minimal
     blocks."""
     values: dict[int, ExtReal] = {}
     for u in sorted(X.sigma):
-        v = J.apply(indicator(X, u))
+        v = J(indicator(X, u))
         if v.num is None:
             raise NotAMeasure(f"J(chi_U) infinite on U={X.set_of(u)}")
         values[u] = v

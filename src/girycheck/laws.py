@@ -26,13 +26,13 @@ from functools import partial
 from typing import Callable
 
 from .giry import (
-    GeneralizedPoint,
     GirySpace,
     ProbMeasure,
     barycenter,
     check_phi_roundtrip,
     check_triangle,
     dirac,
+    evaluation,
     integrate,
     mixture,
     monad_mu,
@@ -52,6 +52,7 @@ from .numerics import (
     random_partition,
     scale,
     term,
+    weighted_sum,
 )
 from .reports import HarnessConfig, LawReport, run_per_seed, suite_seeds
 from .scvx import (
@@ -142,7 +143,7 @@ def square_map(closed: IntervalSpace) -> CountablyAffineMap:
     )
 
 
-def nonadditive_functional(X: FiniteMeasurableSpace) -> GeneralizedPoint:
+def nonadditive_functional(X: FiniteMeasurableSpace):
     """Mutant generalized point: U -> P(U)^2 for a fixed non-Dirac measure;
     weakly averaging but not additive."""
     n = len(X.carrier)
@@ -152,15 +153,15 @@ def nonadditive_functional(X: FiniteMeasurableSpace) -> GeneralizedPoint:
         v = integrate(P, m)
         return ExtReal(v.value ** 2) if not v.is_inf else INF
 
-    return GeneralizedPoint(fn)
+    return fn
 
 
-def half_cauchy_generalized_point() -> GeneralizedPoint:
+def half_cauchy_generalized_point():
     """The half-Cauchy expectation functional on the nonnegative reals:
     integration against it sends the inclusion map to infinity, so it is
     not backed by any point of the carrier.  Documentation mutant for the
     image property."""
-    return GeneralizedPoint(lambda m: INF)
+    return lambda m: INF
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +169,13 @@ def half_cauchy_generalized_point() -> GeneralizedPoint:
 # witness
 
 
-def check_image_property(J: GeneralizedPoint, m: CountablyAffineMap) -> dict | None:
+def check_image_property(J, m: CountablyAffineMap) -> dict | None:
     """J(m) must land in the image of m, a map of [0,1], (0,1) or R-inf:
     the one value of a constant map (m(0) = m(1)), else the values whose
     preimage a under the line through m(0) and m(1), infinity for
     infinity, is a point of the source.  A map off that line at 1/4, 1/2,
     3/4 (inside every carrier) or at a is not affine: ValueError."""
-    source, val = m.source, J.apply(m)
+    source, val = m.source, J(m)
     at0, at1 = as_ext(m(ExtReal(0))), as_ext(m(ExtReal(1)))
     quarters = [Fraction(k, 4) for k in (1, 2, 3)]
     if at0 == at1:
@@ -182,9 +183,10 @@ def check_image_property(J: GeneralizedPoint, m: CountablyAffineMap) -> dict | N
     elif at0.is_inf or at1.is_inf:
         expect, inside = None, False
     else:
-        slope = at1.value - at0.value
-        expect = [(x, at0.value + slope * x) for x in quarters]
-        a = INF if val.is_inf else (val.value - at0.value) / slope
+        v0, v1 = at0.value, at1.value
+        slope = v1 - v0
+        expect = [(x, v0 + slope * x) for x in quarters]
+        a = INF if val.is_inf else (val.value - v0) / slope
         if inside := source.contains(a):
             expect.append((a, val))
     if expect is None or any(as_ext(m(as_ext(x))) != y for x, y in expect):
@@ -194,19 +196,18 @@ def check_image_property(J: GeneralizedPoint, m: CountablyAffineMap) -> dict | N
     if at0 == at1:
         image = f"{{{describe(at0)}}}"
     else:  # a carrier that misses a is [0,1] or (0,1): m(0) and m(1) are the ends
-        lo, hi = sorted([at0.value, at1.value])
+        lo, hi = sorted([v0, v1])
         image = f"[{lo}, {hi}]" if source.contains(0) else f"({lo}, {hi})"
     return {"map": m.name, "value": describe(val), "image": image}
 
 
-def check_generalized_point_naturality(J: GeneralizedPoint, m,
-                                       g_family) -> dict | None:
+def check_generalized_point_naturality(J, m, g_family) -> dict | None:
     """Postcomposition naturality: J(g o m) = g(J(m)) for each affine
     endomap g of the extended reals in the family; the witness names the
     first g that breaks it."""
-    jm = J.apply(m)
+    jm = J(m)
     for g in g_family:
-        lhs = J.apply(lambda x, g=g: g(m(x)))
+        lhs = J(lambda x, g=g: g(m(x)))
         rhs = as_ext(g(jm))
         if lhs != rhs:
             return {"g": g.name, "lhs": describe(lhs), "rhs": describe(rhs)}
@@ -224,12 +225,11 @@ def check_naturality_epsilon(m: CountablyAffineMap, P: ProbMeasure) -> dict | No
             "measure": P.to_json_obj()}
 
 
-def check_evaluation_point_recovery(J: GeneralizedPoint, carrier,
-                                    generating_maps):
+def check_evaluation_point_recovery(J, carrier, generating_maps):
     """The unique carrier point whose evaluations under every generating
     map agree with the functional.  Raises NoPoint when none matches and
     Ambiguous when the maps fail to separate candidates."""
-    pairs = [(m, J.apply(m)) for m in generating_maps]
+    pairs = [(m, J(m)) for m in generating_maps]
     candidates = [a for a in carrier if all(jm == as_ext(m(a)) for m, jm in pairs)]
     if not candidates:
         raise NoPoint("no carrier point matches the functional's evaluations")
@@ -252,12 +252,12 @@ def check_sigma_agreement(X: FiniteMeasurableSpace, rng: random.Random) -> dict 
     components = [GX.sample(rng) for _ in range(k)]
     mixed = mixture(parts, components, base=X)
     mass = mixed.measure_of(u)
-    weighted = sum(p * c.measure_of(u)
-                   for p, c in zip(parts.parts.values(), components)) / parts.den
+    masses = [c.measure_of(u) for c in components]
+    weighted = weighted_sum(zip(parts.parts.values(), masses), parts.den)
     if mass == weighted:
         return None
-    return {"set": [str(x) for x in X.set_of(u)], "mixture_mass": str(mass),
-            "weighted_mass": str(weighted), "mixture": mixed.to_json_obj()}
+    return {"set": [str(x) for x in X.set_of(u)], "mixture_mass": mass.to_json(),
+            "weighted_mass": weighted.to_json(), "mixture": mixed.to_json_obj()}
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +379,15 @@ def _countable_additivity_case(rng):
     # geometric-style finite partition 1/2, 1/4, ..., with the last
     # weight doubled so the weights sum to one
     weights = [Fraction(1, 2**i) for i in range(1, k)] + [Fraction(1, 2**(k - 1))]
-    lhs = J.apply(indicator(X, union))
+    lhs = J(indicator(X, union))
     rescaled_terms = []
     for w, b in zip(weights, blocks):
         chi = indicator(X, b)
-        rescaled_terms.append(J.apply(lambda x, w=w, chi=chi: scale(1 / w, chi(x))))
+        rescaled_terms.append(J(lambda x, w=w, chi=chi: scale(1 / w, chi(x))))
     via_rescaling = countable_combine(
         PartitionOfOne.finite(weights), rescaled_terms
     )
-    direct = sum(
-        (J.apply(indicator(X, b)).value for b in blocks), Fraction(0)
-    )
+    direct = sum((J(indicator(X, b)).value for b in blocks), Fraction(0))
     if lhs == via_rescaling and lhs.value == direct:
         return None
     return {"lhs": describe(lhs), "via_rescaling": describe(via_rescaling),
@@ -429,7 +427,7 @@ def _image_property_case(spaces, rng):
 def _gp_naturality_case(closed, ext, family, rng):
     m = _random_affine_map(rng, closed, ext, 8)
     if rng.random() < 0.5:
-        J = GeneralizedPoint.from_point(closed.sample(rng))
+        J = evaluation(closed.sample(rng))
     else:
         J = phi(_sample_unit_measure(rng, closed))
     return check_generalized_point_naturality(J, m, family)
@@ -437,11 +435,11 @@ def _gp_naturality_case(closed, ext, family, rng):
 
 def _recovery_case(rng):
     X = _random_powerset_space(rng, 6)
-    maps = [lambda P, u=u: ExtReal(P.measure_of(u)) for u in X.atoms]
+    maps = [lambda P, u=u: P.measure_of(u) for u in X.atoms]
     a = X.carrier[draw_int(rng, 0, len(X.carrier) - 1)]
     carrier_points = [dirac(x, base=X) for x in X.carrier]
     expected = dirac(a, base=X)
-    for J in (GeneralizedPoint.from_point(expected), phi(dirac(expected))):
+    for J in (evaluation(expected), phi(dirac(expected))):
         try:
             got = check_evaluation_point_recovery(J, carrier_points, maps)
         except (NoPoint, Ambiguous) as exc:
@@ -467,7 +465,7 @@ def _mutant_phi() -> LawReport:
 def _mutant_image() -> LawReport:
     """The half-line documentation case: an infinite 'expectation' cannot
     be the evaluation of any point of the nonnegative reals."""
-    val = half_cauchy_generalized_point().apply(as_ext)  # the inclusion
+    val = half_cauchy_generalized_point()(as_ext)  # the inclusion
     # the hull of the inclusion at the probes 0, 1/2, ..., 4
     ok = not val.is_inf and 0 <= val.value <= 4
     witness = None if ok else {"value": describe(val), "image": "[0, 4]"}

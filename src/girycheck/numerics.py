@@ -3,10 +3,10 @@ countable partitions of one.
 
 Finite values are exact rationals held as reduced pairs of ints; the
 single added point ``inf`` compares above every finite value.  Countable
-convex combinations follow limit-or-infinity semantics.  A lazy sum is decided by a tail
-bound B (a rational enclosure), by a divergence witness (``inf``, taken on
-the caller's word), or by scanning partial sums past a threshold (``inf``
-by heuristic); anything else raises ``Undecided``.
+convex combinations follow limit-or-infinity semantics.  A lazy sum is
+decided by a tail bound B (a rational enclosure) or by scanning partial
+sums past a threshold (``inf`` by heuristic); anything else raises
+``Undecided``.
 """
 
 from __future__ import annotations
@@ -333,7 +333,6 @@ def countable_combine(
     u,
     n_max: int = DEFAULT_N_MAX,
     bound: Rational | None = None,
-    divergence_witness: bool = False,
     threshold: Rational = DEFAULT_DIVERGENCE_THRESHOLD,
     within: tuple[Rational, Rational] | None = None,
 ) -> ExtReal:
@@ -350,19 +349,13 @@ def countable_combine(
     adds that every term lies in [lo, hi], as the combine contract of a
     carrier such as [0,1] promises; the tail then adds a value in
     [max(lo, -B), min(hi, B)] times a mass in [0, tail(N)], not
-    +-B*tail(N).  The value is the enclosure's midpoint.  ``divergence_witness``
-    asserts the partial sums exceed any threshold and yields infinity
-    without checking the claim.  Without a certificate the partial sums are scanned to
-    ``n_max``; crossing ``threshold`` upward returns infinity, anything
-    else raises Undecided.
+    +-B*tail(N).  The value is the enclosure's midpoint.  Without a
+    certificate the partial sums are scanned to ``n_max``; crossing
+    ``threshold`` upward returns infinity, anything else raises Undecided.
     """
     if omega.is_finite:
         return weighted_sum(zip(omega.parts.values(), terms(u, omega.parts)), omega.den)
 
-    if bound is not None and divergence_witness:
-        raise ValueError("bound and divergence witness are exclusive")
-    if divergence_witness:
-        return INF
     threshold = Fraction(threshold)
     b = None if bound is None else Fraction(bound)
     partial = Fraction(0)

@@ -17,7 +17,7 @@ import pytest
 
 import girycheck
 from girycheck.cli import main
-from girycheck.giry import GeneralizedPoint, dirac, phi
+from girycheck.giry import dirac, evaluation, phi
 from girycheck.laws import (
     HarnessConfig,
     check_evaluation_point_recovery,
@@ -29,7 +29,6 @@ from girycheck.laws import (
     square_map,
 )
 from girycheck.meas import FiniteMeasurableSpace
-from girycheck.numerics import ExtReal
 from girycheck.reports import run_per_seed
 from girycheck.scvx import IntervalSpace, check_morphism
 
@@ -106,9 +105,9 @@ def test_evaluation_point_recovery_unique_on_small_carriers():
     for n in (2, 3, 4, 5, 6):
         X = FiniteMeasurableSpace.powerset([f"x{i}" for i in range(n)])
         carrier = [dirac(x, base=X) for x in X.carrier]
-        maps = [lambda P, i=i: ExtReal(P.measure_of(1 << i)) for i in range(n)]
+        maps = [lambda P, i=i: P.measure_of(1 << i) for i in range(n)]
         for target in carrier:
-            for J in (GeneralizedPoint.from_point(target), phi(dirac(target))):
+            for J in (evaluation(target), phi(dirac(target))):
                 got = check_evaluation_point_recovery(J, carrier, maps)
                 ok = ok and got == target
     verdict("evaluation-point recovery: point- and Dirac-backed functionals, "

@@ -20,7 +20,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "girycheck"
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 
-# kept unreached for the ROADMAP item 3 suites that will use them
+# kept unreached for the ROADMAP item 4 suites that will use them
 ALLOWED = {
     "FunctionSpace",  # codense-recovery: a family of affine maps into R-inf
     "sigma_functor",  # sigma-unit: the sigma-algebra that family induces
