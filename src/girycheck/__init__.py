@@ -7,6 +7,7 @@ from .numerics import (
     Enclosure,
     ExtReal,
     INF,
+    LazyPartition,
     PartitionOfOne,
     Undecided,
     UnsupportedRepresentation,

@@ -23,6 +23,7 @@ from operator import mul
 from .meas import FiniteMeasurableSpace, indicator
 from .numerics import (
     ExtReal,
+    LazyPartition,
     PartitionOfOne,
     UnsupportedRepresentation,
     as_ext,
@@ -45,51 +46,42 @@ class NotAMeasure(Exception):
 
 
 class ProbMeasure:
-    """A finitely supported probability measure: the convex combination
-    of the point masses at ``atoms`` with the weights of ``weights``.
+    """A finitely supported probability measure: mass ``vec[i] / den`` at
+    ``points[i]``, for int parts that sum to the reduced ``den``.
 
-    Built from ``(atom, weight)`` pairs, where the mass of an atom is
-    ``weight / den``.  Every weight must be nonnegative; colliding atoms
-    are merged and zero weights dropped.  The masses are the integer
-    ``parts`` over one reduced ``den``, listed with the ``atoms`` in the
-    ``repr`` order of the labels.  A measure on a finite measurable space
-    ``base`` stores only ``vec``, the part of each carrier position, and
-    derives the rest from it on first use; an atom outside the carrier is
-    rejected.  A measure without a base stores its atoms and ``weights``,
-    one finite partition of one with weight i on ``atoms[i-1]``.
-    Equality and hashing are exact; the hash and the ``repr``, the sort
-    key of a measure on measures, are made once.
+    Built from ``(atom, weight)`` pairs, an int or Fraction weight >= 0
+    giving the atom mass ``weight / den``; colliding atoms are merged.  On
+    a finite measurable space ``base``, ``points`` is its carrier, and an
+    atom outside it is rejected; without a base, ``points`` are the atoms
+    of positive mass in the ``repr`` order of their labels.  ``weights``
+    puts weight i on ``points[i-1]``.  Equality and hashing are exact; the
+    hash and the ``repr``, the sort key of a measure on measures, are made
+    once.
     """
 
-    _atoms = _weights = _repr = _hash = None
+    _weights = _repr = _hash = None
 
     def __init__(self, support, base=None, den=1):
         if den < 1:
             raise ValueError("den must be a positive integer")
         merged: dict = {}
         for atom, w in support:
-            try:
-                if w < 0:
-                    raise NotAMeasure(f"negative weight {Fraction(w, den)}")
-            except TypeError:
-                raise TypeError(f"atom {atom!r}: weight {w!r} is not an int "
-                                f"or a Fraction") from None
+            if not isinstance(w, (int, Fraction)):
+                raise TypeError(f"atom {atom!r}: weight {w!r} is not an int or a Fraction")
+            if w < 0:
+                raise NotAMeasure(f"negative weight {Fraction(w, den)}")
             if w:
                 merged[atom] = merged.get(atom, 0) + w
-        if len(merged) > 1:
+        if base is None and len(merged) > 1:
             merged = {a: merged[a] for a in sorted(merged, key=repr)}
         try:
-            weights = PartitionOfOne(dict(enumerate(merged.values(), start=1)),
-                                     den=den)
+            weights = PartitionOfOne(dict(enumerate(merged.values(), start=1)), den)
         except ValueError as exc:
             raise NotAMeasure(str(exc)) from None
-        except TypeError as exc:  # it names the weight by index, not by atom
-            atom = next(a for a, w in merged.items() if not isinstance(w, (int, Fraction)))
-            raise TypeError(f"atom {atom!r}: {exc}") from None
-        self.base = base
-        self.den = weights.den
+        self.base, self.den = base, weights.den
         if base is None:
-            self._atoms, self._weights = tuple(merged), weights
+            self.points, self.vec = tuple(merged), tuple(weights.parts.values())
+            self._weights = weights
             return
         vec = [0] * len(base.carrier)
         for atom, p in zip(merged, weights.parts.values()):
@@ -97,7 +89,7 @@ class ProbMeasure:
             if i is None:
                 raise NotAMeasure(f"atom {atom!r} is not a point of the base")
             vec[i] = p
-        self.vec = tuple(vec)
+        self.points, self.vec = base.carrier, tuple(vec)
 
     @classmethod
     def on_base(cls, base, vec, den) -> "ProbMeasure":
@@ -109,38 +101,27 @@ class ProbMeasure:
         if g > 1:
             vec = [p // g for p in vec]
             den //= g
-        P.base, P.den, P.vec = base, den, tuple(vec)
+        P.base, P.points, P.den, P.vec = base, base.carrier, den, tuple(vec)
         return P
 
     @property
     def atoms(self) -> tuple:
         """The points of positive mass, in the ``repr`` order of their labels."""
-        if self._atoms is None:
-            vec, carrier = self.vec, self.base.carrier
-            self._atoms = tuple(carrier[i] for i in self.base.repr_order if vec[i])
-        return self._atoms
+        return tuple(a for a, _ in self._listing())
 
-    @property
-    def parts(self) -> tuple:
-        """The integer parts of the atoms over ``den``, in atom order."""
+    def _listing(self) -> tuple:
+        """``(atom, part)`` of each point of positive mass, in atom order."""
+        points, vec = self.points, self.vec
         if self.base is None:
-            return tuple(self._weights.parts.values())
-        vec = self.vec
-        return tuple(vec[i] for i in self.base.repr_order if vec[i])
+            return tuple(zip(points, vec))
+        return tuple((points[i], vec[i]) for i in self.base.repr_order if vec[i])
 
     @property
     def weights(self) -> PartitionOfOne:
-        """The masses as one finite partition of one, weight i on ``atoms[i-1]``."""
+        """The masses as one finite partition of one, weight i on ``points[i-1]``."""
         if self._weights is None:
-            self._weights = PartitionOfOne(dict(enumerate(self.parts, start=1)),
-                                           den=self.den)
+            self._weights = PartitionOfOne(dict(enumerate(self.vec, start=1)), self.den)
         return self._weights
-
-    @property
-    def support(self) -> tuple:
-        """The ``(atom, Fraction)`` pairs, in atom order."""
-        den = self.den
-        return tuple(zip(self.atoms, (Fraction(p, den) for p in self.parts)))
 
     def measure_of(self, mask: int) -> ExtReal:
         """Probability of a measurable set of the base, given as its
@@ -156,42 +137,40 @@ class ProbMeasure:
             return NotImplemented
         if self.den != other.den:
             return False
-        a, b = self.base, other.base
-        if a is not None and b is not None and (a is b or a.carrier == b.carrier):
+        # over one list of distinct points, the parts are the measure
+        if self.points is other.points or self.points == other.points:
             return self.vec == other.vec
-        return self.atoms == other.atoms and self.parts == other.parts
+        return self._listing() == other._listing()
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.atoms, self.parts))
+            self._hash = hash(self._listing())
         return self._hash
 
+    def _masses(self) -> list:
+        """``(atom, mass)`` pairs in atom order, each mass as printed."""
+        return [(a, ExtReal.ratio(p, self.den).to_json()) for a, p in self._listing()]
+
     def to_json_obj(self) -> dict:
-        return {
-            "atoms": [{"atom": describe(a), "weight": str(w)} for a, w in self.support]
-        }
+        return {"atoms": [{"atom": describe(a), "weight": w} for a, w in self._masses()]}
 
     def __repr__(self):
         if self._repr is None:
-            inner = " + ".join(f"{w}*d[{a!r}]" for a, w in self.support)
+            inner = " + ".join(f"{w}*d[{a!r}]" for a, w in self._masses())
             self._repr = f"ProbMeasure({inner})"
         return self._repr
 
 
 class LazyMeasure:
-    """A countably supported measure given by a lazy partition of one and
-    an atom generator ``atoms(i)``; used where a finite list cannot
-    represent the support (geometric mixtures)."""
+    """A countably supported measure: weight i of the lazy partition
+    ``weights`` on the point ``points(i)``; used where a finite list
+    cannot represent the support (geometric mixtures)."""
 
-    def __init__(self, weights: PartitionOfOne, atoms, base=None):
+    def __init__(self, weights: LazyPartition, points):
         if weights.is_finite:
             raise ValueError("use ProbMeasure for finite support")
         self.weights = weights
-        self.atoms = atoms
-        self.base = base
-
-    def __repr__(self):
-        return "LazyMeasure(lazy weights)"
+        self.points = points
 
 
 def dirac(x, base=None) -> ProbMeasure:
@@ -199,16 +178,16 @@ def dirac(x, base=None) -> ProbMeasure:
     return ProbMeasure([(x, 1)], base=base)
 
 
-def mixture(omega: PartitionOfOne, measures, base=None):
+def mixture(omega: PartitionOfOne | LazyPartition, measures, base=None):
     """The convex mixture of measures with weights from a partition of
-    one.  Measures on one base mix as an integer matrix-vector product of
-    their vectors, other finite supports are merged exactly, and a lazy
-    partition over Dirac measures yields a lazy countably supported
-    measure."""
+    one.  Measures on one base, ``base`` if given, mix as an integer
+    matrix-vector product of their vectors, other finite supports are
+    merged exactly, and a lazy partition over Dirac measures yields a lazy
+    countably supported measure."""
     if omega.is_finite:
         ms = list(terms(measures, omega.parts))
         bases = [m.base for m in ms if m.base is not None]
-        X = bases[0] if bases else base
+        X = bases[0] if base is None and bases else base
         for b in bases:  # equal spaces are one base, even when built apart
             if b is not X and b != X:
                 raise BaseMismatch("mixture components live on different bases")
@@ -227,38 +206,38 @@ def mixture(omega: PartitionOfOne, measures, base=None):
             vec = [sum(map(mul, factors, column)) for column in zip(*[m.vec for m in ms])]
             return ProbMeasure.on_base(X, vec, den)
         support = [(a, f * p) for f, m in zip(factors, ms)
-                   for a, p in zip(m.atoms, m.parts)]
+                   for a, p in zip(m.points, m.vec)]
         return ProbMeasure(support, base=X, den=den)
 
-    def atom(m):
-        if not isinstance(m, ProbMeasure) or len(m.atoms) != 1:
+    def point(m):  # a Dirac measure, and only one, has den 1
+        if not isinstance(m, ProbMeasure) or m.den != 1:
             raise UnsupportedRepresentation(
                 "lazy mixtures are represented only over Dirac measures"
             )
-        return m.atoms[0]
+        return m.points[m.vec.index(1)]
 
-    return LazyMeasure(omega, map_terms(atom, measures), base=base)
+    return LazyMeasure(omega, map_terms(point, measures))
 
 
 def pushforward(P: ProbMeasure, m) -> ProbMeasure:
     """Transport atom weights through a map, merging collisions exactly."""
-    return ProbMeasure(zip(map(m, P.atoms), P.parts), den=P.den)
+    return ProbMeasure([(m(x), p) for x, p in zip(P.points, P.vec) if p], den=P.den)
 
 
 def integrate(P, f, **certificates) -> ExtReal:
     """The integral of an extended-real-valued map against a measure:
-    exact on finite support (read from the vector of a measure on a
-    base), certified enclosure or infinity on lazy support."""
-    if isinstance(P, ProbMeasure) and P.base is not None:
-        return weighted_sum([(p, f(x)) for p, x in zip(P.vec, P.base.carrier) if p], P.den)
-    return countable_combine(P.weights, map_terms(f, P.atoms), **certificates)
+    exact on finite support, certified enclosure or infinity on lazy
+    support."""
+    if isinstance(P, ProbMeasure):
+        return weighted_sum([(p, f(x)) for p, x in zip(P.vec, P.points) if p], P.den)
+    return countable_combine(P.weights, map_terms(f, P.points), **certificates)
 
 
 def barycenter(A: SuperConvexSpace, P, **certificates):
-    """The counit at A: A's combine of P's atoms with P's weights.  The
+    """The counit at A: A's combine of P's points with P's weights.  The
     ``naturality-epsilon`` law checks that affine maps carry it to the
     barycenter of the pushforward."""
-    return A.combine(P.weights, P.atoms, **certificates)
+    return A.combine(P.weights, P.points, **certificates)
 
 
 class GirySpace(SuperConvexSpace):
@@ -270,9 +249,13 @@ class GirySpace(SuperConvexSpace):
         self.name = f"G({{{','.join(str(x) for x in X.carrier)}}})"
 
     def contains(self, P) -> bool:
+        """Exactly what ``combine`` takes: a measure on X or on a space equal
+        to X, or one without a base whose atoms are points of X."""
         if not isinstance(P, ProbMeasure):
             return False
-        return all(a in self.X.index for a in P.atoms)
+        if P.base is None:
+            return all(a in self.X.index for a in P.points)
+        return P.base is self.X or P.base == self.X
 
     def eq(self, P, Q) -> bool:
         return P == Q
@@ -294,10 +277,10 @@ def monad_mu(Q: ProbMeasure) -> ProbMeasure:
     """Flatten a measure on measures: the barycenter of Q inside the space
     of measures, i.e. the weighted mixture of its atom measures, which
     must share one base."""
-    for m in Q.atoms:
+    for m in Q.points:
         if not isinstance(m, ProbMeasure):
             raise BaseMismatch("monad_mu needs a measure whose atoms are measures")
-    return mixture(Q.weights, Q.atoms)
+    return mixture(Q.weights, Q.points)
 
 
 def evaluation(a):

@@ -45,6 +45,7 @@ from .numerics import (
     DEFAULT_TOLERANCE,
     ExtReal,
     INF,
+    LazyPartition,
     PartitionOfOne,
     as_ext,
     countable_combine,
@@ -129,11 +130,8 @@ class ReversedWeightsSpace(IntervalSpace):
         self.name = "mutant-reversed-weights"
 
     def combine(self, omega, seq, **certificates):
-        items = omega.items()
-        weights = [w for _, w in items]
-        values = [as_ext(term(seq, i)) for i, _ in items]
-        omega_rev = PartitionOfOne.finite(list(reversed(weights)))
-        return countable_combine(omega_rev, values)
+        reversed_parts = dict(zip(omega.parts, reversed(omega.parts.values())))
+        return countable_combine(PartitionOfOne(reversed_parts, omega.den), seq)
 
 
 def square_map(closed: IntervalSpace) -> CountablyAffineMap:
@@ -298,7 +296,7 @@ def demo_half_cauchy(n_values) -> list[dict]:
 def demo_open_interval(depth: int = 50) -> ExtReal:
     """Certified enclosure of the geometric mixture of the points 1/(i+1)
     inside the open unit interval: sum_i 2^-i/(i+1) = 2 ln 2 - 1."""
-    omega = PartitionOfOne.geometric()
+    omega = LazyPartition.geometric()
     return countable_combine(
         omega, lambda i: Fraction(1, i + 1), n_max=depth, bound=1
     )
@@ -321,13 +319,9 @@ def affine_endomap_family(ext: IntervalSpace):
 
 def _sample_unit_measure(rng: random.Random, space) -> ProbMeasure:
     k = draw_int(rng, 1, 6)
-    atoms = []
-    seen = set()
+    atoms: dict = {}  # k distinct points, in the order drawn
     while len(atoms) < k:
-        a = space.sample(rng)
-        if a not in seen:
-            seen.add(a)
-            atoms.append(a)
+        atoms[space.sample(rng)] = None
     part = random_partition(rng, len(atoms))
     return ProbMeasure(zip(atoms, part.parts.values()), den=part.den)
 
@@ -383,15 +377,15 @@ def _countable_additivity_case(rng):
     rescaled_terms = []
     for w, b in zip(weights, blocks):
         chi = indicator(X, b)
-        rescaled_terms.append(J(lambda x, w=w, chi=chi: scale(1 / w, chi(x))))
+        rescaled_terms.append(J(lambda x, r=1 / w, chi=chi: scale(r, chi(x))))
     via_rescaling = countable_combine(
         PartitionOfOne.finite(weights), rescaled_terms
     )
-    direct = sum((J(indicator(X, b)).value for b in blocks), Fraction(0))
-    if lhs == via_rescaling and lhs.value == direct:
+    direct = weighted_sum(((1, J(indicator(X, b))) for b in blocks), 1)
+    if lhs == via_rescaling and lhs == direct:
         return None
     return {"lhs": describe(lhs), "via_rescaling": describe(via_rescaling),
-            "direct_sum": str(direct), "blocks": [X.set_of(b) for b in blocks]}
+            "direct_sum": direct.to_json(), "blocks": [X.set_of(b) for b in blocks]}
 
 
 def _monad_laws_case(rng):

@@ -2,11 +2,13 @@
 countable partitions of one.
 
 Finite values are exact rationals held as reduced pairs of ints; the
-single added point ``inf`` compares above every finite value.  Countable
-convex combinations follow limit-or-infinity semantics.  A lazy sum is
-decided by a tail bound B (a rational enclosure) or by scanning partial
-sums past a threshold (``inf`` by heuristic); anything else raises
-``Undecided``.
+single added point ``inf`` compares above every finite value.  A finite
+partition of one is a ``PartitionOfOne``: integer parts over one
+denominator.  A countable one is a ``LazyPartition``: a weight generator
+with a tail bound.  Countable convex combinations follow
+limit-or-infinity semantics; a lazy sum is decided by a tail bound B (a
+rational enclosure) or by scanning partial sums past a threshold (``inf``
+by heuristic); anything else raises ``Undecided``.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ class ExtReal:
     def __init__(self, value: Rational | None, enclosure: Enclosure | None = None):
         if value is None or type(value) is int:
             self.num, self.den = value, 1
+        elif type(value) is float and not math.isfinite(value):
+            raise ValueError(f"{value!r} is not a rational; inf is ExtReal(None)")
         else:
             q = value if isinstance(value, Fraction) else Fraction(value)
             self.num, self.den = q.numerator, q.denominator
@@ -136,15 +140,16 @@ INF = ExtReal(None)
 
 
 def as_ext(x) -> ExtReal:
-    """Coerce ints, Fractions and float('inf') to ExtReal."""
+    """Coerce ints, Fractions and floats to ExtReal, float('inf') to INF;
+    NaN and -inf, like every other non-point, give NotImplemented."""
     if isinstance(x, ExtReal):
         return x
     if isinstance(x, (int, Fraction)):
         return ExtReal(x)
     if isinstance(x, float):
-        if x == float("inf"):
+        if x == math.inf:
             return INF
-        return ExtReal(Fraction(x))
+        return ExtReal(Fraction(x)) if math.isfinite(x) else NotImplemented
     return NotImplemented
 
 
@@ -156,8 +161,11 @@ def ext_eq(u, v, tolerance: Rational = 0) -> bool:
     """Equality on extended reals; exact values compare exactly, values
     carrying a nondegenerate enclosure compare within ``tolerance``, and
     two disjoint enclosures hold different values, however close.  An
-    exact value is the enclosure [v, v]."""
-    u, v = as_ext(u), as_ext(v)
+    exact value is the enclosure [v, v].  A non-point is a ValueError."""
+    x, y = as_ext(u), as_ext(v)
+    if x is NotImplemented or y is NotImplemented:
+        raise ValueError(f"{u if x is NotImplemented else v!r} is not an extended real")
+    u, v = x, y
     if u.num is None or v.num is None:
         return u.num is None and v.num is None
     if u.is_exact and v.is_exact:
@@ -170,130 +178,105 @@ def ext_eq(u, v, tolerance: Rational = 0) -> bool:
 
 def scale(s: Rational, u: ExtReal) -> ExtReal:
     """Positive-scalar multiple on the extended reals; 0 * finite = 0."""
-    s = Fraction(s)
-    if s < 0:
+    a, b = s.as_integer_ratio()
+    if a < 0:
         raise ValueError("scale factor must be nonnegative")
     u = as_ext(u)
     if u.is_inf:
-        if s == 0:
+        if a == 0:
             raise ValueError("0 * inf is undefined")
         return INF
-    return ExtReal.ratio(s.numerator * u.num, s.denominator * u.den)
+    return ExtReal.ratio(a * u.num, b * u.den)
 
 
 class PartitionOfOne:
-    """A countable sequence of weights in [0,1] summing to one.
+    """A finite sequence of weights in [0,1] summing to one.
 
-    Finite support stores nonnegative integer ``parts`` indexed from 1, in
-    increasing index order, over one total ``den``: weight i is
-    ``parts[i] / den``.  Zero parts are dropped and the parts are reduced
-    by their gcd with ``den``, so equal partitions have equal parts.  Lazy
-    support stores a weight generator together with a certified tail-mass
-    bound per truncation depth.
+    Stores nonnegative integer ``parts`` indexed from 1, in increasing
+    index order, over one total ``den``: weight i is ``parts[i] / den``.
+    Zero parts are dropped and the parts are reduced by their gcd with
+    ``den``, so equal partitions have equal parts.
     """
 
-    __slots__ = ("parts", "den", "weight_fn", "tail_fn")
+    __slots__ = ("parts", "den")
+    is_finite = True
 
-    def __init__(
-        self,
-        weights: dict[int, Rational] | None = None,
-        den: int = 1,
-        weight_fn: Callable[[int], Fraction] | None = None,
-        tail_fn: Callable[[int], Fraction] | None = None,
-    ):
-        """Finite support: weight i is ``weights[i] / den``, each weight an
-        int or a Fraction.  Lazy support: ``weight_fn`` and ``tail_fn``."""
-        if weights is not None:
-            if den < 1:
-                raise ValueError("den must be a positive integer")
-            items = sorted(weights.items())
-            if items and items[0][0] < 1:
-                raise ValueError("indices start at 1")
-            parts = dict(items)
-            try:
-                g = math.gcd(den, *parts.values())
-            except TypeError:
-                # not all ints: rescale by the lcm of the denominators
-                for i, w in items:
-                    if not isinstance(w, (int, Fraction)):
-                        raise TypeError(f"weight {i} is {w!r}, not an int or a Fraction")
-                scale = math.lcm(*[w.denominator for _, w in items])
-                parts = {i: w.numerator * (scale // w.denominator) for i, w in items}
-                den *= scale
-                g = math.gcd(den, *parts.values())
-            values = parts.values()
-            if parts and (low := min(values)) < 0:
-                raise ValueError(f"weight {Fraction(low, den)} outside [0, 1]")
-            if sum(values) != den:
-                raise ValueError("weights must sum to 1")
-            if g > 1 or 0 in values:
-                parts = {i: p // g for i, p in parts.items() if p}
-                den //= g
-            self.parts = parts
-            self.den = den
-            self.weight_fn = None
-            self.tail_fn = None
-        else:
-            if weight_fn is None or tail_fn is None:
-                raise ValueError("lazy partition needs weight_fn and tail_fn")
-            self.parts = None
-            self.den = None
-            self.weight_fn = weight_fn
-            self.tail_fn = tail_fn
+    def __init__(self, weights: dict[int, Rational], den: int = 1):
+        """Weight i is ``weights[i] / den``, each weight an int or a Fraction."""
+        if den < 1:
+            raise ValueError("den must be a positive integer")
+        items = sorted(weights.items())
+        if items and items[0][0] < 1:
+            raise ValueError("indices start at 1")
+        parts = dict(items)
+        try:
+            g = math.gcd(den, *parts.values())
+        except TypeError:
+            # not all ints: rescale by the lcm of the denominators
+            for i, w in items:
+                if not isinstance(w, (int, Fraction)):
+                    raise TypeError(f"weight {i} is {w!r}, not an int or a Fraction")
+            scale = math.lcm(*[w.denominator for _, w in items])
+            parts = {i: w.numerator * (scale // w.denominator) for i, w in items}
+            den *= scale
+            g = math.gcd(den, *parts.values())
+        values = parts.values()
+        if parts and (low := min(values)) < 0:
+            raise ValueError(f"weight {Fraction(low, den)} outside [0, 1]")
+        if sum(values) != den:
+            raise ValueError("weights must sum to 1")
+        if g > 1 or 0 in values:
+            parts = {i: p // g for i, p in parts.items() if p}
+            den //= g
+        self.parts = parts
+        self.den = den
 
     @classmethod
-    def finite(cls, weights: Iterable[Rational] | dict[int, Rational]) -> "PartitionOfOne":
-        """The finite partition with the given weights, as a dict by index
-        or a sequence indexed from 1."""
-        if not isinstance(weights, dict):
-            weights = dict(enumerate(weights, start=1))
-        return cls(weights)
-
-    @classmethod
-    def geometric(cls) -> "PartitionOfOne":
-        """Weights 1/2^i with exact tail mass 1/2^N after depth N."""
-        return cls(
-            weight_fn=lambda i: Fraction(1, 2**i),
-            tail_fn=lambda n: Fraction(1, 2**n),
-        )
-
-    @property
-    def is_finite(self) -> bool:
-        return self.parts is not None
-
-    def weight(self, i: int) -> Fraction:
-        if self.is_finite:
-            return Fraction(self.parts.get(i, 0), self.den)
-        return Fraction(self.weight_fn(i))
-
-    def tail_mass(self, n: int) -> Fraction:
-        """Certified bound on the mass beyond index n."""
-        if self.is_finite:
-            return Fraction(sum(p for i, p in self.parts.items() if i > n), self.den)
-        return Fraction(self.tail_fn(n))
+    def finite(cls, weights: Iterable[Rational]) -> "PartitionOfOne":
+        """The partition with the given weights, indexed from 1."""
+        return cls(dict(enumerate(weights, start=1)))
 
     def items(self):
-        if not self.is_finite:
-            raise UnsupportedRepresentation("lazy partition has no finite item list")
         return [(i, Fraction(p, self.den)) for i, p in self.parts.items()]
 
     def __eq__(self, other):
         if not isinstance(other, PartitionOfOne):
             return NotImplemented
-        if self.is_finite and other.is_finite:
-            return self.den == other.den and self.parts == other.parts
-        return self is other
+        return self.den == other.den and self.parts == other.parts
 
     def __hash__(self):
-        if self.is_finite:
-            return hash((tuple(self.parts.items()), self.den))
-        return id(self)
+        return hash((tuple(self.parts.items()), self.den))
 
     def __repr__(self):
-        if self.is_finite:
-            inner = ", ".join(f"{i}: {w}" for i, w in self.items())
-            return f"PartitionOfOne({{{inner}}})"
-        return "PartitionOfOne(lazy)"
+        inner = ", ".join(f"{i}: {w}" for i, w in self.items())
+        return f"PartitionOfOne({{{inner}}})"
+
+
+class LazyPartition:
+    """A countable sequence of weights in [0,1] summing to one, given by a
+    generator ``weight_fn(i)`` together with ``tail_fn(n)``, a certified
+    bound on the mass beyond index n.  Two lazy partitions are equal only
+    when they are the same object."""
+
+    __slots__ = ("weight_fn", "tail_fn")
+    is_finite = False
+
+    def __init__(self, weight_fn: Callable[[int], Fraction],
+                 tail_fn: Callable[[int], Fraction]):
+        self.weight_fn = weight_fn
+        self.tail_fn = tail_fn
+
+    @classmethod
+    def geometric(cls) -> "LazyPartition":
+        """Weights 1/2^i with exact tail mass 1/2^N after depth N."""
+        return cls(lambda i: Fraction(1, 2**i), lambda n: Fraction(1, 2**n))
+
+    def weight(self, i: int) -> Fraction:
+        return Fraction(self.weight_fn(i))
+
+    def tail_mass(self, n: int) -> Fraction:
+        """Certified bound on the mass beyond index n."""
+        return Fraction(self.tail_fn(n))
 
 
 def dirac_partition(j: int) -> PartitionOfOne:
@@ -329,7 +312,7 @@ def map_terms(fn, seq):
 
 
 def countable_combine(
-    omega: PartitionOfOne,
+    omega: PartitionOfOne | LazyPartition,
     u,
     n_max: int = DEFAULT_N_MAX,
     bound: Rational | None = None,
@@ -340,10 +323,10 @@ def countable_combine(
     reals.
 
     ``u`` is a sequence (1-indexed via position) or a callable on indices.
-    Finite support is summed exactly, in one pass of integer products
+    A finite ``PartitionOfOne`` is summed exactly, in one pass of integer products
     over a running common denominator; any strictly positive weight on an
-    infinite value forces the result to infinity.  Lazy support needs a
-    certificate: ``bound`` B (all tail values satisfy |u_i| <= B) yields a
+    infinite value forces the result to infinity.  A ``LazyPartition``
+    needs a certificate: ``bound`` B (all tail values satisfy |u_i| <= B) yields a
     value with enclosure width <= 2*B*tail(N), and every scanned term is
     checked against B (ValueError if one exceeds it).  ``within`` (lo, hi)
     adds that every term lies in [lo, hi], as the combine contract of a

@@ -14,6 +14,7 @@ from .numerics import (
     DEFAULT_TOLERANCE,
     ExtReal,
     INF,
+    LazyPartition,
     PartitionOfOne,
     as_ext,
     compose_partitions,
@@ -49,7 +50,7 @@ class SuperConvexSpace:
     def eq(self, x, y) -> bool:
         raise NotImplementedError
 
-    def combine(self, omega: PartitionOfOne, seq, **certificates):
+    def combine(self, omega: PartitionOfOne | LazyPartition, seq, **certificates):
         raise NotImplementedError
 
     def sample(self, rng: random.Random):
@@ -215,7 +216,8 @@ class FunctionSpace:
             (m.target for m in self.maps), IntervalSpace("ext_real_line")
         )
 
-    def combine(self, omega: PartitionOfOne, maps=None) -> CountablyAffineMap:
+    def combine(self, omega: PartitionOfOne | LazyPartition,
+                maps=None) -> CountablyAffineMap:
         maps = self.maps if maps is None else list(maps)
 
         def fn(x):

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -30,12 +31,14 @@ from girycheck.numerics import (
     INF,
     Enclosure,
     ExtReal,
+    LazyPartition,
     PartitionOfOne,
     UnsupportedRepresentation,
     as_ext,
     compose_partitions,
     countable_combine,
     draw_int,
+    map_terms,
     random_partition,
 )
 from girycheck.reports import run_per_seed
@@ -89,7 +92,7 @@ class TestProbMeasure:
         assert str(info.value) == message
 
     def test_a_float_weight_is_a_type_error(self):
-        with pytest.raises(TypeError, match="weight 1 is 0.5"):
+        with pytest.raises(TypeError, match="weight 0.5 is not an int"):
             ProbMeasure([("a", 0.5), ("b", 0.5)])
 
     @pytest.mark.parametrize("support, atom, weight", [
@@ -110,7 +113,7 @@ class TestProbMeasure:
 
     def test_weights_over_den(self):
         P = ProbMeasure([("b", 2), ("a", 1), ("b", 3)], den=6)
-        assert P.support == (("a", F(1, 6)), ("b", F(5, 6)))
+        assert (P.points, P.vec, P.den) == (("a", "b"), (1, 5), 6)
         assert P == ProbMeasure([("a", F(1, 6)), ("b", F(5, 6))])
         assert P.atoms == ("a", "b")
         assert (P.weights.parts, P.weights.den) == ({1: 1, 2: 5}, 6)
@@ -119,8 +122,8 @@ class TestProbMeasure:
 
     def test_collisions_merge_exactly(self):
         P = ProbMeasure([("a", F(1, 3)), ("a", F(1, 3)), ("b", F(1, 3))])
-        assert P.support == (("a", F(2, 3)), ("b", F(1, 3)))
-        assert len(P.support) == 2
+        assert (P.points, P.vec, P.den) == (("a", "b"), (2, 1), 3)
+        assert len(P.atoms) == 2
 
     def test_measure_of_regions(self, X):
         P = uniform(["a", "b"], base=X)
@@ -162,11 +165,11 @@ class TestMixture:
         assert got == uniform(["x", "y"])
 
     def test_geometric_mixture_of_diracs_is_lazy(self):
-        geo = PartitionOfOne.geometric()
+        geo = LazyPartition.geometric()
         got = mixture(geo, lambda i: dirac(F(1, i + 1)))
         assert isinstance(got, LazyMeasure)
         assert got.weights.weight(3) == F(1, 8)
-        assert got.atoms(3) == F(1, 4)
+        assert got.points(3) == F(1, 4)
 
     def test_base_mismatch(self):
         X1 = FiniteMeasurableSpace.powerset(["a"])
@@ -186,9 +189,9 @@ class TestMixture:
         assert monad_mu(Q) == got
 
     def test_lazy_mixture_of_nondiracs_rejected(self):
-        geo = PartitionOfOne.geometric()
+        geo = LazyPartition.geometric()
         with pytest.raises(UnsupportedRepresentation):
-            mixture(geo, lambda i: uniform(["a", "b"])).atoms(1)
+            mixture(geo, lambda i: uniform(["a", "b"])).points(1)
 
 
 class TestPushforward:
@@ -203,8 +206,8 @@ class TestPushforward:
         P = uniform([0, 1, 2, 3])
         got = pushforward(P, lambda x: x % 2)
         # oracle: sum the weights over each parity preimage directly
-        evens = sum(w for a, w in P.support if a % 2 == 0)
-        odds = sum(w for a, w in P.support if a % 2 == 1)
+        evens = sum(F(p, P.den) for a, p in zip(P.points, P.vec) if a % 2 == 0)
+        odds = sum(F(p, P.den) for a, p in zip(P.points, P.vec) if a % 2 == 1)
         assert got == ProbMeasure([(0, evens), (1, odds)])
 
 
@@ -219,7 +222,7 @@ class TestIntegrate:
         assert integrate(P, indicator(X, u)) == ExtReal(F(2, 3))
 
     def test_divergent_lazy_integral(self):
-        geo = PartitionOfOne.geometric()
+        geo = LazyPartition.geometric()
         P = LazyMeasure(geo, lambda i: ExtReal(i * 2**i))
         assert integrate(P, lambda x: x, n_max=100, threshold=1000) == INF
 
@@ -237,7 +240,7 @@ class TestBarycenter:
 
     def test_open_interval_geometric(self):
         open_unit = IntervalSpace("open_unit")
-        geo = PartitionOfOne.geometric()
+        geo = LazyPartition.geometric()
         P = LazyMeasure(geo, lambda i: F(1, i + 1))
         got = barycenter(open_unit, P, n_max=50, bound=1)
         assert open_unit.contains(got)
@@ -247,7 +250,7 @@ class TestBarycenter:
 
     def test_product_of_geometric_mixture_of_diracs(self, closed):
         prod = ProductSpace([closed, closed])
-        geo = PartitionOfOne.geometric()
+        geo = LazyPartition.geometric()
         point = lambda i: (ExtReal(F(1, i + 1)), ExtReal(F(1, 2)))
         got = barycenter(prod, mixture(geo, lambda i: dirac(point(i))), n_max=30, bound=1)
         for k in (0, 1):
@@ -495,6 +498,13 @@ def test_phi_inverse_matches_fraction_reference(case):
 # component weight, merged per atom.
 
 
+def ref_parts(support):
+    """The atoms, integer parts and reduced den of ``(atom, Fraction)``
+    pairs that sum to one: the den is the lcm of the denominators."""
+    den = math.lcm(*(w.denominator for _, w in support))
+    return tuple(a for a, _ in support), tuple(int(w * den) for _, w in support), den
+
+
 def ref_mixture_support(omega, components):
     merged = {}
     for w_i, comp in zip(omega, components):
@@ -526,7 +536,7 @@ def components():
 def test_mixture_weights_match_fraction_reference(case):
     omega, comps = case
     got = mixture(PartitionOfOne.finite(omega), [ProbMeasure(c) for c in comps])
-    assert got.support == ref_mixture_support(omega, comps)
+    assert (got.points, got.vec, got.den) == ref_parts(ref_mixture_support(omega, comps))
     assert got == ProbMeasure(ref_mixture_support(omega, comps))
 
 
@@ -565,7 +575,8 @@ def test_measure_matches_fraction_reference(case):
     X = FiniteMeasurableSpace.powerset(ATOMS)
     P = ProbMeasure(pairs, base=X)
     ref = ref_support(pairs)
-    assert P.support == ref
+    atoms, parts, den = ref_parts(ref)
+    assert P.den == den and P.vec == tuple(dict(zip(atoms, parts)).get(x, 0) for x in ATOMS)
     assert P.atoms == tuple(a for a, _ in ref)
     drawn = sorted({a for a, _ in pairs}, key=repr)
     for k in range(len(drawn) + 1):
@@ -626,7 +637,7 @@ def test_list_and_callable_terms_agree(case):
 def test_a_cached_repr_is_a_fresh_repr(pairs, other):
     # the repr is made once, so it must be the one the measure would print
     def fresh(P):
-        inner = " + ".join(f"{w}*d[{a!r}]" for a, w in P.support)
+        inner = " + ".join(f"{F(p, P.den)}*d[{a!r}]" for a, p in zip(P.points, P.vec))
         return f"ProbMeasure({inner})"
 
     P, Q = ProbMeasure(pairs), ProbMeasure(other)
@@ -659,17 +670,17 @@ def ref_mix(weights, refs):
 
 
 def ref_listing(ref):
-    """atoms, support, to_json_obj and repr, as the measure must give them."""
-    atoms = tuple(sorted(ref, key=repr))
-    support = tuple((a, ref[a]) for a in atoms)
+    """atoms, den, to_json_obj and repr, as the measure must give them."""
+    support = tuple((a, ref[a]) for a in sorted(ref, key=repr))
+    atoms, _, den = ref_parts(support)
     inner = " + ".join(f"{w}*d[{a!r}]" for a, w in support)
-    return (atoms, support,
+    return (atoms, den,
             {"atoms": [{"atom": repr(a), "weight": str(w)} for a, w in support]},
             f"ProbMeasure({inner})")
 
 
 def listing(P):
-    return P.atoms, P.support, P.to_json_obj(), repr(P)
+    return P.atoms, P.den, P.to_json_obj(), repr(P)
 
 
 @st.composite
@@ -748,7 +759,7 @@ def test_vector_measure_messages_are_the_atom_list_messages():
         ([("x2", 3), ("x10", -1)], 4, NotAMeasure, "negative weight -1/4"),
         ([("x2", F(1, 2)), ("x10", F(1, 4))], 1, NotAMeasure, "weights must sum to 1"),
         ([("x10", F(1, 2)), ("x2", 0.5)], 1, TypeError,
-         "atom 'x2': weight 2 is 0.5, not an int or a Fraction"),
+         "atom 'x2': weight 0.5 is not an int or a Fraction"),
         ([("x10", None), ("x2", 1)], 1, TypeError,
          "atom 'x10': weight None is not an int or a Fraction"),
     ]
@@ -771,6 +782,55 @@ def test_an_atom_outside_the_base_is_rejected():
     half = PartitionOfOne.finite([F(1, 2), F(1, 2)])
     with pytest.raises(NotAMeasure, match="'z'"):
         GirySpace(X).combine(half, [dirac("a", base=X), dirac("z")])
+
+
+def test_giry_space_contains_exactly_what_it_combines():
+    # a measure on another carrier order is not a point of G(X): combine
+    # rejects it, alone or beside a point of G(X)
+    X = FiniteMeasurableSpace.powerset(["a", "b"])
+    GX = GirySpace(X)
+    one, half = PartitionOfOne.finite([1]), PartitionOfOne.finite([F(1, 2), F(1, 2)])
+    members = [dirac("a", base=X), dirac("a", base=FiniteMeasurableSpace.powerset(["a", "b"])),
+               uniform(["a", "b"])]
+    strangers = [dirac("a", base=FiniteMeasurableSpace.powerset(["b", "a"])),
+                 dirac("a", base=FiniteMeasurableSpace.trivial(["a", "b"])), dirac("z")]
+    for Q in members:
+        assert GX.contains(Q)
+        assert GX.combine(one, [Q]) == Q and GX.combine(half, [Q, dirac("b", base=X)]).base is X
+    for Q in strangers:
+        assert not GX.contains(Q)
+        for omega, seq in [(one, [Q]), (half, [Q, dirac("b", base=X)])]:
+            with pytest.raises((BaseMismatch, NotAMeasure)):
+                GX.combine(omega, seq)
+    assert not GX.contains("a")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_measure_is_points_and_weights(data):
+    # a measure on a shuffled base of ExtReals, the same measure without a
+    # base, and a lazy measure: each integrates as the countable
+    # combination of its weights over f of its points, and the based and
+    # the unbased measure have one barycenter
+    n = data.draw(st.integers(1, 10))
+    carrier = data.draw(st.permutations([ExtReal(F(k, n)) for k in range(n + 1)]))
+    parts = data.draw(st.lists(st.integers(0, 9), min_size=n + 1, max_size=n + 1)
+                      .filter(any))
+    pairs = list(zip(carrier, parts))
+    X = FiniteMeasurableSpace.powerset(carrier)
+    based, unbased = ProbMeasure(pairs, base=X, den=sum(parts)), ProbMeasure(pairs, den=sum(parts))
+    k = data.draw(st.integers(1, 5))
+    lazy = mixture(LazyPartition.geometric(), lambda i: dirac(ExtReal(F(1, i + k))))
+    closed = IntervalSpace("closed_unit")
+    slope = data.draw(st.fractions(0, 1, max_denominator=16))
+    f = affine_map(closed, closed, data.draw(st.fractions(0, 1 - slope, max_denominator=16)),
+                   slope)
+    certificates = {"n_max": 30, "bound": 1}
+    for P in (based, unbased, lazy):
+        want = countable_combine(P.weights, map_terms(f, P.points), **certificates)
+        got = integrate(P, f, **certificates)
+        assert (got.num, got.den, repr(got)) == (want.num, want.den, repr(want))
+    assert barycenter(closed, based) == barycenter(closed, unbased) == integrate(based, as_ext)
 
 
 def old_giry_sample(X, rng):

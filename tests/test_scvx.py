@@ -10,6 +10,7 @@ from girycheck.numerics import (
     INF,
     Enclosure,
     ExtReal,
+    LazyPartition,
     PartitionOfOne,
     dirac_partition,
 )
@@ -60,12 +61,19 @@ def ext():
 
 
 class TestIntervalSpaces:
+    @pytest.mark.parametrize("kind", IntervalSpace.KINDS)
+    def test_nan_and_minus_infinity_are_not_members(self, kind):
+        space = IntervalSpace(kind)
+        # as for any other non-point, membership is False, not an error
+        assert not space.contains(float("nan")) and not space.contains(float("-inf"))
+        assert not space.contains("1/2") and space.contains(0.5)
+
     def test_closed_unit_midpoint(self, closed):
         half = PartitionOfOne.finite([F(1, 2), F(1, 2)])
         assert closed.combine(half, [0, 1]) == ExtReal(F(1, 2))
 
     def test_open_unit_geometric_enclosure(self, open_unit):
-        geo = PartitionOfOne.geometric()
+        geo = LazyPartition.geometric()
         got = open_unit.combine(
             geo, lambda i: F(1, i + 1), n_max=50, bound=1
         )
@@ -78,21 +86,21 @@ class TestIntervalSpaces:
     def test_closed_unit_countable_combination_of_zeros(self, closed):
         # a bound enclosure of +-B*tail around 0 dipped below [0,1]; the
         # unscanned terms are points of [0,1], so the tail adds at least 0
-        got = closed.combine(PartitionOfOne.geometric(), lambda i: ExtReal(0),
+        got = closed.combine(LazyPartition.geometric(), lambda i: ExtReal(0),
                              n_max=50, bound=1)
         assert got.enclosure.lower == 0
         assert got.enclosure.upper == F(1, 2**50)
         assert closed.contains(got)
 
     def test_closed_unit_countable_combination_of_one(self, closed):
-        got = closed.combine(PartitionOfOne.geometric(), lambda i: ExtReal(1),
+        got = closed.combine(LazyPartition.geometric(), lambda i: ExtReal(1),
                              n_max=50, bound=1)
         assert got.enclosure.upper == 1
         assert closed.contains(got)
 
     def test_open_unit_countable_combination_near_zero(self, open_unit):
         # the true value 2^-60 lies in (0,1), but -B*tail reached below 0
-        got = open_unit.combine(PartitionOfOne.geometric(),
+        got = open_unit.combine(LazyPartition.geometric(),
                                 lambda i: ExtReal(F(1, 2**60)), n_max=50, bound=1)
         assert got.enclosure.lower > 0
         assert got.enclosure.lower <= F(1, 2**60) <= got.enclosure.upper
@@ -100,7 +108,7 @@ class TestIntervalSpaces:
 
     def test_open_unit_countable_combination_near_one(self, open_unit):
         near_one = 1 - F(1, 2**60)
-        got = open_unit.combine(PartitionOfOne.geometric(),
+        got = open_unit.combine(LazyPartition.geometric(),
                                 lambda i: ExtReal(near_one), n_max=50, bound=1)
         assert got.enclosure.upper < 1
         assert got.enclosure.lower <= near_one <= got.enclosure.upper
@@ -108,7 +116,7 @@ class TestIntervalSpaces:
 
     def test_closed_unit_still_rejects_negative_terms(self, closed):
         with pytest.raises(CarrierViolation):
-            closed.combine(PartitionOfOne.geometric(), lambda i: ExtReal(F(-1, 2)),
+            closed.combine(LazyPartition.geometric(), lambda i: ExtReal(F(-1, 2)),
                            n_max=50, bound=1)
 
     def test_ext_real_absorbs_infinity(self, ext):
@@ -155,7 +163,7 @@ class TestProductSpace:
         with pytest.raises(ArityMismatch):
             prod.combine(dirac_partition(1), [(ExtReal(0),)])
         with pytest.raises(ArityMismatch):
-            prod.combine(PartitionOfOne.geometric(), lambda i: (ExtReal(0),),
+            prod.combine(LazyPartition.geometric(), lambda i: (ExtReal(0),),
                          n_max=5, bound=1)
 
     def test_projections_are_morphisms(self, closed):
@@ -165,7 +173,7 @@ class TestProductSpace:
 
     def test_countable_combine_is_componentwise(self, closed):
         prod = ProductSpace([closed, closed])
-        geo = PartitionOfOne.geometric()
+        geo = LazyPartition.geometric()
         seq = lambda i: (ExtReal(F(1, i + 1)), ExtReal(F(1, 2)))
         got = prod.combine(geo, seq, n_max=30, bound=1)
         for k in (0, 1):
