@@ -98,17 +98,12 @@ def cmd_demo(args) -> int:
             print(f"exceeds divergence threshold {DEFAULT_DIVERGENCE_THRESHOLD}")
         return EXIT_OK
     if args.name == "half-cauchy":
-        try:
-            rows = demo_half_cauchy(args.n_list or [1, 10, 100, 10**4])
-        except OverflowError:
-            print("demo error: --n-list values must fit in a float", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        print(f"{'N':>10}  {'closed form':>14}  {'quadrature':>14}")
-        for row in rows:
+        print(f"{'N':>10}  {'closed form':>14}  {'lower bound':>14}")
+        for row in demo_half_cauchy(args.n_list or [1, 10, 100, 10**4]):
             print(f"{row['N']:>10}  {row['closed_form']:>14.8f}  "
-                  f"{row['quadrature']:>14.8f}")
-        print("the truncated expectation grows without bound: no barycenter "
-              "exists on the half-line")
+                  f"{str(row['lower_bound']):>14}")
+        print("the exact lower bound 7 floor(log2 N)/44 grows without bound: "
+              "no barycenter exists on the half-line")
         return EXIT_OK
     result = demo_open_interval(depth=args.depth)
     enc = result.enclosure
@@ -347,15 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print per-suite wall time and cases/s, the "
                              "worker count and the run's wall time to stderr")
 
-    p_demo = sub.add_parser("demo", help="run a counterexample demo")
-    p_demo.add_argument("name", choices=("half-cauchy", "divergent-sum",
-                                         "open-interval"))
-    p_demo.add_argument("--n", type=_int_arg(1), default=100,
-                        help="truncation for divergent-sum")
-    p_demo.add_argument("--n-list", type=_int_arg(1), nargs="*", default=None,
-                        help="truncations for half-cauchy")
-    p_demo.add_argument("--depth", type=_int_arg(0), default=50,
-                        help="enclosure depth for open-interval")
+    demos = sub.add_parser("demo", help="run a counterexample demo").add_subparsers(
+        dest="name", required=True)
+    demos.add_parser("half-cauchy", help="truncated expectation bounds").add_argument(
+        "--n-list", type=_int_arg(1), nargs="*", default=None, help="truncations")
+    demos.add_parser("divergent-sum", help="exact partial sum").add_argument(
+        "--n", type=_int_arg(1), default=100, help="truncation")
+    demos.add_parser("open-interval", help="certified enclosure").add_argument(
+        "--depth", type=_int_arg(0), default=50, help="enclosure depth")
 
     p_scn = sub.add_parser("scenario", parents=[checks],
                            help="check user-declared objects")

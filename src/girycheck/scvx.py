@@ -184,23 +184,25 @@ def constant_map(source: SuperConvexSpace, target: SuperConvexSpace,
 
 def affine_map(source: SuperConvexSpace, target: SuperConvexSpace,
                offset, slope, name: str | None = None) -> CountablyAffineMap:
-    """x |-> offset + slope * x on extended-real carriers, slope >= 0.
-    Infinity maps to infinity whenever the slope is strictly positive."""
-    offset = Fraction(offset)
-    slope = Fraction(slope)
-    if slope < 0:
-        raise ValueError("slope must be nonnegative to respect the added point")
-    (a, b), (c, d) = offset.as_integer_ratio(), slope.as_integer_ratio()
+    """x |-> offset + slope * x on extended-real carriers, slope >= 0, for
+    a finite int, Fraction, float or ExtReal offset and slope.  Infinity
+    maps to infinity whenever the slope is strictly positive."""
+    offset, slope = as_ext(offset), as_ext(slope)
+    (a, b), (c, d) = (offset.num, offset.den), (slope.num, slope.den)
+    if a is None or c is None or c < 0:
+        raise ValueError("offset must be finite, and slope finite and nonnegative "
+                         "to respect the added point")
 
     def fn(x):
         x = as_ext(x)
         if x.num is None:
-            return ExtReal(offset) if slope == 0 else INF
+            return offset if c == 0 else INF
         # a/b + c/d * num/den as one ratio of ints
         return ExtReal.ratio(a * d * x.den + c * b * x.num, b * d * x.den)
 
     return CountablyAffineMap(
-        source, target, fn, name=name or f"affine({offset}+{slope}x)"
+        source, target, fn,
+        name=name or f"affine({offset.to_json()}+{slope.to_json()}x)"
     )
 
 

@@ -137,6 +137,17 @@ class TestDemoCommand:
         assert code == 0
         assert "0.22063560" in out
 
+    @pytest.mark.parametrize("n", [10**200, 10**309], ids=["1e200", "1e309"])
+    def test_half_cauchy_at_a_huge_n_prints_a_bound_below_the_closed_form(self, n, capsys):
+        # a float quadrature read 0 at 10**200 and overflowed at 10**309
+        code, out, _ = run(["demo", "half-cauchy", "--n-list", "1", str(n)], capsys)
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[1:-1]]
+        assert [int(N) for N, _, _ in rows] == [1, n]
+        for N, closed, bound in rows:
+            assert Fraction(bound) == Fraction(7 * (int(N).bit_length() - 1), 44)
+            assert Fraction(bound) <= float(closed)
+
     def test_open_interval(self, capsys):
         code, out, _ = run(["demo", "open-interval", "--depth", "50"], capsys)
         assert code == 0
@@ -152,6 +163,17 @@ class TestDemoCommand:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["demo", "divergent-sum", "--n", "3", "--depth", "5", "--n-list", "7", "8"],
+        ["demo", "open-interval", "--n", "0"],
+        ["demo", "half-cauchy", "--depth", "3"],
+    ])
+    def test_a_flag_of_another_demo_is_rejected_by_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --" in capsys.readouterr().err
 
     def test_unknown_demo_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,10 +10,15 @@ itself; a method, when an ``ast.Attribute`` spells it there outside the
 method's own body.  A re-export in ``__init__.py`` or a call from a test
 does not count.  The guard matches names, not bindings: a method is
 reached when any attribute of that name is read, on any object.
+
+Nor a dependency that a user must install: the package imports only the
+standard library and itself, and ``pyproject.toml`` declares no runtime
+dependency.
 """
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -100,3 +105,28 @@ def test_every_method_is_named_as_an_attribute():
     unreached = [label for label, fn in methods
                  if spelled[fn.name] <= _attributes(fn)[fn.name]]
     assert unreached == []
+
+
+def _imported_modules(tree) -> set:
+    """The absolute module names that ``tree`` imports, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+def test_the_package_imports_only_the_standard_library():
+    allowed = sys.stdlib_module_names | {PACKAGE.name}
+    outside = sorted(f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+                     for name in _imported_modules(ast.parse(path.read_text()))
+                     if name.split(".")[0] not in allowed)
+    assert outside == []
+
+
+def test_no_runtime_dependency_is_declared():
+    project = PYPROJECT.read_text().split("[project]\n", 1)[1].split("\n[", 1)[0]
+    declared = re.search(r"^dependencies\s*=\s*\[([^\]]*)\]", project, re.M)
+    assert declared is None or declared.group(1).strip() == ""

@@ -290,6 +290,7 @@ class TestFunctionSpace:
 def test_affine_map_matches_the_fraction_formula(offset, slope, x, enclosed):
     ext = IntervalSpace("ext_real_line")
     m = affine_map(ext, ext, offset, slope)
+    assert m.name == f"affine({offset}+{slope}x)"
     if x is None:
         want = ExtReal(offset) if slope == 0 else INF
         assert m(INF) == want and m(float("inf")) == want
