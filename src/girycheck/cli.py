@@ -93,7 +93,7 @@ def cmd_demo(args) -> int:
 
     if args.name == "divergent-sum":
         value = demo_divergent_sum(args.n)
-        print(f"sum_(i<=N) (1/2^i)(i*2^i) at N={args.n}: {value}")
+        print(f"sum_(i<=N) (1/2^i)(i*2^i) at N={args.n}: {_long_str(value)}")
         if value > DEFAULT_DIVERGENCE_THRESHOLD:
             print(f"exceeds divergence threshold {DEFAULT_DIVERGENCE_THRESHOLD}")
         return EXIT_OK
@@ -153,7 +153,7 @@ def _rational(value, where: str) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
-        raise ScenarioError(f"{where}: {value!r} is not a rational")
+        raise ScenarioError(f"{where}: {value!r} is not a rational{_digit_limit_note()}")
 
 
 def _load_scenario(path: str) -> dict:
@@ -300,6 +300,32 @@ def _rational_arg(text: str) -> Fraction:
             f"expected a rational such as 1/1000 or 1e-3, got {text!r}")
 
 
+def _int_str_limit() -> int:
+    """Python's limit on the digits of an int converted from or to a
+    decimal string; 0 where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _digit_limit_note() -> str:
+    """The clause that names the limit of ``_int_str_limit``, if any."""
+    limit = _int_str_limit()
+    return f" (integers of at most {limit} digits)" if limit else ""
+
+
+def _long_str(value) -> str:
+    """``str(value)`` for an int or Fraction, past the limit of
+    ``_int_str_limit`` too: a sum n(n+1)/2 has up to twice the digits of
+    an n that the limit let ``int`` read."""
+    limit = _int_str_limit()
+    if not limit:
+        return str(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _int_arg(minimum: int):
     def parse(text: str) -> int:
         try:
@@ -308,7 +334,7 @@ def _int_arg(minimum: int):
             value = None
         if value is None or value < minimum:
             raise argparse.ArgumentTypeError(
-                f"expected an integer >= {minimum}, got {text!r}")
+                f"expected an integer >= {minimum}{_digit_limit_note()}, got {text!r}")
         return value
     return parse
 

@@ -28,6 +28,7 @@ from .numerics import (
     UnsupportedRepresentation,
     as_ext,
     countable_combine,
+    draw_indices,
     draw_int,
     draw_parts,
     map_terms,
@@ -56,7 +57,9 @@ class ProbMeasure:
     of positive mass in the ``repr`` order of their labels.  ``weights``
     puts weight i on ``points[i-1]``.  Equality and hashing are exact; the
     hash and the ``repr``, the sort key of a measure on measures, are made
-    once.
+    once.  The constructor checks outside input; ``on_base`` and
+    ``of_atoms`` build from int parts that are valid by construction, and
+    the constructor ends in the build of one of them.
     """
 
     _weights = _repr = _hash = None
@@ -72,24 +75,21 @@ class ProbMeasure:
                 raise NotAMeasure(f"negative weight {Fraction(w, den)}")
             if w:
                 merged[atom] = merged.get(atom, 0) + w
-        if base is None and len(merged) > 1:
-            merged = {a: merged[a] for a in sorted(merged, key=repr)}
         try:
             weights = PartitionOfOne(dict(enumerate(merged.values(), start=1)), den)
         except ValueError as exc:
             raise NotAMeasure(str(exc)) from None
-        self.base, self.den = base, weights.den
+        parts = weights.parts.values()
         if base is None:
-            self.points, self.vec = tuple(merged), tuple(weights.parts.values())
-            self._weights = weights
+            self._store_atoms(zip(merged, parts), weights.den)
             return
         vec = [0] * len(base.carrier)
-        for atom, p in zip(merged, weights.parts.values()):
+        for atom, p in zip(merged, parts):
             i = base.index.get(atom)
             if i is None:
                 raise NotAMeasure(f"atom {atom!r} is not a point of the base")
             vec[i] = p
-        self.points, self.vec = base.carrier, tuple(vec)
+        self._store_vec(base, vec, weights.den)
 
     @classmethod
     def on_base(cls, base, vec, den) -> "ProbMeasure":
@@ -97,12 +97,40 @@ class ProbMeasure:
         ``base.carrier[i]``.  The caller guarantees nonnegative int parts
         that sum to ``den``; they are reduced by their gcd."""
         P = cls.__new__(cls)
+        P._store_vec(base, vec, den)
+        return P
+
+    @classmethod
+    def of_atoms(cls, pairs, den) -> "ProbMeasure":
+        """The measure without a base with mass ``p / den`` at the atom of
+        each ``(atom, p)`` pair.  The caller guarantees int parts p >= 0
+        that sum to ``den``; colliding atoms are merged, the atoms of
+        positive mass listed in the ``repr`` order of their labels, and the
+        parts reduced by their gcd."""
+        P = cls.__new__(cls)
+        P._store_atoms(pairs, den)
+        return P
+
+    def _store_vec(self, base, vec, den):
         g = math.gcd(den, *vec)
         if g > 1:
             vec = [p // g for p in vec]
             den //= g
-        P.base, P.points, P.den, P.vec = base, base.carrier, den, tuple(vec)
-        return P
+        self.base, self.points, self.den, self.vec = base, base.carrier, den, tuple(vec)
+
+    def _store_atoms(self, pairs, den):
+        merged: dict = {}
+        for atom, p in pairs:
+            if p:
+                merged[atom] = merged.get(atom, 0) + p
+        if len(merged) > 1:
+            merged = {a: merged[a] for a in sorted(merged, key=repr)}
+        parts = merged.values()
+        g = math.gcd(den, *parts)
+        if g > 1:
+            parts = [p // g for p in parts]
+            den //= g
+        self.base, self.points, self.den, self.vec = None, tuple(merged), den, tuple(parts)
 
     @property
     def atoms(self) -> tuple:
@@ -120,7 +148,9 @@ class ProbMeasure:
     def weights(self) -> PartitionOfOne:
         """The masses as one finite partition of one, weight i on ``points[i-1]``."""
         if self._weights is None:
-            self._weights = PartitionOfOne(dict(enumerate(self.vec, start=1)), self.den)
+            if sum(self.vec) != self.den:
+                raise ValueError("weights must sum to 1")
+            self._weights = PartitionOfOne.of_parts(dict(enumerate(self.vec, start=1)))
         return self._weights
 
     def measure_of(self, mask: int) -> ExtReal:
@@ -174,8 +204,16 @@ class LazyMeasure:
 
 
 def dirac(x, base=None) -> ProbMeasure:
-    """The unit: the point mass at x."""
-    return ProbMeasure([(x, 1)], base=base)
+    """The unit: the point mass at x, which must be a point of ``base``
+    when one is given."""
+    if base is None:
+        return ProbMeasure.of_atoms([(x, 1)], 1)
+    i = base.index.get(x)
+    if i is None:
+        raise NotAMeasure(f"atom {x!r} is not a point of the base")
+    vec = [0] * len(base.carrier)
+    vec[i] = 1
+    return ProbMeasure.on_base(base, vec, 1)
 
 
 def mixture(omega: PartitionOfOne | LazyPartition, measures, base=None):
@@ -207,7 +245,11 @@ def mixture(omega: PartitionOfOne | LazyPartition, measures, base=None):
             return ProbMeasure.on_base(X, vec, den)
         support = [(a, f * p) for f, m in zip(factors, ms)
                    for a, p in zip(m.points, m.vec)]
-        return ProbMeasure(support, base=X, den=den)
+        if X is not None:  # an atom of a measure without a base may miss X
+            return ProbMeasure(support, base=X, den=den)
+        if sum(p for _, p in support) != den:
+            raise NotAMeasure("weights must sum to 1")
+        return ProbMeasure.of_atoms(support, den)
 
     def point(m):  # a Dirac measure, and only one, has den 1
         if not isinstance(m, ProbMeasure) or m.den != 1:
@@ -221,7 +263,7 @@ def mixture(omega: PartitionOfOne | LazyPartition, measures, base=None):
 
 def pushforward(P: ProbMeasure, m) -> ProbMeasure:
     """Transport atom weights through a map, merging collisions exactly."""
-    return ProbMeasure([(m(x), p) for x, p in zip(P.points, P.vec) if p], den=P.den)
+    return ProbMeasure.of_atoms([(m(x), p) for x, p in zip(P.points, P.vec) if p], P.den)
 
 
 def integrate(P, f, **certificates) -> ExtReal:
@@ -268,7 +310,7 @@ class GirySpace(SuperConvexSpace):
         n = len(self.X.carrier)
         vec = [0] * n
         k = draw_int(rng, 1, n)
-        for i, p in zip(rng.sample(range(n), k), draw_parts(rng, k)):
+        for i, p in zip(draw_indices(rng, n, k), draw_parts(rng, k)):
             vec[i] = p
         return ProbMeasure.on_base(self.X, vec, sum(vec))
 

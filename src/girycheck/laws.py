@@ -50,6 +50,7 @@ from .numerics import (
     as_ext,
     countable_combine,
     draw_int,
+    draw_parts,
     random_partition,
     scale,
     term,
@@ -320,13 +321,20 @@ def _sample_unit_measure(rng: random.Random, space) -> ProbMeasure:
     atoms: dict = {}  # k distinct points, in the order drawn
     while len(atoms) < k:
         atoms[space.sample(rng)] = None
-    part = random_partition(rng, len(atoms))
-    return ProbMeasure(zip(atoms, part.parts.values()), den=part.den)
+    parts = draw_parts(rng, k)  # the draws of random_partition(rng, k)
+    return ProbMeasure.of_atoms(zip(atoms, parts), sum(parts))
 
 
-def _random_powerset_space(rng: random.Random, max_points: int) -> FiniteMeasurableSpace:
-    n = draw_int(rng, 2, max_points)
-    return FiniteMeasurableSpace.powerset([f"x{i}" for i in range(1, n + 1)])
+def _powerset_girys(max_points: int) -> list:
+    """G(X) of the powerset X on x1..xn at index n, for 2 <= n <=
+    max_points: the spaces a seeded case draws from by size."""
+    return [None, None] + [
+        GirySpace(FiniteMeasurableSpace.powerset([f"x{i}" for i in range(1, n + 1)]))
+        for n in range(2, max_points + 1)]
+
+
+def _random_giry(rng: random.Random, girys: list, max_points: int) -> GirySpace:
+    return girys[draw_int(rng, 2, max_points)]
 
 
 def _random_affine_map(rng, source, target, max_eighths: int):
@@ -336,8 +344,8 @@ def _random_affine_map(rng, source, target, max_eighths: int):
     return affine_map(source, target, ExtReal.ratio(o * (8 - s), 64), ExtReal.ratio(s, 8))
 
 
-def _triangle_case(closed, rng):
-    GX = GirySpace(_random_powerset_space(rng, 4))
+def _triangle_case(closed, girys, rng):
+    GX = _random_giry(rng, girys, 4)
     return check_triangle(GX.sample(rng), closed, closed.sample(rng))
 
 
@@ -346,13 +354,13 @@ def _naturality_epsilon_case(closed, rng):
     return check_naturality_epsilon(m, _sample_unit_measure(rng, closed))
 
 
-def _phi_roundtrip_case(rng):
-    return check_phi_roundtrip(GirySpace(_random_powerset_space(rng, 8)).sample(rng))
+def _phi_roundtrip_case(girys, rng):
+    return check_phi_roundtrip(_random_giry(rng, girys, 8).sample(rng))
 
 
-def _countable_additivity_case(rng):
-    X = _random_powerset_space(rng, 8)
-    GX = GirySpace(X)
+def _countable_additivity_case(girys, rng):
+    GX = _random_giry(rng, girys, 8)
+    X = GX.X
     P = GX.sample(rng)
     J = phi(P)
     n = len(X.carrier)
@@ -385,18 +393,17 @@ def _countable_additivity_case(rng):
             "direct_sum": direct.to_json(), "blocks": [X.set_of(b) for b in blocks]}
 
 
-def _monad_laws_case(rng):
-    X = _random_powerset_space(rng, 4)
-    GX = GirySpace(X)
+def _monad_laws_case(girys, rng):
+    GX = _random_giry(rng, girys, 4)
+    X = GX.X
     P = GX.sample(rng)
     left_unit = monad_mu(dirac(P)) == P
     right_unit = monad_mu(pushforward(P, lambda x: dirac(x, base=X))) == P
 
     # a measure on measures on measures, flattened both ways
     def rand_measure(sample):
-        k = draw_int(rng, 1, 3)
-        part = random_partition(rng, k)
-        return ProbMeasure([(sample(), p) for p in part.parts.values()], den=part.den)
+        parts = draw_parts(rng, draw_int(rng, 1, 3))
+        return ProbMeasure.of_atoms([(sample(), p) for p in parts], sum(parts))
 
     T = rand_measure(lambda: rand_measure(partial(GX.sample, rng)))
     assoc = monad_mu(pushforward(T, monad_mu)) == monad_mu(monad_mu(T))
@@ -424,8 +431,8 @@ def _gp_naturality_case(closed, ext, family, rng):
     return check_generalized_point_naturality(J, m, family)
 
 
-def _recovery_case(rng):
-    X = _random_powerset_space(rng, 6)
+def _recovery_case(girys, rng):
+    X = _random_giry(rng, girys, 6).X
     maps = [lambda P, u=u: P.measure_of(u) for u in X.atoms]
     a = X.carrier[draw_int(rng, 0, len(X.carrier) - 1)]
     carrier_points = [dirac(x, base=X) for x in X.carrier]
@@ -459,7 +466,8 @@ def build_suites(cfg: HarnessConfig,
     over shipped instances built once from cfg."""
     spaces = shipped_spaces(cfg)
     closed, ext = spaces["closed-unit"], spaces["ext-real"]
-    X4 = FiniteMeasurableSpace.powerset(["x1", "x2", "x3", "x4"])
+    X4 = spaces["giry4"].X
+    girys = _powerset_girys(8)
     suites: dict[str, Callable[[], LawReport]] = {}
 
     def seeded(name, instance, case):
@@ -471,16 +479,17 @@ def build_suites(cfg: HarnessConfig,
     for key, m in shipped_maps(spaces).items():
         seeded(f"morphism-{key}", m.name, partial(check_morphism, m))
 
-    seeded("triangle", "G(X) and [0,1]", partial(_triangle_case, closed))
+    seeded("triangle", "G(X) and [0,1]", partial(_triangle_case, closed, girys))
     seeded("naturality-epsilon", "[0,1] affine maps",
            partial(_naturality_epsilon_case, closed))
-    seeded("phi-roundtrip", "finite X <= 8 points", _phi_roundtrip_case)
-    seeded("countable-additivity", "disjoint families <= 8", _countable_additivity_case)
-    seeded("monad-laws", "finite X <= 4 points", _monad_laws_case)
+    seeded("phi-roundtrip", "finite X <= 8 points", partial(_phi_roundtrip_case, girys))
+    seeded("countable-additivity", "disjoint families <= 8",
+           partial(_countable_additivity_case, girys))
+    seeded("monad-laws", "finite X <= 4 points", partial(_monad_laws_case, girys))
     seeded("image-property", "shipped instances", partial(_image_property_case, spaces))
     seeded("gp-naturality", "point- and measure-backed J",
            partial(_gp_naturality_case, closed, ext, affine_endomap_family(ext)))
-    seeded("recovery", "Dirac simplex vertices, |X| <= 6", _recovery_case)
+    seeded("recovery", "Dirac simplex vertices, |X| <= 6", partial(_recovery_case, girys))
     seeded("sigma-agreement", repr(X4), partial(check_sigma_agreement, X4))
 
     if include_mutants:

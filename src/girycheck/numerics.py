@@ -195,7 +195,9 @@ class PartitionOfOne:
     Stores nonnegative integer ``parts`` indexed from 1, in increasing
     index order, over one total ``den``: weight i is ``parts[i] / den``.
     Zero parts are dropped and the parts are reduced by their gcd with
-    ``den``, so equal partitions have equal parts.
+    ``den``, so equal partitions have equal parts.  The constructor checks
+    outside input; ``of_parts`` builds from int parts that are valid by
+    construction, and both end in the same reduction.
     """
 
     __slots__ = ("parts", "den")
@@ -225,7 +227,21 @@ class PartitionOfOne:
             raise ValueError(f"weight {Fraction(low, den)} outside [0, 1]")
         if sum(values) != den:
             raise ValueError("weights must sum to 1")
-        if g > 1 or 0 in values:
+        self._store(parts, den, g)
+
+    @classmethod
+    def of_parts(cls, parts: dict[int, int]) -> "PartitionOfOne":
+        """Weight i is ``parts[i]`` over the sum of the parts.  The caller
+        guarantees int parts >= 0 with a positive sum, at indices >= 1 in
+        increasing order; zero parts are dropped and the parts reduced by
+        their gcd."""
+        omega = cls.__new__(cls)
+        den = sum(parts.values())
+        omega._store(parts, den, math.gcd(den, *parts.values()))
+        return omega
+
+    def _store(self, parts: dict[int, int], den: int, g: int):
+        if g > 1 or 0 in parts.values():
             parts = {i: p // g for i, p in parts.items() if p}
             den //= g
         self.parts = parts
@@ -283,7 +299,7 @@ def dirac_partition(j: int) -> PartitionOfOne:
     """The partition with all weight at index j."""
     if j < 1:
         raise ValueError("index must be >= 1")
-    return PartitionOfOne({j: 1})
+    return PartitionOfOne.of_parts({j: 1})
 
 
 def term(seq, i: int):
@@ -403,7 +419,8 @@ def compose_partitions(alpha: PartitionOfOne, betas) -> PartitionOfOne:
     ``betas`` is a sequence (1-indexed via position) or callable of
     finite-support partitions.  Exact composition is only defined for
     finite supports; it is an integer matrix-vector product over the lcm
-    of the betas' totals.
+    of the betas' totals, and its parts must sum to that total times
+    alpha's.
     """
     if not alpha.is_finite:
         raise UnsupportedRepresentation("compose_partitions needs finite support")
@@ -418,7 +435,9 @@ def compose_partitions(alpha: PartitionOfOne, betas) -> PartitionOfOne:
         f = ai * (scale // beta_i.den)
         for j, bij in beta_i.parts.items():
             gamma[j] = gamma.get(j, 0) + f * bij
-    return PartitionOfOne(gamma, den=alpha.den * scale)
+    if sum(gamma.values()) != alpha.den * scale:
+        raise ValueError("weights must sum to 1")
+    return PartitionOfOne.of_parts(dict(sorted(gamma.items())))
 
 
 def draw_int(rng, lo: int, hi: int) -> int:
@@ -448,11 +467,33 @@ def draw_parts(rng, k: int) -> list[int]:
     return parts
 
 
+def draw_indices(rng, n: int, k: int) -> list[int]:
+    """``rng.sample(range(n), k)`` of the ``random.Random`` ``rng``, drawn
+    as it draws, by ``draw_int``: for a small n, k swaps in a pool of the
+    indices not yet drawn; else k draws from all n, each drawn again while
+    already taken."""
+    if not 0 <= k <= n:
+        raise ValueError("sample larger than population or is negative")
+    setsize = 21  # random.sample's size of a small set minus an empty list
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool, drawn = list(range(n)), []
+        for last in range(n - 1, n - k - 1, -1):
+            j = draw_int(rng, 0, last)
+            drawn.append(pool[j])
+            pool[j] = pool[last]
+        return drawn
+    drawn = {}
+    while len(drawn) < k:
+        drawn[draw_int(rng, 0, n - 1)] = None
+    return list(drawn)
+
+
 def random_partition(rng, support_size: int) -> PartitionOfOne:
     """A random finite-support partition drawn from the generator ``rng``
     (a ``random.Random``): a random integer composition of
     ``support_size`` parts drawn by ``draw_parts``, normalized exactly."""
     if support_size < 1:
         raise ValueError("support_size must be >= 1")
-    parts = draw_parts(rng, support_size)
-    return PartitionOfOne(dict(enumerate(parts, start=1)), den=sum(parts))
+    return PartitionOfOne.of_parts(dict(enumerate(draw_parts(rng, support_size), start=1)))

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import re
@@ -132,6 +133,18 @@ class TestDemoCommand:
         assert f"N={n}: {n * (n + 1) // 2}" in out
         assert "exceeds divergence threshold" in out
 
+    @pytest.mark.parametrize("digits", [2200, 4300], ids=["2200-digits", "4300-digits"])
+    def test_divergent_sum_prints_a_sum_longer_than_the_int_to_str_limit(self, digits,
+                                                                        capsys):
+        # n(n+1)/2 has about twice the digits of n: past Python's
+        # int-to-str limit, printing it raised and the command crashed
+        n = 10**digits - 1
+        code, out, err = run(["demo", "divergent-sum", "--n", "9" * digits], capsys)
+        assert (code, err) == (0, "")
+        text = out.splitlines()[0].rpartition(": ")[2]
+        with _no_int_str_limit():
+            assert text == str(n * (n + 1) // 2)
+
     def test_half_cauchy(self, capsys):
         code, out, _ = run(["demo", "half-cauchy", "--n-list", "1"], capsys)
         assert code == 0
@@ -179,6 +192,41 @@ class TestDemoCommand:
         with pytest.raises(SystemExit) as exc:
             main(["demo", "frobnicate"])
         assert exc.value.code == 2
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python reads ints of any length")
+class TestIntegerDigitLimit:
+    # an integer longer than Python's int-to-str limit is refused by
+    # int(), and the messages read as if it were no integer at all
+    def test_an_int_argument_past_the_limit_names_the_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "divergent-sum", "--n", "1" * (limit + 1)])
+        assert exc.value.code == 2
+        assert f"at most {limit} digits" in capsys.readouterr().err
+
+    def test_a_weight_past_the_limit_names_the_limit(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        doc = json.loads(json.dumps(GOOD_SCENARIO))
+        doc["measures"]["P"]["atoms"][0]["weight"] = "1" * (limit + 1) + "/3"
+        code, _, err = run(["scenario", write_scenario(tmp_path, doc)], capsys)
+        assert code == 2
+        assert err.startswith("scenario error: measures.P.atoms[0].weight: ")
+        assert f"at most {limit} digits" in err
+
+
+@contextlib.contextmanager
+def _no_int_str_limit():
+    """Python's int-to-str digit limit lifted, where it has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestScenarioCommand:

@@ -833,6 +833,43 @@ def test_every_measure_is_points_and_weights(data):
     assert barycenter(closed, based) == barycenter(closed, unbased) == integrate(based, as_ext)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trusted_measure_builders_build_what_the_constructor_builds(data):
+    # the same int parts through of_atoms and the constructor without a
+    # base, and through on_base and the constructor on a base; colliding
+    # atoms, zero parts and a common factor included
+    X = data.draw(shuffled_bases())
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(X.carrier), st.integers(0, 9)),
+                               min_size=1, max_size=10).filter(lambda es: any(p for _, p in es)))
+    c = data.draw(st.integers(1, 4))
+    pairs = [(a, c * p) for a, p in pairs]
+    den = sum(p for _, p in pairs)
+    vec = [0] * len(X.carrier)
+    for a, p in pairs:
+        vec[X.index[a]] += p
+    for built, checked in [(ProbMeasure.of_atoms(pairs, den), ProbMeasure(pairs, den=den)),
+                           (ProbMeasure.on_base(X, vec, den),
+                            ProbMeasure(pairs, base=X, den=den))]:
+        assert built.base is checked.base
+        assert (built.points, built.vec, built.den) == (checked.points, checked.vec, checked.den)
+        assert hash(built) == hash(checked) and repr(built) == repr(checked)
+        # the weights, built from the parts, are the checked partition
+        weights = PartitionOfOne(dict(enumerate(checked.vec, start=1)), checked.den)
+        assert (built.weights.parts, built.weights.den) == (weights.parts, weights.den)
+        assert repr(built.weights) == repr(weights)
+
+
+def test_the_merged_mixture_and_the_weights_keep_their_sum_checks():
+    # a measure whose parts do not sum to its den, as only a broken
+    # promise to of_atoms can build
+    broken = ProbMeasure.of_atoms([("a", 1), ("b", 1)], 3)
+    with pytest.raises(ValueError, match="weights must sum to 1"):
+        broken.weights
+    with pytest.raises(NotAMeasure, match="weights must sum to 1"):
+        mixture(PartitionOfOne.finite([F(1, 2), F(1, 2)]), [dirac("a"), broken])
+
+
 def old_giry_sample(X, rng):
     """GirySpace.sample as it drew a measure before measures on a base
     were vectors: sampled atoms and a random partition of one."""

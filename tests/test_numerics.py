@@ -20,6 +20,7 @@ from girycheck.numerics import (
     compose_partitions,
     countable_combine,
     dirac_partition,
+    draw_indices,
     draw_int,
     draw_parts,
     ext_eq,
@@ -508,6 +509,48 @@ def test_draw_parts_draws_as_randint_does(seed, k):
     rng, twin = random.Random(seed), random.Random(seed)
     assert draw_parts(rng, k) == [twin.randint(1, 1000) for _ in range(k)]
     assert rng.getstate() == twin.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 120).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_draw_indices_draws_as_sample_does(seed, nk):
+    # both of random.sample's ways: a pool of the indices left for a small
+    # population, redraws of taken indices for a large one
+    n, k = nk
+    rng, twin = random.Random(seed), random.Random(seed)
+    assert draw_indices(rng, n, k) == twin.sample(range(n), k)
+    assert rng.getstate() == twin.getstate()
+
+
+def test_draw_indices_rejects_a_sample_larger_than_the_population():
+    with pytest.raises(ValueError, match="larger than population"):
+        draw_indices(random.Random(0), 3, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=10).filter(any), st.data())
+def test_of_parts_builds_what_the_constructor_builds(parts, data):
+    # int parts in index order, zero parts and gaps in the indices included
+    indices = sorted(data.draw(st.sets(st.integers(1, 40), min_size=len(parts),
+                                       max_size=len(parts))))
+    given_parts = dict(zip(indices, parts))
+    built = PartitionOfOne.of_parts(given_parts)
+    checked = PartitionOfOne(given_parts, den=sum(parts))
+    assert (built.parts, built.den) == (checked.parts, checked.den)
+    assert hash(built) == hash(checked) and repr(built) == repr(checked)
+    assert built == checked and list(built.parts) == sorted(built.parts)
+
+
+def test_compose_keeps_its_sum_check():
+    # a beta whose parts do not sum to its den; the composition would not
+    # be a partition of one
+    alpha = PartitionOfOne.finite([F(1, 2), F(1, 2)])
+    beta = PartitionOfOne.finite([F(1, 3), F(2, 3)])
+    broken = PartitionOfOne.finite([F(1, 3), F(2, 3)])
+    broken.parts = {1: 1, 2: 1}
+    with pytest.raises(ValueError, match="weights must sum to 1"):
+        compose_partitions(alpha, [beta, broken])
 
 
 # The int-pair ExtReal against Fraction, the type that held its value.
