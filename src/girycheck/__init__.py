@@ -43,7 +43,6 @@ from .meas import (
 from .giry import (
     BaseMismatch,
     GirySpace,
-    LazyMeasure,
     NotAMeasure,
     ProbMeasure,
     barycenter,

@@ -108,9 +108,9 @@ def cmd_demo(args) -> int:
     result = demo_open_interval(depth=args.depth)
     enc = result.enclosure
     print(f"geometric mixture of 1/(i+1) at depth {args.depth}:")
-    print(f"  value    {result.value} ~= {float(result):.10f}")
-    print(f"  enclosure [{enc.lower}, {enc.upper}] "
-          f"(width {enc.width} ~= {float(enc.width):.3e})")
+    print(f"  value    {_long_str(result.value)} ~= {float(result):.10f}")
+    print(f"  enclosure [{_long_str(enc.lower)}, {_long_str(enc.upper)}] "
+          f"(width {_long_str(enc.width)} ~= {float(enc.width):.3e})")
     if 0 < enc.lower and enc.upper < 1:
         print("  lies strictly inside (0,1); the limit is 2 ln 2 - 1")
     else:
@@ -315,7 +315,8 @@ def _digit_limit_note() -> str:
 def _long_str(value) -> str:
     """``str(value)`` for an int or Fraction, past the limit of
     ``_int_str_limit`` too: a sum n(n+1)/2 has up to twice the digits of
-    an n that the limit let ``int`` read."""
+    an n that the limit let ``int`` read, and a deep enclosure of the
+    open-interval demo has denominators of thousands of digits."""
     limit = _int_str_limit()
     if not limit:
         return str(value)

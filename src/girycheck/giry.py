@@ -2,10 +2,11 @@
 integration, the barycenter counit, monad multiplication, and the
 isomorphism between measures and the generalized points they induce.
 
-Measures are atomic with exact rational weights; a lazy geometric variant
-covers the countably supported demos.  The space of measures on a fixed
-finite measurable space is itself a super convex space and is checked
-against the same axioms as every other instance.  A generalized point
+Measures are finitely supported with exact rational weights; a countable
+combination of points is a space's ``combine`` over a lazy partition, not
+a measure.  The space of measures on a fixed finite measurable space is
+itself a super convex space and is checked against the same axioms as
+every other instance.  A generalized point
 is any callable J(m) that returns an ``ExtReal`` for a map m into the
 extended reals: ``evaluation(a)`` and ``phi(P)``.  The checkers of the
 triangle identities and of the measure/functional roundtrip live here,
@@ -23,15 +24,12 @@ from operator import mul
 from .meas import FiniteMeasurableSpace, indicator
 from .numerics import (
     ExtReal,
-    LazyPartition,
     PartitionOfOne,
     UnsupportedRepresentation,
     as_ext,
-    countable_combine,
     draw_indices,
     draw_int,
     draw_parts,
-    map_terms,
     terms,
     weighted_sum,
 )
@@ -58,8 +56,9 @@ class ProbMeasure:
     puts weight i on ``points[i-1]``.  Equality and hashing are exact; the
     hash and the ``repr``, the sort key of a measure on measures, are made
     once.  The constructor checks outside input; ``on_base`` and
-    ``of_atoms`` build from int parts that are valid by construction, and
-    the constructor ends in the build of one of them.
+    ``of_atoms`` build from int parts that are valid by construction,
+    ``den`` being their sum, and the constructor ends in the build of one
+    of them.
     """
 
     _weights = _repr = _hash = None
@@ -81,7 +80,7 @@ class ProbMeasure:
             raise NotAMeasure(str(exc)) from None
         parts = weights.parts.values()
         if base is None:
-            self._store_atoms(zip(merged, parts), weights.den)
+            self._store_atoms(zip(merged, parts))
             return
         vec = [0] * len(base.carrier)
         for atom, p in zip(merged, parts):
@@ -89,36 +88,35 @@ class ProbMeasure:
             if i is None:
                 raise NotAMeasure(f"atom {atom!r} is not a point of the base")
             vec[i] = p
-        self._store_vec(base, vec, weights.den)
+        self._store_vec(base, vec)
 
     @classmethod
-    def on_base(cls, base, vec, den) -> "ProbMeasure":
-        """The measure on ``base`` with mass ``vec[i] / den`` at
-        ``base.carrier[i]``.  The caller guarantees nonnegative int parts
-        that sum to ``den``; they are reduced by their gcd."""
+    def on_base(cls, base, vec) -> "ProbMeasure":
+        """The measure on ``base`` with mass ``vec[i] / sum(vec)`` at
+        ``base.carrier[i]``.  The caller guarantees nonnegative int parts,
+        not all zero; they are reduced by their gcd."""
         P = cls.__new__(cls)
-        P._store_vec(base, vec, den)
+        P._store_vec(base, vec)
         return P
 
     @classmethod
-    def of_atoms(cls, pairs, den) -> "ProbMeasure":
+    def of_atoms(cls, pairs) -> "ProbMeasure":
         """The measure without a base with mass ``p / den`` at the atom of
-        each ``(atom, p)`` pair.  The caller guarantees int parts p >= 0
-        that sum to ``den``; colliding atoms are merged, the atoms of
-        positive mass listed in the ``repr`` order of their labels, and the
-        parts reduced by their gcd."""
+        each ``(atom, p)`` pair, ``den`` being the sum of the p.  The caller
+        guarantees int parts p >= 0, not all zero; colliding atoms are
+        merged, the atoms of positive mass listed in the ``repr`` order of
+        their labels, and the parts reduced by their gcd."""
         P = cls.__new__(cls)
-        P._store_atoms(pairs, den)
+        P._store_atoms(pairs)
         return P
 
-    def _store_vec(self, base, vec, den):
-        g = math.gcd(den, *vec)
+    def _store_vec(self, base, vec):
+        g = math.gcd(*vec)
         if g > 1:
             vec = [p // g for p in vec]
-            den //= g
-        self.base, self.points, self.den, self.vec = base, base.carrier, den, tuple(vec)
+        self.base, self.points, self.den, self.vec = base, base.carrier, sum(vec), tuple(vec)
 
-    def _store_atoms(self, pairs, den):
+    def _store_atoms(self, pairs):
         merged: dict = {}
         for atom, p in pairs:
             if p:
@@ -126,11 +124,10 @@ class ProbMeasure:
         if len(merged) > 1:
             merged = {a: merged[a] for a in sorted(merged, key=repr)}
         parts = merged.values()
-        g = math.gcd(den, *parts)
+        g = math.gcd(*parts)
         if g > 1:
             parts = [p // g for p in parts]
-            den //= g
-        self.base, self.points, self.den, self.vec = None, tuple(merged), den, tuple(parts)
+        self.base, self.points, self.den, self.vec = None, tuple(merged), sum(parts), tuple(parts)
 
     @property
     def atoms(self) -> tuple:
@@ -148,8 +145,6 @@ class ProbMeasure:
     def weights(self) -> PartitionOfOne:
         """The masses as one finite partition of one, weight i on ``points[i-1]``."""
         if self._weights is None:
-            if sum(self.vec) != self.den:
-                raise ValueError("weights must sum to 1")
             self._weights = PartitionOfOne.of_parts(dict(enumerate(self.vec, start=1)))
         return self._weights
 
@@ -191,95 +186,64 @@ class ProbMeasure:
         return self._repr
 
 
-class LazyMeasure:
-    """A countably supported measure: weight i of the lazy partition
-    ``weights`` on the point ``points(i)``; used where a finite list
-    cannot represent the support (geometric mixtures)."""
-
-    def __init__(self, weights: LazyPartition, points):
-        if weights.is_finite:
-            raise ValueError("use ProbMeasure for finite support")
-        self.weights = weights
-        self.points = points
-
-
 def dirac(x, base=None) -> ProbMeasure:
     """The unit: the point mass at x, which must be a point of ``base``
     when one is given."""
     if base is None:
-        return ProbMeasure.of_atoms([(x, 1)], 1)
+        return ProbMeasure.of_atoms([(x, 1)])
     i = base.index.get(x)
     if i is None:
         raise NotAMeasure(f"atom {x!r} is not a point of the base")
     vec = [0] * len(base.carrier)
     vec[i] = 1
-    return ProbMeasure.on_base(base, vec, 1)
+    return ProbMeasure.on_base(base, vec)
 
 
-def mixture(omega: PartitionOfOne | LazyPartition, measures, base=None):
-    """The convex mixture of measures with weights from a partition of
-    one.  Measures on one base, ``base`` if given, mix as an integer
-    matrix-vector product of their vectors, other finite supports are
-    merged exactly, and a lazy partition over Dirac measures yields a lazy
-    countably supported measure."""
-    if omega.is_finite:
-        ms = list(terms(measures, omega.parts))
-        bases = [m.base for m in ms if m.base is not None]
-        X = bases[0] if base is None and bases else base
-        for b in bases:  # equal spaces are one base, even when built apart
-            if b is not X and b != X:
-                raise BaseMismatch("mixture components live on different bases")
-        try:
-            dens = [m.den for m in ms]
-        except AttributeError:  # a LazyMeasure has no den
-            raise UnsupportedRepresentation(
-                "finite mixture of lazy measures is not represented"
-            ) from None
-        # omega_i * m_i(a) as integer parts over omega.den * lcm(m_i dens)
-        scale = math.lcm(*dens)
-        factors = [w * (scale // d) for w, d in zip(omega.parts.values(), dens)]
-        den = omega.den * scale
-        if len(bases) == len(ms):
-            # one base: an integer matrix-vector product
-            vec = [sum(map(mul, factors, column)) for column in zip(*[m.vec for m in ms])]
-            return ProbMeasure.on_base(X, vec, den)
-        support = [(a, f * p) for f, m in zip(factors, ms)
-                   for a, p in zip(m.points, m.vec)]
-        if X is not None:  # an atom of a measure without a base may miss X
-            return ProbMeasure(support, base=X, den=den)
-        if sum(p for _, p in support) != den:
-            raise NotAMeasure("weights must sum to 1")
-        return ProbMeasure.of_atoms(support, den)
-
-    def point(m):  # a Dirac measure, and only one, has den 1
-        if not isinstance(m, ProbMeasure) or m.den != 1:
-            raise UnsupportedRepresentation(
-                "lazy mixtures are represented only over Dirac measures"
-            )
-        return m.points[m.vec.index(1)]
-
-    return LazyMeasure(omega, map_terms(point, measures))
+def mixture(omega: PartitionOfOne, measures, base=None) -> ProbMeasure:
+    """The convex mixture of measures with weights from a finite partition
+    of one.  Measures on one base, ``base`` if given, mix as an integer
+    matrix-vector product of their vectors, and other finite supports are
+    merged exactly.  A lazy partition raises ``UnsupportedRepresentation``:
+    a countable mixture of measures is not a finite measure."""
+    if not omega.is_finite:
+        raise UnsupportedRepresentation("a mixture of measures needs a finite partition of one")
+    ms = list(terms(measures, omega.parts))
+    bases = [m.base for m in ms if m.base is not None]
+    X = bases[0] if base is None and bases else base
+    for b in bases:  # equal spaces are one base, even when built apart
+        if b is not X and b != X:
+            raise BaseMismatch("mixture components live on different bases")
+    # omega_i * m_i(a) as integer parts over omega.den * lcm(m_i dens)
+    dens = [m.den for m in ms]
+    scale = math.lcm(*dens)
+    factors = [w * (scale // d) for w, d in zip(omega.parts.values(), dens)]
+    if len(bases) == len(ms):
+        # one base: an integer matrix-vector product
+        vec = [sum(map(mul, factors, column)) for column in zip(*[m.vec for m in ms])]
+        return ProbMeasure.on_base(X, vec)
+    support = [(a, f * p) for f, m in zip(factors, ms)
+               for a, p in zip(m.points, m.vec)]
+    if X is not None:  # an atom of a measure without a base may miss X
+        return ProbMeasure(support, base=X, den=omega.den * scale)
+    return ProbMeasure.of_atoms(support)
 
 
 def pushforward(P: ProbMeasure, m) -> ProbMeasure:
     """Transport atom weights through a map, merging collisions exactly."""
-    return ProbMeasure.of_atoms([(m(x), p) for x, p in zip(P.points, P.vec) if p], P.den)
+    return ProbMeasure.of_atoms([(m(x), p) for x, p in zip(P.points, P.vec) if p])
 
 
-def integrate(P, f, **certificates) -> ExtReal:
-    """The integral of an extended-real-valued map against a measure:
-    exact on finite support, certified enclosure or infinity on lazy
-    support."""
-    if isinstance(P, ProbMeasure):
-        return weighted_sum([(p, f(x)) for p, x in zip(P.vec, P.points) if p], P.den)
-    return countable_combine(P.weights, map_terms(f, P.points), **certificates)
+def integrate(P: ProbMeasure, f) -> ExtReal:
+    """The integral of an extended-real-valued map against a measure, exact:
+    f is read at the points of positive mass."""
+    return weighted_sum([(p, f(x)) for p, x in zip(P.vec, P.points) if p], P.den)
 
 
-def barycenter(A: SuperConvexSpace, P, **certificates):
+def barycenter(A: SuperConvexSpace, P: ProbMeasure):
     """The counit at A: A's combine of P's points with P's weights.  The
     ``naturality-epsilon`` law checks that affine maps carry it to the
     barycenter of the pushforward."""
-    return A.combine(P.weights, P.points, **certificates)
+    return A.combine(P.weights, P.points)
 
 
 class GirySpace(SuperConvexSpace):
@@ -312,7 +276,7 @@ class GirySpace(SuperConvexSpace):
         k = draw_int(rng, 1, n)
         for i, p in zip(draw_indices(rng, n, k), draw_parts(rng, k)):
             vec[i] = p
-        return ProbMeasure.on_base(self.X, vec, sum(vec))
+        return ProbMeasure.on_base(self.X, vec)
 
 
 def monad_mu(Q: ProbMeasure) -> ProbMeasure:

@@ -322,7 +322,7 @@ def _sample_unit_measure(rng: random.Random, space) -> ProbMeasure:
     while len(atoms) < k:
         atoms[space.sample(rng)] = None
     parts = draw_parts(rng, k)  # the draws of random_partition(rng, k)
-    return ProbMeasure.of_atoms(zip(atoms, parts), sum(parts))
+    return ProbMeasure.of_atoms(zip(atoms, parts))
 
 
 def _powerset_girys(max_points: int) -> list:
@@ -403,7 +403,7 @@ def _monad_laws_case(girys, rng):
     # a measure on measures on measures, flattened both ways
     def rand_measure(sample):
         parts = draw_parts(rng, draw_int(rng, 1, 3))
-        return ProbMeasure.of_atoms([(sample(), p) for p in parts], sum(parts))
+        return ProbMeasure.of_atoms([(sample(), p) for p in parts])
 
     T = rand_measure(lambda: rand_measure(partial(GX.sample, rng)))
     assoc = monad_mu(pushforward(T, monad_mu)) == monad_mu(monad_mu(T))

@@ -468,26 +468,17 @@ def draw_parts(rng, k: int) -> list[int]:
 
 
 def draw_indices(rng, n: int, k: int) -> list[int]:
-    """``rng.sample(range(n), k)`` of the ``random.Random`` ``rng``, drawn
-    as it draws, by ``draw_int``: for a small n, k swaps in a pool of the
-    indices not yet drawn; else k draws from all n, each drawn again while
-    already taken."""
+    """k distinct indices of ``range(n)``, by ``draw_int``: k swaps in a pool
+    of the indices not yet drawn.  For n <= 21, the draws and the bits of
+    ``rng.sample(range(n), k)`` of the ``random.Random`` ``rng``."""
     if not 0 <= k <= n:
         raise ValueError("sample larger than population or is negative")
-    setsize = 21  # random.sample's size of a small set minus an empty list
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    if n <= setsize:
-        pool, drawn = list(range(n)), []
-        for last in range(n - 1, n - k - 1, -1):
-            j = draw_int(rng, 0, last)
-            drawn.append(pool[j])
-            pool[j] = pool[last]
-        return drawn
-    drawn = {}
-    while len(drawn) < k:
-        drawn[draw_int(rng, 0, n - 1)] = None
-    return list(drawn)
+    pool, drawn = list(range(n)), []
+    for last in range(n - 1, n - k - 1, -1):
+        j = draw_int(rng, 0, last)
+        drawn.append(pool[j])
+        pool[j] = pool[last]
+    return drawn
 
 
 def random_partition(rng, support_size: int) -> PartitionOfOne:

@@ -167,6 +167,20 @@ class TestDemoCommand:
         assert "0.3862943611" in out
         assert "enclosure" in out
 
+    def test_open_interval_prints_a_value_longer_than_the_int_to_str_limit(self, capsys):
+        # at depth 6000 the value and the ends of its enclosure have
+        # denominators past Python's int-to-str limit: printing them raised
+        # and the command crashed
+        code, out, err = run(["demo", "open-interval", "--depth", "6000"], capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        value = lines[1].split()[1]
+        lower, _, upper = lines[2].partition("[")[2].partition("]")[0].partition(", ")
+        with _no_int_str_limit():
+            assert len(value) > 4300
+            assert 0 < Fraction(lower) <= Fraction(value) <= Fraction(upper) < 1
+        assert "lies strictly inside (0,1)" in out
+
     @pytest.mark.parametrize("argv", [
         ["demo", "divergent-sum", "--n", "0"],
         ["demo", "half-cauchy", "--n-list", "-5"],

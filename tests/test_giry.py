@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from girycheck.giry import (
     BaseMismatch,
     GirySpace,
-    LazyMeasure,
     NotAMeasure,
     ProbMeasure,
     barycenter,
@@ -164,12 +163,12 @@ class TestMixture:
         got = mixture(half, [dirac("x"), dirac("y")])
         assert got == uniform(["x", "y"])
 
-    def test_geometric_mixture_of_diracs_is_lazy(self):
+    def test_geometric_mixture_of_diracs_is_rejected(self):
+        # a countable mixture is not a finite measure; the countable
+        # combination of the points is the space's combine (TestBarycenter)
         geo = LazyPartition.geometric()
-        got = mixture(geo, lambda i: dirac(F(1, i + 1)))
-        assert isinstance(got, LazyMeasure)
-        assert got.weights.weight(3) == F(1, 8)
-        assert got.points(3) == F(1, 4)
+        with pytest.raises(UnsupportedRepresentation, match="finite partition"):
+            mixture(geo, lambda i: dirac(F(1, i + 1)))
 
     def test_base_mismatch(self):
         X1 = FiniteMeasurableSpace.powerset(["a"])
@@ -191,7 +190,15 @@ class TestMixture:
     def test_lazy_mixture_of_nondiracs_rejected(self):
         geo = LazyPartition.geometric()
         with pytest.raises(UnsupportedRepresentation):
-            mixture(geo, lambda i: uniform(["a", "b"])).points(1)
+            mixture(geo, lambda i: uniform(["a", "b"]))
+
+    def test_giry_space_refuses_a_lazy_partition(self):
+        # G(X) takes no countable mixture it cannot represent: combine
+        # raises instead of returning a value outside G(X)
+        X = FiniteMeasurableSpace.powerset(["a", "b"])
+        geo = LazyPartition.geometric()
+        with pytest.raises(UnsupportedRepresentation):
+            GirySpace(X).combine(geo, lambda i: dirac("ab"[i % 2], base=X))
 
 
 class TestPushforward:
@@ -222,9 +229,10 @@ class TestIntegrate:
         assert integrate(P, indicator(X, u)) == ExtReal(F(2, 3))
 
     def test_divergent_lazy_integral(self):
+        # the integral of i 2^i against the geometric weights 2^-i
         geo = LazyPartition.geometric()
-        P = LazyMeasure(geo, lambda i: ExtReal(i * 2**i))
-        assert integrate(P, lambda x: x, n_max=100, threshold=1000) == INF
+        assert countable_combine(geo, lambda i: ExtReal(i * 2**i),
+                                 n_max=100, threshold=1000) == INF
 
 
 class TestBarycenter:
@@ -239,10 +247,10 @@ class TestBarycenter:
         assert got == Q
 
     def test_open_interval_geometric(self):
+        # the barycenter of the geometric mixture of the points 1/(i+1)
         open_unit = IntervalSpace("open_unit")
         geo = LazyPartition.geometric()
-        P = LazyMeasure(geo, lambda i: F(1, i + 1))
-        got = barycenter(open_unit, P, n_max=50, bound=1)
+        got = open_unit.combine(geo, lambda i: F(1, i + 1), n_max=50, bound=1)
         assert open_unit.contains(got)
         target = F(3862943, 10**7)
         assert got.enclosure.lower >= target - F(1, 10**6)
@@ -252,7 +260,7 @@ class TestBarycenter:
         prod = ProductSpace([closed, closed])
         geo = LazyPartition.geometric()
         point = lambda i: (ExtReal(F(1, i + 1)), ExtReal(F(1, 2)))
-        got = barycenter(prod, mixture(geo, lambda i: dirac(point(i))), n_max=30, bound=1)
+        got = prod.combine(geo, point, n_max=30, bound=1)
         for k in (0, 1):
             want = closed.combine(geo, lambda i: point(i)[k], n_max=30, bound=1)
             assert got[k].value == want.value
@@ -808,10 +816,9 @@ def test_giry_space_contains_exactly_what_it_combines():
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_every_measure_is_points_and_weights(data):
-    # a measure on a shuffled base of ExtReals, the same measure without a
-    # base, and a lazy measure: each integrates as the countable
-    # combination of its weights over f of its points, and the based and
-    # the unbased measure have one barycenter
+    # a measure on a shuffled base of ExtReals and the same measure without
+    # a base: each integrates as the countable combination of its weights
+    # over f of its points, and the two have one barycenter
     n = data.draw(st.integers(1, 10))
     carrier = data.draw(st.permutations([ExtReal(F(k, n)) for k in range(n + 1)]))
     parts = data.draw(st.lists(st.integers(0, 9), min_size=n + 1, max_size=n + 1)
@@ -819,16 +826,13 @@ def test_every_measure_is_points_and_weights(data):
     pairs = list(zip(carrier, parts))
     X = FiniteMeasurableSpace.powerset(carrier)
     based, unbased = ProbMeasure(pairs, base=X, den=sum(parts)), ProbMeasure(pairs, den=sum(parts))
-    k = data.draw(st.integers(1, 5))
-    lazy = mixture(LazyPartition.geometric(), lambda i: dirac(ExtReal(F(1, i + k))))
     closed = IntervalSpace("closed_unit")
     slope = data.draw(st.fractions(0, 1, max_denominator=16))
     f = affine_map(closed, closed, data.draw(st.fractions(0, 1 - slope, max_denominator=16)),
                    slope)
-    certificates = {"n_max": 30, "bound": 1}
-    for P in (based, unbased, lazy):
-        want = countable_combine(P.weights, map_terms(f, P.points), **certificates)
-        got = integrate(P, f, **certificates)
+    for P in (based, unbased):
+        want = countable_combine(P.weights, map_terms(f, P.points))
+        got = integrate(P, f)
         assert (got.num, got.den, repr(got)) == (want.num, want.den, repr(want))
     assert barycenter(closed, based) == barycenter(closed, unbased) == integrate(based, as_ext)
 
@@ -848,9 +852,8 @@ def test_trusted_measure_builders_build_what_the_constructor_builds(data):
     vec = [0] * len(X.carrier)
     for a, p in pairs:
         vec[X.index[a]] += p
-    for built, checked in [(ProbMeasure.of_atoms(pairs, den), ProbMeasure(pairs, den=den)),
-                           (ProbMeasure.on_base(X, vec, den),
-                            ProbMeasure(pairs, base=X, den=den))]:
+    for built, checked in [(ProbMeasure.of_atoms(pairs), ProbMeasure(pairs, den=den)),
+                           (ProbMeasure.on_base(X, vec), ProbMeasure(pairs, base=X, den=den))]:
         assert built.base is checked.base
         assert (built.points, built.vec, built.den) == (checked.points, checked.vec, checked.den)
         assert hash(built) == hash(checked) and repr(built) == repr(checked)
@@ -860,14 +863,21 @@ def test_trusted_measure_builders_build_what_the_constructor_builds(data):
         assert repr(built.weights) == repr(weights)
 
 
-def test_the_merged_mixture_and_the_weights_keep_their_sum_checks():
-    # a measure whose parts do not sum to its den, as only a broken
-    # promise to of_atoms can build
-    broken = ProbMeasure.of_atoms([("a", 1), ("b", 1)], 3)
-    with pytest.raises(ValueError, match="weights must sum to 1"):
-        broken.weights
-    with pytest.raises(NotAMeasure, match="weights must sum to 1"):
-        mixture(PartitionOfOne.finite([F(1, 2), F(1, 2)]), [dirac("a"), broken])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_trusted_builders_parts_sum_to_den(data):
+    # den is the reduced sum of the parts a builder is given, so a wrong
+    # den cannot be built; the pairs list each atom twice, to be merged
+    X = data.draw(shuffled_bases())
+    n = len(X.carrier)
+    vec = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))
+    vec = [data.draw(st.integers(1, 4)) * p for p in vec]
+    pairs = data.draw(st.permutations(list(zip(X.carrier, vec)) * 2))
+    mass = {a: F(p, sum(vec)) for a, p in zip(X.carrier, vec) if p}
+    for P in (ProbMeasure.on_base(X, vec), ProbMeasure.of_atoms(pairs)):
+        assert P.den == sum(P.vec) == sum(vec) // math.gcd(*vec)
+        assert {a: F(p, P.den) for a, p in zip(P.points, P.vec) if p} == mass
+        assert (P.weights.den, sum(P.weights.parts.values())) == (P.den, P.den)
 
 
 def old_giry_sample(X, rng):
@@ -880,8 +890,9 @@ def old_giry_sample(X, rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(shuffled_bases(max_points=30), st.integers(0, 2**32))
+@given(shuffled_bases(max_points=21), st.integers(0, 2**32))
 def test_giry_sample_draws_as_the_atom_list_sampler_drew(X, seed):
+    # up to 21 points, the indices drawn are random.sample's
     GX = GirySpace(X)
     new, old = random.Random(seed), random.Random(seed)
     for _ in range(5):

