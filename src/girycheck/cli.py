@@ -14,6 +14,7 @@ import argparse
 import fnmatch
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -21,7 +22,7 @@ from functools import partial
 
 from .giry import NotAMeasure, ProbMeasure, check_phi_roundtrip, check_triangle
 from .meas import FiniteMeasurableSpace, generate_sigma_algebra
-from .numerics import DEFAULT_DIVERGENCE_THRESHOLD, DEFAULT_TOLERANCE, ExtReal, as_ext
+from .numerics import DEFAULT_DIVERGENCE_THRESHOLD, ExtReal, as_ext
 from .reports import HarnessConfig, LawReport, run_per_seed, suite_seeds
 from .scvx import (
     CarrierViolation,
@@ -46,8 +47,12 @@ def _reports_payload(reports: list[LawReport]) -> str:
 def _emit_reports(reports: list[LawReport], args) -> int:
     failed = [r for r in reports if not r.ok]
     if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(_reports_payload(reports))
+        try:
+            with open(args.json_path, "w") as fh:
+                fh.write(_reports_payload(reports))
+        except OSError as exc:
+            print(f"cannot write {args.json_path}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
     if args.output == "json":
         sys.stdout.write(_reports_payload(reports))
     else:
@@ -149,9 +154,23 @@ def _label(value, where: str):
     return value
 
 
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)  # the -3 of 1.5e-3
+
+
 def _rational(value, where: str) -> Fraction:
+    """``value`` as a Fraction of at most ``_int_str_limit`` digits above
+    and below; a longer exponent is refused before ``Fraction`` builds its
+    power of ten, seconds of work for "1e-10000000"."""
+    limit = _int_str_limit()
     try:
-        return Fraction(value)
+        exponent = limit and isinstance(value, str) and _EXPONENT.search(value)
+        if exponent and abs(int(exponent[1])) > limit:
+            raise ValueError(value)
+        q = Fraction(value)
+        big = max(abs(q.numerator), q.denominator)  # 8**limit < 10**limit
+        if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+            raise ValueError(value)
+        return q
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         raise ScenarioError(f"{where}: {value!r} is not a rational{_digit_limit_note()}")
 
@@ -277,7 +296,7 @@ def _run_check(check, where: str, measures: dict, maps: dict,
 
 
 def cmd_scenario(cfg: HarnessConfig, args) -> int:
-    closed = IntervalSpace("closed_unit", cfg.tolerance)
+    closed = IntervalSpace("closed_unit")
     try:
         doc = _load_scenario(args.path)
         measures, maps = _build_scenario_objects(doc, closed)
@@ -290,14 +309,6 @@ def cmd_scenario(cfg: HarnessConfig, args) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-
-def _rational_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"expected a rational such as 1/1000 or 1e-3, got {text!r}")
 
 
 def _int_str_limit() -> int:
@@ -345,9 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     checks.add_argument("--seed", type=int, default=0)
     checks.add_argument("--cases", type=int, default=200,
                         help="cases per seeded check (default 200)")
-    checks.add_argument("--tolerance", type=_rational_arg, default=DEFAULT_TOLERANCE,
-                        help="tolerance for enclosure-valued comparisons, "
-                             "a rational such as 1/1000000000000 or 1e-12")
     checks.add_argument("--json", dest="json_path", metavar="PATH",
                         help="write the JSON report bundle to PATH")
     checks.add_argument("--output", choices=("text", "json"), default="text")
@@ -396,7 +404,7 @@ def main(argv=None, jobs: int = 1) -> int:
     if args.command == "demo":
         return cmd_demo(args)
     try:
-        cfg = HarnessConfig(seed=args.seed, cases=args.cases, tolerance=args.tolerance)
+        cfg = HarnessConfig(seed=args.seed, cases=args.cases)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

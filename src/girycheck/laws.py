@@ -42,7 +42,6 @@ from .giry import (
 )
 from .meas import FiniteMeasurableSpace, indicator
 from .numerics import (
-    DEFAULT_TOLERANCE,
     ExtReal,
     INF,
     LazyPartition,
@@ -83,12 +82,12 @@ class Ambiguous(Exception):
 # shipped instances
 
 
-def shipped_spaces(cfg: HarnessConfig) -> dict:
-    closed = IntervalSpace("closed_unit", cfg.tolerance)
+def shipped_spaces() -> dict:
+    closed = IntervalSpace("closed_unit")
     return {
         "closed-unit": closed,
-        "open-unit": IntervalSpace("open_unit", cfg.tolerance),
-        "ext-real": IntervalSpace("ext_real_line", cfg.tolerance),
+        "open-unit": IntervalSpace("open_unit"),
+        "ext-real": IntervalSpace("ext_real_line"),
         "product": ProductSpace([closed, closed]),
         "giry2": GirySpace(FiniteMeasurableSpace.powerset(["x1", "x2"])),
         "giry3": GirySpace(FiniteMeasurableSpace.powerset(["x1", "x2", "x3"])),
@@ -115,8 +114,8 @@ def shipped_maps(spaces: dict) -> dict:
 class BrokenProjectionSpace(IntervalSpace):
     """Mutant: combine ignores the weights and returns the first element."""
 
-    def __init__(self, tolerance=DEFAULT_TOLERANCE):
-        super().__init__("closed_unit", tolerance)
+    def __init__(self):
+        super().__init__("closed_unit")
         self.name = "mutant-first-element"
 
     def combine(self, omega, seq, **certificates):
@@ -126,8 +125,8 @@ class BrokenProjectionSpace(IntervalSpace):
 class ReversedWeightsSpace(IntervalSpace):
     """Mutant: combine pairs the weights with the elements in reverse."""
 
-    def __init__(self, tolerance=DEFAULT_TOLERANCE):
-        super().__init__("closed_unit", tolerance)
+    def __init__(self):
+        super().__init__("closed_unit")
         self.name = "mutant-reversed-weights"
 
     def combine(self, omega, seq, **certificates):
@@ -463,8 +462,8 @@ def _mutant_phi() -> LawReport:
 def build_suites(cfg: HarnessConfig,
                  include_mutants: bool = False) -> dict[str, Callable[[], LawReport]]:
     """Every suite of a run, by name, as a run that returns its report;
-    over shipped instances built once from cfg."""
-    spaces = shipped_spaces(cfg)
+    over shipped instances built once, with cfg's seed and cases."""
+    spaces = shipped_spaces()
     closed, ext = spaces["closed-unit"], spaces["ext-real"]
     X4 = spaces["giry4"].X
     girys = _powerset_girys(8)
@@ -493,8 +492,8 @@ def build_suites(cfg: HarnessConfig,
     seeded("sigma-agreement", repr(X4), partial(check_sigma_agreement, X4))
 
     if include_mutants:
-        broken = BrokenProjectionSpace(cfg.tolerance)
-        reversed_weights = ReversedWeightsSpace(cfg.tolerance)
+        broken = BrokenProjectionSpace()
+        reversed_weights = ReversedWeightsSpace()
         square = square_map(closed)
         seeded("mutant-axiom1", broken.name, partial(check_axiom1, broken))
         seeded("mutant-axiom2", reversed_weights.name,

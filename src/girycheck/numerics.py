@@ -153,14 +153,14 @@ def as_ext(x) -> ExtReal:
     return NotImplemented
 
 
-# the default tolerance for values that carry a nondegenerate enclosure
+# the one tolerance for values that carry a nondegenerate enclosure
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 
 
-def ext_eq(u, v, tolerance: Rational = 0) -> bool:
+def ext_eq(u, v) -> bool:
     """Equality on extended reals; exact values compare exactly, values
-    carrying a nondegenerate enclosure compare within ``tolerance``, and
-    two disjoint enclosures hold different values, however close.  An
+    carrying a nondegenerate enclosure compare within ``DEFAULT_TOLERANCE``,
+    and two disjoint enclosures hold different values, however close.  An
     exact value is the enclosure [v, v].  A non-point is a ValueError."""
     x, y = as_ext(u), as_ext(v)
     if x is NotImplemented or y is NotImplemented:
@@ -173,7 +173,7 @@ def ext_eq(u, v, tolerance: Rational = 0) -> bool:
     a, b = (x.enclosure or Enclosure(x.value, x.value) for x in (u, v))
     if a.upper < b.lower or b.upper < a.lower:
         return False
-    return abs(u.value - v.value) <= Fraction(tolerance)
+    return abs(u.value - v.value) <= DEFAULT_TOLERANCE
 
 
 def scale(s: Rational, u: ExtReal) -> ExtReal:

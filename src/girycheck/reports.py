@@ -11,9 +11,6 @@ from __future__ import annotations
 import json
 import random
 from _blake2 import blake2s
-from fractions import Fraction
-
-from .numerics import DEFAULT_TOLERANCE
 
 
 class LawReport:
@@ -72,18 +69,13 @@ class LawReport:
 
 
 class HarnessConfig:
-    """The master seed, the cases per seeded suite, and the tolerance for
-    values that carry a nondegenerate enclosure."""
+    """The master seed and the cases per seeded suite."""
 
-    def __init__(self, seed: int = 0, cases: int = 200,
-                 tolerance: Fraction = DEFAULT_TOLERANCE):
+    def __init__(self, seed: int = 0, cases: int = 200):
         if cases <= 0:
             raise ValueError("--cases must be positive")
-        if tolerance <= 0:
-            raise ValueError("--tolerance must be positive")
         self.seed = seed
         self.cases = cases
-        self.tolerance = tolerance
 
 
 def suite_seeds(cfg: HarnessConfig, name: str) -> list[int]:

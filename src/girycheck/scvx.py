@@ -11,7 +11,6 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .numerics import (
-    DEFAULT_TOLERANCE,
     ExtReal,
     INF,
     LazyPartition,
@@ -66,11 +65,10 @@ class IntervalSpace(SuperConvexSpace):
 
     KINDS = ("closed_unit", "open_unit", "ext_real_line")
 
-    def __init__(self, kind: str, tolerance: Fraction = DEFAULT_TOLERANCE):
+    def __init__(self, kind: str):
         if kind not in self.KINDS:
             raise ValueError(f"unknown interval kind {kind!r}")
         self.kind = kind
-        self.tolerance = Fraction(tolerance)
         self.name = {"closed_unit": "[0,1]", "open_unit": "(0,1)",
                      "ext_real_line": "R-inf"}[kind]
 
@@ -90,7 +88,7 @@ class IntervalSpace(SuperConvexSpace):
         return 0 < lo and hi < one
 
     def eq(self, x, y) -> bool:
-        return ext_eq(x, y, self.tolerance)
+        return ext_eq(x, y)
 
     def combine(self, omega, seq, **certificates):
         if self.kind != "ext_real_line":

@@ -61,7 +61,7 @@ def test_axiom_suites_200_cases_under_10s():
 def test_morphism_suite_and_square_mutant():
     shipped = _run({"morphism-id", "morphism-affine-half", "morphism-const-third",
                     "morphism-proj1", "morphism-ext-affine"})
-    square = square_map(IntervalSpace("closed_unit", CFG.tolerance))
+    square = square_map(IntervalSpace("closed_unit"))
     mutant = run_per_seed("morphism", square.name, range(50), partial(check_morphism, square))
     ok = (len(shipped) == 5 and all(r.ok for r in shipped)
           and not mutant.ok and bool(mutant.failures[0].get("omega")))

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import girycheck
-from girycheck.cli import main
+from girycheck.cli import ScenarioError, _rational, main
+from girycheck.numerics import as_ext
 
 
 def run(argv, capsys):
@@ -79,6 +80,14 @@ class TestLawsCommand:
         assert p1.read_bytes() == p2.read_bytes()
         payload = json.loads(p1.read_text())
         assert all(r["pass"] for r in payload)
+
+    def test_an_unwritable_json_path_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        code, _, err = run(["laws", "--cases", "2", "--suite", "triangle",
+                            "--json", str(path)], capsys)
+        assert code == 2
+        assert err.startswith(f"cannot write {path}: ")
+        assert "Traceback" not in err
 
     def test_json_output_mode(self, capsys):
         code, out, _ = run(
@@ -229,6 +238,30 @@ class TestIntegerDigitLimit:
         assert err.startswith("scenario error: measures.P.atoms[0].weight: ")
         assert f"at most {limit} digits" in err
 
+    @pytest.mark.parametrize("text", ["1e-5000", "1e5000", "1e-10000000", "0.5e+10000000"])
+    def test_an_exponent_past_the_limit_is_refused_unbuilt(self, text):
+        # Fraction(text) would build 10**|exponent|: seconds at 10**7
+        limit = sys.get_int_max_str_digits()
+        start = time.perf_counter()
+        with pytest.raises(ScenarioError, match=f"at most {limit} digits"):
+            _rational(text, "w")
+        assert time.perf_counter() - start < 1
+
+    def test_a_value_past_the_limit_is_refused(self):
+        limit = sys.get_int_max_str_digits()
+        for value in [f"99e{limit - 1}", f"0.1e-{limit - 1}"]:
+            with pytest.raises(ScenarioError, match=f"at most {limit} digits"):
+                _rational(value, "w")
+        assert _rational(f"1e{limit - 1}", "w") == 10**(limit - 1)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e-3", Fraction(1, 1000)), ("1/3", Fraction(1, 3)), ("0.25", Fraction(1, 4)),
+    (" 7 ", Fraction(7)), ("-2E2", Fraction(-200)), (3, Fraction(3)), (0.5, Fraction(1, 2)),
+])
+def test_a_rational_parses_as_fraction_does(text, value):
+    assert _rational(text, "w") == value
+
 
 @contextlib.contextmanager
 def _no_int_str_limit():
@@ -249,6 +282,13 @@ class TestScenarioCommand:
         code, out, _ = run(["scenario", path, "--cases", "20"], capsys)
         assert code == 0
         assert "3/3 suites passed" in out
+
+    def test_a_directory_as_json_path_is_config_error(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, GOOD_SCENARIO)
+        code, _, err = run(["scenario", path, "--json", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith(f"cannot write {tmp_path}: ")
+        assert "Traceback" not in err
 
     def test_bad_weights_is_config_error(self, tmp_path, capsys):
         doc = json.loads(json.dumps(GOOD_SCENARIO))
@@ -399,9 +439,7 @@ def test_malformed_scenario_is_config_error_with_field_path(edit, field, tmp_pat
 
 
 @pytest.mark.parametrize("argv", [
-    ["laws", "--tolerance", "inf"],
-    ["laws", "--tolerance", "1/0"],
-    ["laws", "--tolerance", "1e-12", "--suite", "triangle", "--cases", "5"],
+    ["laws", "--tolerance", "1e-12"],
     ["demo", "divergent-sum", "--n", "0"],
     ["demo", "half-cauchy", "--n-list", "-5"],
     ["demo", "open-interval", "--depth", "0"],
@@ -419,6 +457,34 @@ def test_numeric_inputs_end_in_an_exit_code_and_an_honest_line(argv, capsys):
     if "strictly inside" in out:
         lower, upper = re.search(r"enclosure \[(\S+), (\S+)\]", out).groups()
         assert 0 < Fraction(lower) and Fraction(upper) < 1
+
+
+@pytest.mark.parametrize("command", [["laws"], ["scenario", "scn.json"]])
+def test_tolerance_is_not_an_option(command, capsys):
+    # enclosures compare at the one numerics.DEFAULT_TOLERANCE
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--tolerance", "1e-12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance 1e-12" in capsys.readouterr().err
+
+
+def test_every_comparison_of_a_laws_run_is_exact(monkeypatch, capsys):
+    # what the reports' "tolerance_policy": "exact" claims: no suite
+    # compares a value that carries an enclosure.  A suite that does
+    # must change that field, and this test with it.
+    from girycheck import scvx
+
+    compare, exact = scvx.ext_eq, []
+
+    def spy(u, v):
+        exact.append(as_ext(u).is_exact and as_ext(v).is_exact)
+        return compare(u, v)
+
+    monkeypatch.setattr(scvx, "ext_eq", spy)
+    code, out, _ = run(["laws", "--mutants", "--cases", "20", "--output", "json"], capsys)
+    assert code == 1
+    assert exact and all(exact)
+    assert {r["tolerance_policy"] for r in json.loads(out)} == {"exact"}
 
 
 def _key_paths(node, prefix=()):
@@ -481,11 +547,9 @@ def _small_number(low, high):
 
 NUMERIC_ARGV = st.one_of(
     st.tuples(st.just("laws"), st.just("--suite"), st.just("triangle"),
-              st.just("--cases"), _small_number(-3, 5), st.just("--seed"), ANY_NUMBER,
-              st.just("--tolerance"), ANY_NUMBER),
+              st.just("--cases"), _small_number(-3, 5), st.just("--seed"), ANY_NUMBER),
     st.tuples(st.just("scenario"), st.just("GOOD"), st.just("--cases"),
-              _small_number(-3, 5), st.just("--seed"), ANY_NUMBER,
-              st.just("--tolerance"), ANY_NUMBER),
+              _small_number(-3, 5), st.just("--seed"), ANY_NUMBER),
     st.tuples(st.just("demo"), st.just("divergent-sum"), st.just("--n"),
               _small_number(-3, 10**4)),
     st.tuples(st.just("demo"), st.just("open-interval"), st.just("--depth"),

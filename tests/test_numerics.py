@@ -68,32 +68,36 @@ class TestExtReal:
     def test_eq_with_tolerance_only_for_enclosures(self):
         exact = ExtReal(F(1, 3))
         near = ExtReal(F(1, 3) + F(1, 10**15))
-        assert not ext_eq(exact, near, F(1, 10**12))
+        assert not ext_eq(exact, near)
         enclosed = ExtReal(near.value, Enclosure(near.value - F(1, 2**50),
                                                  near.value + F(1, 2**50)))
         # the midpoints are within the tolerance, but 1/3 lies below the
         # enclosure, whose lower end is 1/3 + 1.1e-16
-        assert not ext_eq(exact, enclosed, F(1, 10**12))
+        assert not ext_eq(exact, enclosed)
         around = ExtReal(near.value, Enclosure(exact.value, near.value + F(1, 10**15)))
-        assert ext_eq(exact, around, F(1, 10**12))
+        assert ext_eq(exact, around)
+        # overlapping enclosures compare at the one DEFAULT_TOLERANCE
+        wide = Enclosure(0, F(1, 10**6))
+        assert ext_eq(ExtReal(0, wide), ExtReal(DEFAULT_TOLERANCE, wide))
+        assert not ext_eq(ExtReal(0, wide), ExtReal(2 * DEFAULT_TOLERANCE, wide))
 
     def test_an_exact_value_outside_an_enclosure_is_unequal(self):
         third = F(1, 3)
         lower = third + F(11, 10**17)
         enclosed = ExtReal(lower + F(1, 10**16), Enclosure(lower, lower + F(2, 10**16)))
-        assert not ext_eq(ExtReal(third), enclosed, DEFAULT_TOLERANCE)
-        assert not ext_eq(enclosed, third, DEFAULT_TOLERANCE)
-        assert ext_eq(lower, enclosed, DEFAULT_TOLERANCE)
+        assert not ext_eq(ExtReal(third), enclosed)
+        assert not ext_eq(enclosed, third)
+        assert ext_eq(lower, enclosed)
 
     def test_disjoint_enclosures_are_unequal(self):
         # midpoints 10^-14 and 4*10^-14 lie within the default tolerance,
         # but no value lies in both enclosures
         u = ExtReal(F(1, 10**14), Enclosure(0, F(2, 10**14)))
         v = ExtReal(F(4, 10**14), Enclosure(F(3, 10**14), F(5, 10**14)))
-        assert not ext_eq(u, v, DEFAULT_TOLERANCE)
-        assert not ext_eq(v, u, DEFAULT_TOLERANCE)
+        assert not ext_eq(u, v)
+        assert not ext_eq(v, u)
         overlapping = ExtReal(F(3, 10**14), Enclosure(F(1, 10**14), F(5, 10**14)))
-        assert ext_eq(u, overlapping, DEFAULT_TOLERANCE)
+        assert ext_eq(u, overlapping)
 
     def test_hash_agrees_with_equality(self):
         assert ExtReal(1) == 1 and len({ExtReal(1), 1}) == 1

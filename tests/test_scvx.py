@@ -34,7 +34,7 @@ from girycheck.laws import (
     shipped_maps,
     shipped_spaces,
 )
-from girycheck.reports import HarnessConfig, run_per_seed
+from girycheck.reports import run_per_seed
 
 F = Fraction
 SEEDS = list(range(40))
@@ -256,7 +256,7 @@ class TestMorphismChecker:
                 CountablyAffineMap(source, target, lambda x: x, name="ev")
 
     def test_shipped_maps_print(self):
-        maps = shipped_maps(shipped_spaces(HarnessConfig()))
+        maps = shipped_maps(shipped_spaces())
         assert repr(maps["proj1"]) == "<map proj1: [0,1] x [0,1] -> [0,1]>"
         assert all(repr(m).startswith(f"<map {m.name}: ") for m in maps.values())
 
