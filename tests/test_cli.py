@@ -445,6 +445,8 @@ def test_malformed_scenario_is_config_error_with_field_path(edit, field, tmp_pat
     ["demo", "open-interval", "--depth", "0"],
     ["demo", "open-interval", "--depth", "1"],
     ["demo", "open-interval", "--depth", "-3"],
+    ["laws", "--cases", "0", "--suite", "triangle"],
+    ["laws", "--cases", "1/0", "--suite", "triangle"],
 ])
 def test_numeric_inputs_end_in_an_exit_code_and_an_honest_line(argv, capsys):
     try:
