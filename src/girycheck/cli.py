@@ -149,36 +149,52 @@ def _list(value, where: str) -> list:
 
 
 def _label(value, where: str):
-    if not isinstance(value, (str, int, float)):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ScenarioError(f"{where}: expected a string or number label")
     return value
 
 
-_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)  # the -3 of 1.5e-3
+MAX_DIGITS = 4300  # the cap on every number the CLI reads; CPython's default limit
+_TOO_BIG = 10**MAX_DIGITS
+_DIGITS_NOTE = f" (integers of at most {MAX_DIGITS} digits)"
+_EXPONENT = re.compile(r"e([-+]?\d+)\s*\Z", re.IGNORECASE)  # the -3 of 1.5e-3
+
+
+def _fits(text: str) -> bool:
+    """Whether each run of digits in ``text``, underscores dropped, and its
+    exponent are at most MAX_DIGITS, so ``int`` and ``Fraction`` read it at once."""
+    text = text.replace("_", "")
+    exponent = _EXPONENT.search(text)
+    return (all(len(run) <= MAX_DIGITS for run in re.findall(r"\d+", text))
+            and not (exponent and abs(int(exponent[1])) > MAX_DIGITS))
 
 
 def _rational(value, where: str) -> Fraction:
-    """``value`` as a Fraction of at most ``_int_str_limit`` digits above
-    and below; a longer exponent is refused before ``Fraction`` builds its
-    power of ten, seconds of work for "1e-10000000"."""
-    limit = _int_str_limit()
+    """``value`` as a Fraction of at most MAX_DIGITS digits above and below; a
+    float reads as its shortest repr (0.1 is 1/10), and a text that ``_fits``
+    refuses never reaches ``Fraction``, seconds of work for "1e-10000000"."""
+    text = repr(value) if isinstance(value, float) else value
     try:
-        exponent = limit and isinstance(value, str) and _EXPONENT.search(value)
-        if exponent and abs(int(exponent[1])) > limit:
+        if isinstance(text, bool) or isinstance(text, str) and not _fits(text):
             raise ValueError(value)
-        q = Fraction(value)
-        big = max(abs(q.numerator), q.denominator)  # 8**limit < 10**limit
-        if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        q = Fraction(text)
+        if max(abs(q.numerator), q.denominator) >= _TOO_BIG:
             raise ValueError(value)
         return q
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
-        raise ScenarioError(f"{where}: {value!r} is not a rational{_digit_limit_note()}")
+        raise ScenarioError(f"{where}: {value!r} is not a rational{_DIGITS_NOTE}")
 
 
 def _load_scenario(path: str) -> dict:
+    def refuse(number: str):
+        raise ScenarioError(f"{path}: invalid JSON number {number}")
+
+    def json_int(text: str) -> int:
+        return int(text) if _fits(text) else refuse(f"{text[:12]}...{_DIGITS_NOTE}")
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=refuse, parse_int=json_int)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -246,13 +262,13 @@ def _map(entry, where: str, name: str, closed) -> CountablyAffineMap:
                   for k, c in enumerate(_list(entry.get("coeffs", []), f"{where}.coeffs"))]
         if not coeffs:
             raise ScenarioError(f"{where}.coeffs: must be nonempty")
+        pairs = [(c.numerator, c.denominator) for c in reversed(coeffs)]
 
-        def poly(x, coeffs=tuple(coeffs)):
-            x = as_ext(x).value
-            acc = Fraction(0)
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return ExtReal(acc)
+        def poly(x):
+            x, n, d = as_ext(x), 0, 1
+            for a, b in pairs:
+                n, d = n * x.num * b + a * d * x.den, d * x.den * b
+            return ExtReal.ratio(n, d)
 
         return CountablyAffineMap(closed, closed, poly, name=name)
     raise ScenarioError(f"{where}.kind: expected 'affine' or 'poly'")
@@ -311,24 +327,10 @@ def cmd_scenario(cfg: HarnessConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_str_limit() -> int:
-    """Python's limit on the digits of an int converted from or to a
-    decimal string; 0 where it has none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def _digit_limit_note() -> str:
-    """The clause that names the limit of ``_int_str_limit``, if any."""
-    limit = _int_str_limit()
-    return f" (integers of at most {limit} digits)" if limit else ""
-
-
 def _long_str(value) -> str:
-    """``str(value)`` for an int or Fraction, past the limit of
-    ``_int_str_limit`` too: a sum n(n+1)/2 has up to twice the digits of
-    an n that the limit let ``int`` read, and a deep enclosure of the
-    open-interval demo has denominators of thousands of digits."""
-    limit = _int_str_limit()
+    """``str(value)`` for an int or Fraction past Python's int-to-str limit,
+    such as n(n+1)/2 for an n of MAX_DIGITS digits, or a deep enclosure."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return str(value)
     sys.set_int_max_str_digits(0)
@@ -338,23 +340,25 @@ def _long_str(value) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _int_arg(minimum: int):
+def _int_arg(minimum: int | None = None):
+    """The argparse type of an integer flag that ``_fits``, at least ``minimum``."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = int(text) if _fits(text) else None
         except ValueError:
             value = None
-        if value is None or value < minimum:
+        if value is None or minimum is not None and value < minimum:
+            bound = "" if minimum is None else f" >= {minimum}"
             raise argparse.ArgumentTypeError(
-                f"expected an integer >= {minimum}{_digit_limit_note()}, got {text!r}")
+                f"expected an integer{bound}{_DIGITS_NOTE}, got {text!r}")
         return value
     return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
     checks = argparse.ArgumentParser(add_help=False)
-    checks.add_argument("--seed", type=int, default=0)
-    checks.add_argument("--cases", type=int, default=200,
+    checks.add_argument("--seed", type=_int_arg(), default=0)
+    checks.add_argument("--cases", type=_int_arg(1), default=200,
                         help="cases per seeded check (default 200)")
     checks.add_argument("--json", dest="json_path", metavar="PATH",
                         help="write the JSON report bundle to PATH")
@@ -403,11 +407,7 @@ def main(argv=None, jobs: int = 1) -> int:
         return EXIT_CONFIG_ERROR
     if args.command == "demo":
         return cmd_demo(args)
-    try:
-        cfg = HarnessConfig(seed=args.seed, cases=args.cases)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    cfg = HarnessConfig(seed=args.seed, cases=args.cases)
     if args.command == "laws":
         return cmd_laws(cfg, args, jobs)
     return cmd_scenario(cfg, args)

@@ -137,8 +137,8 @@ class ReversedWeightsSpace(IntervalSpace):
 def square_map(closed: IntervalSpace) -> CountablyAffineMap:
     """Mutant morphism on [0,1]: squaring is convex but not affine."""
     return CountablyAffineMap(
-        closed, closed, lambda x: ExtReal(as_ext(x).value ** 2), name="square"
-    )
+        closed, closed, lambda x: ExtReal.ratio(as_ext(x).num ** 2, as_ext(x).den ** 2),
+        name="square")
 
 
 def nonadditive_functional(X: FiniteMeasurableSpace):

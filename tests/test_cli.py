@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import girycheck
-from girycheck.cli import ScenarioError, _rational, main
+from girycheck.cli import MAX_DIGITS, ScenarioError, _map, _rational, main
 from girycheck.numerics import as_ext
 
 
@@ -68,9 +68,10 @@ class TestLawsCommand:
         assert "no suite matches" in capsys.readouterr().err
 
     def test_bad_cases_value_is_config_error(self, capsys):
-        code, _, err = run(["laws", "--cases", "0"], capsys)
-        assert code == 2
-        assert "config error" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["laws", "--cases", "0"])
+        assert exc.value.code == 2
+        assert "argument --cases: expected an integer >= 1" in capsys.readouterr().err
 
     def test_json_report_is_deterministic(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -217,42 +218,59 @@ class TestDemoCommand:
         assert exc.value.code == 2
 
 
-@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                    reason="this Python reads ints of any length")
 class TestIntegerDigitLimit:
-    # an integer longer than Python's int-to-str limit is refused by
-    # int(), and the messages read as if it were no integer at all
+    # one cap, MAX_DIGITS, on every number the CLI reads, whatever
+    # int-to-str limit the interpreter has
     def test_an_int_argument_past_the_limit_names_the_limit(self, capsys):
-        limit = sys.get_int_max_str_digits()
         with pytest.raises(SystemExit) as exc:
-            main(["demo", "divergent-sum", "--n", "1" * (limit + 1)])
+            main(["demo", "divergent-sum", "--n", "1" * (MAX_DIGITS + 1)])
         assert exc.value.code == 2
-        assert f"at most {limit} digits" in capsys.readouterr().err
+        assert f"at most {MAX_DIGITS} digits" in capsys.readouterr().err
 
     def test_a_weight_past_the_limit_names_the_limit(self, tmp_path, capsys):
-        limit = sys.get_int_max_str_digits()
         doc = json.loads(json.dumps(GOOD_SCENARIO))
-        doc["measures"]["P"]["atoms"][0]["weight"] = "1" * (limit + 1) + "/3"
+        doc["measures"]["P"]["atoms"][0]["weight"] = "1" * (MAX_DIGITS + 1) + "/3"
         code, _, err = run(["scenario", write_scenario(tmp_path, doc)], capsys)
         assert code == 2
         assert err.startswith("scenario error: measures.P.atoms[0].weight: ")
-        assert f"at most {limit} digits" in err
+        assert f"at most {MAX_DIGITS} digits" in err
 
     @pytest.mark.parametrize("text", ["1e-5000", "1e5000", "1e-10000000", "0.5e+10000000"])
     def test_an_exponent_past_the_limit_is_refused_unbuilt(self, text):
         # Fraction(text) would build 10**|exponent|: seconds at 10**7
-        limit = sys.get_int_max_str_digits()
         start = time.perf_counter()
-        with pytest.raises(ScenarioError, match=f"at most {limit} digits"):
+        with pytest.raises(ScenarioError, match=f"at most {MAX_DIGITS} digits"):
             _rational(text, "w")
         assert time.perf_counter() - start < 1
 
     def test_a_value_past_the_limit_is_refused(self):
-        limit = sys.get_int_max_str_digits()
-        for value in [f"99e{limit - 1}", f"0.1e-{limit - 1}"]:
-            with pytest.raises(ScenarioError, match=f"at most {limit} digits"):
+        for value in [f"99e{MAX_DIGITS - 1}", f"0.1e-{MAX_DIGITS - 1}"]:
+            with pytest.raises(ScenarioError, match=f"at most {MAX_DIGITS} digits"):
                 _rational(value, "w")
-        assert _rational(f"1e{limit - 1}", "w") == 10**(limit - 1)
+        assert _rational(f"1e{MAX_DIGITS - 1}", "w") == 10**(MAX_DIGITS - 1)
+
+    @pytest.mark.parametrize("text", [
+        "0.5" + "0" * MAX_DIGITS, "1" * (MAX_DIGITS + 1) + "/" + "1" * (MAX_DIGITS + 1),
+        "1e" + "0" * MAX_DIGITS + "1",
+    ], ids=["decimals", "quotient", "exponent"])
+    def test_a_digit_run_past_the_limit_is_refused_on_every_python(self, text):
+        # a run of more digits than the cap is refused whatever the
+        # value, so no interpreter limit decides it: "0.5000..." is 1/2
+        with _no_int_str_limit():
+            with pytest.raises(ScenarioError, match=f"at most {MAX_DIGITS} digits"):
+                _rational(text, "w")
+        assert _rational("0.5" + "0" * (MAX_DIGITS - 2), "w") == Fraction(1, 2)
+
+    def test_a_json_integer_past_the_limit_is_refused_on_every_python(self, tmp_path,
+                                                                       capsys):
+        path = tmp_path / "scn.json"
+        path.write_text('{"schema": 1, "spaces": {"X": {"carrier": [%s]}}}'
+                        % ("1" * (MAX_DIGITS + 1)))
+        with _no_int_str_limit():
+            code, _, err = run(["scenario", str(path)], capsys)
+        assert code == 2
+        assert err.startswith(f"scenario error: {path}: invalid JSON number 1111")
+        assert f"at most {MAX_DIGITS} digits" in err
 
 
 @pytest.mark.parametrize("text, value", [
@@ -261,6 +279,29 @@ class TestIntegerDigitLimit:
 ])
 def test_a_rational_parses_as_fraction_does(text, value):
     assert _rational(text, "w") == value
+
+
+@pytest.mark.parametrize("number, value", [
+    (0.1, Fraction(1, 10)), (0.9, Fraction(9, 10)), (1e-3, Fraction(1, 1000)),
+    (2.5e-7, Fraction(1, 4 * 10**6)), (1e16, Fraction(10**16)),
+    (0.30000000000000004, Fraction(30000000000000004, 10**17)),
+])
+def test_a_json_float_reads_as_its_shortest_repr(number, value):
+    # Fraction(0.1) is the binary double 3602879701896397/2**55
+    assert _rational(number, "w") == value
+
+
+@pytest.mark.parametrize("coeffs", [["1/2"], ["0", "1"], ["1/3", "-1/2", "2/7", "1/9"],
+                                    [0.25, "0", "3/4"]])
+def test_a_poly_map_evaluates_its_polynomial(coeffs):
+    from girycheck.scvx import IntervalSpace
+
+    closed = IntervalSpace("closed_unit")
+    poly = _map({"kind": "poly", "coeffs": coeffs}, "m", "m", closed)
+    qs = [_rational(c, "c") for c in coeffs]
+    for x in [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 7)]:
+        want = sum(q * x**k for k, q in enumerate(qs))
+        assert (poly(x).num, poly(x).den) == (want.numerator, want.denominator)
 
 
 @contextlib.contextmanager
@@ -289,6 +330,17 @@ class TestScenarioCommand:
         assert code == 2
         assert err.startswith(f"cannot write {tmp_path}: ")
         assert "Traceback" not in err
+
+    def test_json_float_weights_and_maps_read_as_decimals(self, tmp_path, capsys):
+        # read as binary doubles, 0.1 + 0.9 and 0.1 + 0.9x both pass 1
+        doc = json.loads(json.dumps(GOOD_SCENARIO))
+        for atom, w in zip(doc["measures"]["P"]["atoms"], [0.1, 0.9]):
+            atom["weight"] = w
+        doc["maps"]["m"] = {"kind": "affine", "offset": 0.1, "slope": 0.9}
+        code, out, err = run(["scenario", write_scenario(tmp_path, doc), "--cases", "20"],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert "3/3 suites passed" in out
 
     def test_bad_weights_is_config_error(self, tmp_path, capsys):
         doc = json.loads(json.dumps(GOOD_SCENARIO))
@@ -438,6 +490,44 @@ def test_malformed_scenario_is_config_error_with_field_path(edit, field, tmp_pat
     assert "Traceback" not in err
 
 
+NUMBER_LABELS = {
+    "schema": 1,
+    "spaces": {"X": {"carrier": [0, 1], "sigma": [[0]]}},
+    "measures": {"P": {"space": "X", "atoms": [{"atom": 0, "weight": "1/2"},
+                                               {"atom": 1, "weight": "1/2"}]}},
+    "maps": {"m": {"kind": "affine", "offset": "0", "slope": "1"}},
+    "checks": [{"suite": "triangle", "measure": "P"}, {"suite": "morphism", "map": "m"}],
+}
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_set("spaces", "X", "carrier", [0, True]), "spaces.X.carrier[1]"),
+    (_set("spaces", "X", "sigma", [[True]]), "spaces.X.sigma[0][0]"),
+    (_set("measures", "P", "atoms", 1, "atom", True), "measures.P.atoms[1].atom"),
+    (_set("measures", "P", "atoms", [{"atom": 0, "weight": "0"}, {"atom": 1, "weight": True}]),
+     "measures.P.atoms[1].weight"),
+    (_set("maps", "m", "offset", False), "maps.m.offset"),
+    (_set("maps", "m", "slope", True), "maps.m.slope"),
+    (_set("maps", "m", {"kind": "poly", "coeffs": [False, True]}), "maps.m.coeffs[0]"),
+], ids=["carrier", "sigma", "atom", "weight", "offset", "slope", "coeffs"])
+def test_a_json_boolean_is_neither_a_label_nor_a_number(edit, field, tmp_path, capsys):
+    # each edit passes if true reads as 1 and false as 0
+    doc = json.loads(json.dumps(NUMBER_LABELS))
+    assert run(["scenario", write_scenario(tmp_path, doc)], capsys)[0] == 0
+    edit(doc)
+    code, _, err = run(["scenario", write_scenario(tmp_path, doc)], capsys)
+    assert code == 2
+    assert err.startswith(f"scenario error: {field}: ")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_standard_json_literal_is_refused(literal, tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text('{"schema": 1, "spaces": {"X": {"carrier": [%s]}}}' % literal)
+    code, _, err = run(["scenario", str(path)], capsys)
+    assert (code, err) == (2, f"scenario error: {path}: invalid JSON number {literal}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["laws", "--tolerance", "1e-12"],
     ["demo", "divergent-sum", "--n", "0"],
@@ -580,6 +670,37 @@ def _in_fresh_interpreter(code: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(Path(girycheck.__file__).parents[1])}
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout
+
+
+WITHOUT_DIGIT_LIMIT = [
+    (["scenario", "WEIGHT"], f"at most {MAX_DIGITS} digits"),
+    (["laws", "--seed", "7" * 5000], f"at most {MAX_DIGITS} digits"),
+    (["laws", "--cases", "0"], "expected an integer >= 1"),
+    (["demo", "divergent-sum", "--n", "1" * (MAX_DIGITS + 1)], f"at most {MAX_DIGITS} digits"),
+]
+
+
+@pytest.mark.parametrize("argv, message", WITHOUT_DIGIT_LIMIT,
+                         ids=["weight-1e-10000000", "seed-5000-digits", "cases-0",
+                              "n-4301-digits"])
+def test_the_digit_cap_is_the_same_without_an_interpreter_limit(argv, message, tmp_path):
+    # PYTHONINTMAXSTRDIGITS=0 is the path Python 3.10 takes by default:
+    # there int() and Fraction() read numbers of any length
+    doc = json.loads(json.dumps(GOOD_SCENARIO))
+    doc["measures"]["P"]["atoms"][0]["weight"] = "1e-10000000"
+    argv = [write_scenario(tmp_path, doc) if a == "WEIGHT" else a for a in argv]
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    base["PYTHONPATH"] = str(Path(girycheck.__file__).parents[1])
+    lines = []
+    for env in [{**base, "PYTHONINTMAXSTRDIGITS": "0"}, base]:
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "girycheck.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert done.returncode == 2
+        lines.append(done.stderr.splitlines()[-1])
+    assert lines[0] == lines[1]
+    assert message in lines[0]
 
 
 def test_start_up_loads_neither_openssl_nor_scipy():
