@@ -21,7 +21,6 @@ from .scvx import (
     ArityMismatch,
     CarrierViolation,
     CountablyAffineMap,
-    FunctionSpace,
     IntervalSpace,
     ProductSpace,
     SuperConvexSpace,
@@ -34,11 +33,8 @@ from .scvx import (
 )
 from .meas import (
     FiniteMeasurableSpace,
-    InfiniteCarrier,
     generate_sigma_algebra,
     indicator,
-    is_measurable,
-    sigma_functor,
 )
 from .giry import (
     BaseMismatch,

@@ -149,57 +149,64 @@ def _list(value, where: str) -> list:
 
 
 def _label(value, where: str):
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
         raise ScenarioError(f"{where}: expected a string or number label")
     return value
 
 
-MAX_DIGITS = 4300  # the cap on every number the CLI reads; CPython's default limit
+# the cap on every number the CLI reads: CPython's default int-to-str limit,
+# or the lower limit this interpreter was started with
+MAX_DIGITS = min(4300, getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
 _TOO_BIG = 10**MAX_DIGITS
 _DIGITS_NOTE = f" (integers of at most {MAX_DIGITS} digits)"
 _EXPONENT = re.compile(r"e([-+]?\d+)\s*\Z", re.IGNORECASE)  # the -3 of 1.5e-3
 
 
-def _fits(text: str) -> bool:
-    """Whether each run of digits in ``text``, underscores dropped, and its
-    exponent are at most MAX_DIGITS, so ``int`` and ``Fraction`` read it at once."""
-    text = text.replace("_", "")
-    exponent = _EXPONENT.search(text)
-    return (all(len(run) <= MAX_DIGITS for run in re.findall(r"\d+", text))
-            and not (exponent and abs(int(exponent[1])) > MAX_DIGITS))
+def _capped(text: str, read=Fraction):
+    """``read(text)``, for ``int`` or ``Fraction``, unless a digit run of ``text``
+    (underscores dropped), its exponent, or the value's numerator or denominator
+    has more than MAX_DIGITS digits: then ValueError.  A longer run or exponent
+    never reaches ``read``: ``Fraction("1e-10000000")`` is seconds of work."""
+    digits = text.replace("_", "")
+    exponent = _EXPONENT.search(digits)
+    if (any(len(run) > MAX_DIGITS for run in re.findall(r"\d+", digits))
+            or exponent and abs(int(exponent[1])) > MAX_DIGITS):
+        raise ValueError(text)
+    q = read(text)
+    if max(abs(q.numerator), q.denominator) >= _TOO_BIG:
+        raise ValueError(text)
+    return q
 
 
 def _rational(value, where: str) -> Fraction:
-    """``value`` as a Fraction of at most MAX_DIGITS digits above and below; a
-    float reads as its shortest repr (0.1 is 1/10), and a text that ``_fits``
-    refuses never reaches ``Fraction``, seconds of work for "1e-10000000"."""
-    text = repr(value) if isinstance(value, float) else value
+    """``value`` as a Fraction: a string read by ``_capped``, a number as it is."""
     try:
-        if isinstance(text, bool) or isinstance(text, str) and not _fits(text):
-            raise ValueError(value)
-        q = Fraction(text)
-        if max(abs(q.numerator), q.denominator) >= _TOO_BIG:
-            raise ValueError(value)
-        return q
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        if isinstance(value, bool):
+            raise TypeError(value)
+        return _capped(value) if isinstance(value, str) else Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError):
         raise ScenarioError(f"{where}: {value!r} is not a rational{_DIGITS_NOTE}")
 
 
 def _load_scenario(path: str) -> dict:
+    """The scenario document, each JSON number read by ``_capped`` from its
+    decimal text, never through a double: with a point or an exponent, as a Fraction."""
     def refuse(number: str):
         raise ScenarioError(f"{path}: invalid JSON number {number}")
 
-    def json_int(text: str) -> int:
-        return int(text) if _fits(text) else refuse(f"{text[:12]}...{_DIGITS_NOTE}")
+    def number(read, text: str):
+        try:
+            return _capped(text, read)
+        except ValueError:
+            refuse(f"{text[:12]}...{_DIGITS_NOTE}")
 
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_constant=refuse, parse_int=json_int)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}")
+            doc = json.load(fh, parse_constant=refuse, parse_int=partial(number, int),
+                            parse_float=partial(number, Fraction))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
-    except (ValueError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}")
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise ScenarioError('scenario must be an object with "schema": 1')
@@ -341,10 +348,10 @@ def _long_str(value) -> str:
 
 
 def _int_arg(minimum: int | None = None):
-    """The argparse type of an integer flag that ``_fits``, at least ``minimum``."""
+    """The argparse type of an integer flag that ``_capped`` reads, at least ``minimum``."""
     def parse(text: str) -> int:
         try:
-            value = int(text) if _fits(text) else None
+            value = _capped(text, int)
         except ValueError:
             value = None
         if value is None or minimum is not None and value < minimum:

@@ -1,7 +1,6 @@
 """Finite measurable spaces stored as the atoms of their sigma-algebras,
-sigma-algebra generation by splitting the carrier on generators,
-measurable maps, and the sigma-algebra a finite-carrier super convex space
-inherits from a generating family of affine maps into the extended reals.
+sigma-algebra generation by splitting the carrier on generators, and the
+indicator of a subset.
 
 On a finite carrier a sigma-algebra is exactly a partition of the carrier
 into atoms; its measurable sets are the unions of atoms.  Subsets are
@@ -12,12 +11,6 @@ algebra is exact.
 from __future__ import annotations
 
 from functools import cached_property
-
-from .numerics import as_ext
-
-
-class InfiniteCarrier(Exception):
-    pass
 
 
 class FiniteMeasurableSpace:
@@ -112,41 +105,6 @@ def generate_sigma_algebra(carrier, generators) -> FiniteMeasurableSpace:
             raise ValueError("generator outside the carrier")
         atoms = [part for a in atoms for part in (a & m, a & ~m) if part]
     return FiniteMeasurableSpace(space.carrier, atoms)
-
-
-def sigma_functor(carrier, generating_maps) -> FiniteMeasurableSpace:
-    """The measurable space a finite carrier inherits from maps into the
-    extended reals: the sigma-algebra generated by the maps' fiber
-    partitions (equivalent, on a finite carrier, to generating by
-    preimages of Borel sets).  The carrier must have a ``len()``: an
-    iterator without one, finite or not, raises InfiniteCarrier, so pass
-    ``list(...)`` of a finite one."""
-    if not hasattr(carrier, "__len__"):
-        raise InfiniteCarrier(
-            f"sigma_functor needs a finite carrier with a len(), got a "
-            f"{type(carrier).__name__}; pass list(...) of a finite one"
-        )
-    carrier = list(carrier)
-    generators = []
-    for m in generating_maps:
-        fibers: dict = {}
-        for x in carrier:
-            v = as_ext(m(x))
-            fibers.setdefault(v, []).append(x)
-        generators.extend(fibers.values())
-    return generate_sigma_algebra(carrier, generators)
-
-
-def is_measurable(f, source: FiniteMeasurableSpace, target=None) -> bool:
-    """True iff ``f`` sends each atom of ``source`` into one atom of
-    ``target``, so every preimage of a measurable set is measurable.  A
-    ``target`` of None is the extended real line, whose Borel sets
-    separate points: f must be constant on each source atom."""
-    if target is None:
-        block = as_ext
-    else:
-        block = lambda y: next(a for a in target.atoms if a >> target.index[y] & 1)
-    return all(len({block(f(x)) for x in source.set_of(a)}) == 1 for a in source.atoms)
 
 
 def indicator(space: FiniteMeasurableSpace, mask: int):

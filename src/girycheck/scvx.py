@@ -204,28 +204,6 @@ def affine_map(source: SuperConvexSpace, target: SuperConvexSpace,
     )
 
 
-class FunctionSpace:
-    """A finite generating family of countably affine maps into the
-    extended reals, standing in for the full function space, with the
-    pointwise combine."""
-
-    def __init__(self, base: SuperConvexSpace, maps):
-        self.base = base
-        self.maps = list(maps)
-        self.target = next(
-            (m.target for m in self.maps), IntervalSpace("ext_real_line")
-        )
-
-    def combine(self, omega: PartitionOfOne | LazyPartition,
-                maps=None) -> CountablyAffineMap:
-        maps = self.maps if maps is None else list(maps)
-
-        def fn(x):
-            return countable_combine(omega, [as_ext(m(x)) for m in maps])
-
-        return CountablyAffineMap(self.base, self.target, fn, name="pointwise-combine")
-
-
 def describe(x):
     """Serialize an element for a counterexample witness."""
     if isinstance(x, ExtReal):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import girycheck
-from girycheck.cli import MAX_DIGITS, ScenarioError, _map, _rational, main
+from girycheck.cli import MAX_DIGITS, ScenarioError, _load_scenario, _map, _rational, main
 from girycheck.numerics import as_ext
 
 
@@ -220,7 +220,7 @@ class TestDemoCommand:
 
 class TestIntegerDigitLimit:
     # one cap, MAX_DIGITS, on every number the CLI reads, whatever
-    # int-to-str limit the interpreter has
+    # int-to-str limit at or above it the interpreter has
     def test_an_int_argument_past_the_limit_names_the_limit(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["demo", "divergent-sum", "--n", "1" * (MAX_DIGITS + 1)])
@@ -286,9 +286,12 @@ def test_a_rational_parses_as_fraction_does(text, value):
     (2.5e-7, Fraction(1, 4 * 10**6)), (1e16, Fraction(10**16)),
     (0.30000000000000004, Fraction(30000000000000004, 10**17)),
 ])
-def test_a_json_float_reads_as_its_shortest_repr(number, value):
-    # Fraction(0.1) is the binary double 3602879701896397/2**55
-    assert _rational(number, "w") == value
+def test_a_json_float_reads_as_its_shortest_repr(number, value, tmp_path):
+    # json.dumps writes a float's shortest repr and the reader takes that
+    # text exactly: 0.1 is 1/10, not the double 3602879701896397/2**55
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"schema": 1, "maps": {"m": {"offset": number}}}))
+    assert _load_scenario(str(path))["maps"]["m"]["offset"] == value
 
 
 @pytest.mark.parametrize("coeffs", [["1/2"], ["0", "1"], ["1/3", "-1/2", "2/7", "1/9"],
@@ -341,6 +344,34 @@ class TestScenarioCommand:
                              capsys)
         assert (code, err) == (0, "")
         assert "3/3 suites passed" in out
+
+    def test_a_weight_below_the_smallest_double_keeps_its_value(self, tmp_path, capsys):
+        # read as a double, 1e-400 is 0.0, and weights 1 and 1e-400 pass
+        doc = json.loads(json.dumps(GOOD_SCENARIO))
+        for atom, w in zip(doc["measures"]["P"]["atoms"], [1, "TINY"]):
+            atom["weight"] = w
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc).replace('"TINY"', "1e-400"))
+        code, _, err = run(["scenario", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("scenario error: measures.P: ") and "sum to 1" in err
+
+    def test_a_float_label_is_neither_its_text_nor_its_double(self, tmp_path, capsys):
+        # 0.5 and "0.5" are two points, and so are 0 and 1e-400
+        doc = {
+            "schema": 1,
+            "spaces": {"X": {"carrier": ["0.5", 0.5, 0, "TINY"]}},
+            "measures": {"P": {"space": "X", "atoms": [
+                {"atom": "0.5", "weight": "1/4"}, {"atom": 0.5, "weight": "1/4"},
+                {"atom": 0, "weight": "1/4"}, {"atom": "TINY", "weight": "1/4"}]}},
+            "checks": [{"suite": "triangle", "measure": "P"},
+                       {"suite": "phi-roundtrip", "measure": "P"}],
+        }
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc).replace('"TINY"', "1e-400"))
+        code, out, err = run(["scenario", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert "2/2 suites passed" in out
 
     def test_bad_weights_is_config_error(self, tmp_path, capsys):
         doc = json.loads(json.dumps(GOOD_SCENARIO))
@@ -701,6 +732,32 @@ def test_the_digit_cap_is_the_same_without_an_interpreter_limit(argv, message, t
         lines.append(done.stderr.splitlines()[-1])
     assert lines[0] == lines[1]
     assert message in lines[0]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-str limit")
+@pytest.mark.parametrize("argv", [
+    ["laws", "--seed", "7" * 2000],
+    ["scenario", "WEIGHT"],
+    ["scenario", "LABEL"],
+], ids=["flag", "string-weight", "json-int"])
+def test_a_lower_interpreter_limit_is_the_cap_the_message_names(argv, tmp_path):
+    # started with a limit below MAX_DIGITS, the interpreter refuses a
+    # 2,000-digit int, so the cap and its message are that limit
+    doc = json.loads(json.dumps(GOOD_SCENARIO))
+    doc["measures"]["P"]["atoms"][0]["weight"] = "1" * 2000 + "/3"
+    paths = {"WEIGHT": write_scenario(tmp_path, doc, "weight.json"),
+             "LABEL": str(tmp_path / "label.json")}
+    Path(paths["LABEL"]).write_text(
+        '{"schema": 1, "spaces": {"X": {"carrier": [%s]}}}' % ("1" * 2000))
+    argv = [paths.get(a, a) for a in argv]
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "1000",
+           "PYTHONPATH": str(Path(girycheck.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "girycheck.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "(integers of at most 1000 digits)" in done.stderr.splitlines()[-1]
 
 
 def test_start_up_loads_neither_openssl_nor_scipy():

@@ -1,20 +1,9 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from girycheck.meas import (
-    FiniteMeasurableSpace,
-    InfiniteCarrier,
-    generate_sigma_algebra,
-    indicator,
-    is_measurable,
-    sigma_functor,
-)
-from girycheck.numerics import as_ext
-
-F = Fraction
+from girycheck.meas import FiniteMeasurableSpace, generate_sigma_algebra
 
 
 def brute_force_closure(carrier, generators):
@@ -95,71 +84,6 @@ class TestFiniteMeasurableSpace:
         assert sorted(space.set_of(a) for a in atoms) == [["a", "b"], ["c", "d"]]
 
 
-class TestSigmaFunctor:
-    def test_injective_map_gives_powerset(self):
-        space = sigma_functor(["p", "q"], [lambda x: F(1) if x == "p" else F(0)])
-        assert space.sigma == frozenset(range(4))
-
-    def test_constant_map_gives_trivial(self):
-        space = sigma_functor(list("abc"), [lambda x: F(1, 2)])
-        assert len(space.sigma) == 2
-
-    def test_crossing_fibers_join(self):
-        # two maps on 4 points whose fiber partitions cross
-        carrier = [0, 1, 2, 3]
-        m1 = lambda x: F(x // 2)   # fibers {0,1} {2,3}
-        m2 = lambda x: F(x % 2)    # fibers {0,2} {1,3}
-        space = sigma_functor(carrier, [m1, m2])
-        oracle = generate_sigma_algebra(carrier, [[0, 1], [2, 3], [0, 2], [1, 3]])
-        assert space.sigma == oracle.sigma
-
-    def test_generating_maps_become_measurable(self):
-        carrier = list("abcde")
-        m = lambda x: F(ord(x) % 3)
-        space = sigma_functor(carrier, [m])
-        assert is_measurable(m, space)
-
-    def test_minimality_against_other_admitting_algebras(self):
-        carrier = list("abcd")
-        m = lambda x: F(1) if x in "ab" else F(0)
-        space = sigma_functor(carrier, [m])
-        # any sigma-algebra making m measurable must contain this one
-        finer = generate_sigma_algebra(carrier, [["a", "b"], ["a"]])
-        assert space.sigma <= finer.sigma
-
-    def test_infinite_carrier_rejected(self):
-        with pytest.raises(InfiniteCarrier):
-            sigma_functor(itertools.count(), [lambda x: F(0)])
-
-    def test_carrier_without_len_rejected_with_the_rule(self):
-        # a finite generator cannot be told from an endless one without
-        # consuming it, so the message names the type and the way out
-        with pytest.raises(InfiniteCarrier, match="generator") as exc:
-            sigma_functor((x for x in "ab"), [lambda x: F(0)])
-        assert "list" in str(exc.value)
-
-
-class TestIsMeasurable:
-    def test_identity_measurable(self):
-        space = generate_sigma_algebra(list("abc"), [["a"]])
-        assert is_measurable(lambda x: x, space, space)
-
-    def test_indicator_of_measurable_set(self):
-        space = generate_sigma_algebra(list("abc"), [["a"]])
-        chi = indicator(space, space.mask_of(["a"]))
-        assert is_measurable(chi, space)
-
-    def test_indicator_of_non_measurable_set(self):
-        space = FiniteMeasurableSpace.trivial(list("abc"))
-        chi = indicator(space, space.mask_of(["a"]))
-        assert not is_measurable(chi, space)
-
-    def test_coarsening_map_to_finer_target_fails(self):
-        src = FiniteMeasurableSpace.trivial(["a", "b"])
-        tgt = FiniteMeasurableSpace.powerset(["a", "b"])
-        assert not is_measurable(lambda x: x, src, tgt)
-
-
 @st.composite
 def generated_spaces(draw):
     """A carrier of at most 6 points and generators, each given either as
@@ -179,50 +103,3 @@ def test_generated_sigma_matches_brute_force_closure(case):
     carrier, generators, labels = case
     space = generate_sigma_algebra(carrier, generators)
     assert space.sigma == brute_force_closure(carrier, labels)
-
-
-def measurable_by_definition(f, src, tgt) -> bool:
-    """Oracle by the definition: the preimage of every measurable target
-    set (of every fiber, for the extended-real target None) is a
-    measurable source set."""
-
-    def preimage(member):
-        return src.mask_of([x for x in src.carrier if member(f(x))])
-
-    if tgt is None:
-        fibers = {as_ext(f(x)) for x in src.carrier}
-        tests = [lambda y, v=v: as_ext(y) == v for v in fibers]
-    else:
-        tests = [lambda y, v=v: v >> tgt.index[y] & 1 for v in tgt.sigma]
-    return all(preimage(member) in src.sigma for member in tests)
-
-
-@st.composite
-def spaces(draw, labels):
-    """A random sigma-algebra on ``labels``: each point draws one of k
-    blocks, so coarse and fine partitions are both common."""
-    k = draw(st.integers(1, len(labels)))
-    blocks = draw(st.lists(st.integers(0, k - 1),
-                           min_size=len(labels), max_size=len(labels)))
-    atoms: dict = {}
-    for i, b in enumerate(blocks):
-        atoms[b] = atoms.get(b, 0) | 1 << i
-    return FiniteMeasurableSpace(labels, atoms.values())
-
-
-@st.composite
-def random_maps(draw):
-    src = draw(spaces([f"s{i}" for i in range(draw(st.integers(1, 5)))]))
-    if draw(st.booleans()):
-        tgt = None
-        values = st.sampled_from([F(0), F(1, 2), F(1), F(7, 3)])
-    else:
-        tgt = draw(spaces([f"t{i}" for i in range(draw(st.integers(1, 5)))]))
-        values = st.sampled_from(tgt.carrier)
-    table = {x: draw(values) for x in src.carrier}
-    return table.__getitem__, src, tgt
-
-
-@given(random_maps())
-def test_is_measurable_matches_preimage_definition(case):
-    assert is_measurable(*case) == measurable_by_definition(*case)

@@ -25,13 +25,6 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "girycheck"
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 
-# kept unreached for the ROADMAP item 4 suites that will use them
-ALLOWED = {
-    "FunctionSpace",  # codense-recovery: a family of affine maps into R-inf
-    "sigma_functor",  # sigma-unit: the sigma-algebra that family induces
-    "is_measurable",  # sigma-unit: the unit X -> Sigma P X is measurable
-}
-
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
@@ -74,16 +67,8 @@ def test_every_top_level_definition_is_reached():
     definitions, uses = _definitions_and_uses()
     reached = _reached(definitions, uses)
     unreached = [f"{module}.{name}" for module, name in definitions
-                 if (module, name) not in reached and name not in ALLOWED]
+                 if (module, name) not in reached]
     assert unreached == []
-
-
-def test_allowlist_names_existing_definitions():
-    # an allowed name must exist and must still be unreached: once code
-    # uses it, it leaves the allowlist
-    definitions, uses = _definitions_and_uses()
-    assert ALLOWED <= {name for _, name in definitions}
-    assert not ALLOWED & {name for _, name in _reached(definitions, uses)}
 
 
 def _attributes(node) -> Counter:

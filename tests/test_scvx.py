@@ -18,7 +18,6 @@ from girycheck.scvx import (
     ArityMismatch,
     CarrierViolation,
     CountablyAffineMap,
-    FunctionSpace,
     IntervalSpace,
     ProductSpace,
     affine_map,
@@ -259,29 +258,6 @@ class TestMorphismChecker:
         maps = shipped_maps(shipped_spaces())
         assert repr(maps["proj1"]) == "<map proj1: [0,1] x [0,1] -> [0,1]>"
         assert all(repr(m).startswith(f"<map {m.name}: ") for m in maps.values())
-
-
-class TestFunctionSpace:
-    def test_pointwise_combine_matches_direct_sum(self, closed, ext):
-        maps = [
-            affine_map(closed, ext, F(1, 4), F(1, 2)),
-            constant_map(closed, ext, F(1, 3)),
-        ]
-        fs = FunctionSpace(closed, maps)
-        half = PartitionOfOne.finite([F(1, 2), F(1, 2)])
-        combined = fs.combine(half)
-        for x in (ExtReal(0), ExtReal(F(1, 3)), ExtReal(1)):
-            expected = (maps[0](x).value + maps[1](x).value) / 2
-            assert combined(x) == ExtReal(expected)
-
-    def test_pointwise_combine_is_affine(self, closed, ext):
-        maps = [
-            affine_map(closed, ext, F(1, 4), F(1, 2)),
-            affine_map(closed, ext, 0, F(1, 3)),
-        ]
-        fs = FunctionSpace(closed, maps)
-        combined = fs.combine(PartitionOfOne.finite([F(2, 3), F(1, 3)]))
-        assert run(check_morphism, combined).ok
 
 
 @settings(max_examples=300, deadline=None)
