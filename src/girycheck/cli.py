@@ -30,6 +30,7 @@ from .scvx import (
     IntervalSpace,
     affine_map,
     check_morphism,
+    describe,
 )
 
 EXIT_OK = 0
@@ -185,7 +186,7 @@ def _rational(value, where: str) -> Fraction:
             raise TypeError(value)
         return _capped(value) if isinstance(value, str) else Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError):
-        raise ScenarioError(f"{where}: {value!r} is not a rational{_DIGITS_NOTE}")
+        raise ScenarioError(f"{where}: {describe(value)} is not a rational{_DIGITS_NOTE}")
 
 
 def _load_scenario(path: str) -> dict:
@@ -228,7 +229,7 @@ def _space(entry, where: str) -> FiniteMeasurableSpace:
     for k, g in enumerate(_list(sigma, f"{where}.sigma")):
         for j, x in enumerate(_list(g, f"{where}.sigma[{k}]")):
             if _label(x, f"{where}.sigma[{k}][{j}]") not in carrier:
-                raise ScenarioError(f"{where}.sigma[{k}][{j}]: {x!r} not in carrier")
+                raise ScenarioError(f"{where}.sigma[{k}][{j}]: {describe(x)} not in carrier")
     return generate_sigma_algebra(carrier, sigma)
 
 
@@ -237,14 +238,14 @@ def _measure(entry, where: str, spaces: dict) -> ProbMeasure:
     name = entry.get("space")
     space = spaces.get(name) if isinstance(name, str) else None
     if space is None:
-        raise ScenarioError(f"{where}.space: unknown space {name!r}")
+        raise ScenarioError(f"{where}.space: unknown space {describe(name)}")
     support = []
     for k, atom in enumerate(_list(entry.get("atoms", []), f"{where}.atoms")):
         at = f"{where}.atoms[{k}]"
         atom = _object(atom, at, ("atom", "weight"))
         label = _label(atom.get("atom"), f"{at}.atom")
         if label not in space.index:
-            raise ScenarioError(f"{at}.atom: {label!r} not in carrier")
+            raise ScenarioError(f"{at}.atom: {describe(label)} not in carrier")
         support.append((label, _rational(atom.get("weight", "0"), f"{at}.weight")))
     try:
         return ProbMeasure(support, base=space)
@@ -269,6 +270,10 @@ def _map(entry, where: str, name: str, closed) -> CountablyAffineMap:
                   for k, c in enumerate(_list(entry.get("coeffs", []), f"{where}.coeffs"))]
         if not coeffs:
             raise ScenarioError(f"{where}.coeffs: must be nonempty")
+        # a point inside (0,1) is checked where a case evaluates it
+        for x, value in ((0, coeffs[0]), (1, sum(coeffs))):
+            if not 0 <= value <= 1:
+                raise ScenarioError(f"{where}: value {value} at {x} leaves [0,1]")
         pairs = [(c.numerator, c.denominator) for c in reversed(coeffs)]
 
         def poly(x):
@@ -300,14 +305,14 @@ def _run_check(check, where: str, measures: dict, maps: dict,
     suite = _object(check, where).get("suite")
     if not isinstance(suite, str) or suite not in CHECK_OBJECTS:
         raise ScenarioError(
-            f"{where}.suite: unknown suite {suite!r} "
+            f"{where}.suite: unknown suite {describe(suite)} "
             "(expected triangle, phi-roundtrip, or morphism)"
         )
     kind = CHECK_OBJECTS[suite]
     name = _object(check, where, ("suite", kind)).get(kind)
     obj = (maps if kind == "map" else measures).get(name) if isinstance(name, str) else None
     if obj is None:
-        raise ScenarioError(f"{where}.{kind}: unknown {kind} {name!r}")
+        raise ScenarioError(f"{where}.{kind}: unknown {kind} {describe(name)}")
     if suite == "morphism":
         try:
             seeds = suite_seeds(cfg, f"scenario-morphism-{name}")
@@ -325,6 +330,8 @@ def cmd_scenario(cfg: HarnessConfig, args) -> int:
         measures, maps = _build_scenario_objects(doc, closed)
         reports = [_run_check(check, f"checks[{k}]", measures, maps, cfg)
                    for k, check in enumerate(_list(doc.get("checks", []), "checks"))]
+        if not reports:
+            raise ScenarioError("checks: expected at least one check")
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

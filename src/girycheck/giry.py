@@ -201,31 +201,27 @@ def dirac(x, base=None) -> ProbMeasure:
 
 def mixture(omega: PartitionOfOne, measures, base=None) -> ProbMeasure:
     """The convex mixture of measures with weights from a finite partition
-    of one.  Measures on one base, ``base`` if given, mix as an integer
-    matrix-vector product of their vectors, and other finite supports are
-    merged exactly.  A lazy partition raises ``UnsupportedRepresentation``:
+    of one.  The measures share one base, ``base`` if given, and mix as an
+    integer matrix-vector product of their vectors; or none has a base,
+    and their supports are merged exactly.  Any other mix raises
+    ``BaseMismatch``.  A lazy partition raises ``UnsupportedRepresentation``:
     a countable mixture of measures is not a finite measure."""
     if not omega.is_finite:
         raise UnsupportedRepresentation("a mixture of measures needs a finite partition of one")
     ms = list(terms(measures, omega.parts))
-    bases = [m.base for m in ms if m.base is not None]
-    X = bases[0] if base is None and bases else base
-    for b in bases:  # equal spaces are one base, even when built apart
-        if b is not X and b != X:
+    X = ms[0].base if base is None else base
+    for m in ms:  # equal spaces are one base, even when built apart
+        if m.base is not X and m.base != X:
             raise BaseMismatch("mixture components live on different bases")
     # omega_i * m_i(a) as integer parts over omega.den * lcm(m_i dens)
     dens = [m.den for m in ms]
     scale = math.lcm(*dens)
     factors = [w * (scale // d) for w, d in zip(omega.parts.values(), dens)]
-    if len(bases) == len(ms):
-        # one base: an integer matrix-vector product
-        vec = [sum(map(mul, factors, column)) for column in zip(*[m.vec for m in ms])]
-        return ProbMeasure.on_base(X, vec)
-    support = [(a, f * p) for f, m in zip(factors, ms)
-               for a, p in zip(m.points, m.vec)]
-    if X is not None:  # an atom of a measure without a base may miss X
-        return ProbMeasure(support, base=X, den=omega.den * scale)
-    return ProbMeasure.of_atoms(support)
+    if X is None:
+        return ProbMeasure.of_atoms([(a, f * p) for f, m in zip(factors, ms)
+                                     for a, p in zip(m.points, m.vec)])
+    vec = [sum(map(mul, factors, column)) for column in zip(*[m.vec for m in ms])]
+    return ProbMeasure.on_base(X, vec)
 
 
 def pushforward(P: ProbMeasure, m) -> ProbMeasure:
@@ -256,12 +252,8 @@ class GirySpace(SuperConvexSpace):
 
     def contains(self, P) -> bool:
         """Exactly what ``combine`` takes: a measure on X or on a space equal
-        to X, or one without a base whose atoms are points of X."""
-        if not isinstance(P, ProbMeasure):
-            return False
-        if P.base is None:
-            return all(a in self.X.index for a in P.points)
-        return P.base is self.X or P.base == self.X
+        to X."""
+        return isinstance(P, ProbMeasure) and (P.base is self.X or P.base == self.X)
 
     def eq(self, P, Q) -> bool:
         return P == Q

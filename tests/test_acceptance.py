@@ -19,7 +19,6 @@ import girycheck
 from girycheck.cli import main
 from girycheck.giry import dirac, evaluation, phi
 from girycheck.laws import (
-    HarnessConfig,
     check_evaluation_point_recovery,
     demo_divergent_sum,
     demo_half_cauchy,
@@ -29,7 +28,7 @@ from girycheck.laws import (
     square_map,
 )
 from girycheck.meas import FiniteMeasurableSpace
-from girycheck.reports import run_per_seed
+from girycheck.reports import HarnessConfig, run_per_seed
 from girycheck.scvx import IntervalSpace, check_morphism
 
 F = Fraction

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import girycheck
@@ -521,6 +521,55 @@ def test_malformed_scenario_is_config_error_with_field_path(edit, field, tmp_pat
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("drop", [False, True], ids=["empty", "absent"])
+def test_a_scenario_with_no_checks_is_config_error(drop, tmp_path, capsys):
+    # "0/0 suites passed" is a pass that checked nothing
+    doc = {**GOOD_SCENARIO, "checks": []}
+    if drop:
+        del doc["checks"]
+    report = tmp_path / "report.json"
+    code, out, err = run(["scenario", write_scenario(tmp_path, doc), "--json", str(report)],
+                         capsys)
+    assert (code, out, err) == (2, "", "scenario error: checks: expected at least one check\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("measures", "P", "atoms", 0, "atom", 0.25),
+     "measures.P.atoms[0].atom: 1/4 not in carrier"),
+    (_set("spaces", "X", "sigma", [[0.75]]), "spaces.X.sigma[0][0]: 3/4 not in carrier"),
+    (_set("measures", "P", "space", 0.5), "measures.P.space: unknown space 1/2"),
+    (_set("checks", 0, "suite", 2.5),
+     "checks[0].suite: unknown suite 5/2 (expected triangle, phi-roundtrip, or morphism)"),
+    (_set("checks", 0, "measure", 0.5), "checks[0].measure: unknown measure 1/2"),
+    (_set("measures", "P", "atoms", 0, "atom", "zz"),
+     "measures.P.atoms[0].atom: 'zz' not in carrier"),
+    (_set("measures", "P", "space", 7), "measures.P.space: unknown space 7"),
+], ids=["atom", "sigma", "space", "suite", "measure", "string-atom", "int-space"])
+def test_a_message_prints_a_json_value_as_witnesses_do(edit, message, tmp_path, capsys):
+    # a JSON float reads as a Fraction and prints as 1/4, not Fraction(1, 4);
+    # a string or an int prints its repr
+    doc = json.loads(json.dumps(GOOD_SCENARIO))
+    edit(doc)
+    code, _, err = run(["scenario", write_scenario(tmp_path, doc)], capsys)
+    assert (code, err) == (2, f"scenario error: {message}\n")
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    (["-1/1000", "1002/1000"], "value -1/1000 at 0 leaves [0,1]"),
+    (["0", "1001/1000"], "value 1001/1000 at 1 leaves [0,1]"),
+    (["1/2", "1", "-2", "2"], "value 3/2 at 1 leaves [0,1]"),
+])
+@pytest.mark.parametrize("cases", ["3", "20", "200"])
+def test_a_poly_leaving_the_unit_interval_at_an_end_is_refused_at_any_cases(
+        coeffs, message, cases, tmp_path, capsys):
+    # whether a case draws the end point must not decide the exit code
+    doc = {**GOOD_SCENARIO, "maps": {"m": {"kind": "poly", "coeffs": coeffs}},
+           "checks": [{"suite": "morphism", "map": "m"}]}
+    code, _, err = run(["scenario", write_scenario(tmp_path, doc), "--cases", cases], capsys)
+    assert (code, err) == (2, f"scenario error: maps.m: {message}\n")
+
+
 NUMBER_LABELS = {
     "schema": 1,
     "spaces": {"X": {"carrier": [0, 1], "sigma": [[0]]}},
@@ -640,6 +689,9 @@ SCENARIO_EDITS = st.lists(
 
 @settings(max_examples=80, deadline=None)
 @given(edits=SCENARIO_EDITS)
+# an earlier edit made the parent a string, which indexes but takes no edit
+@example(edits=[(("checks",), "a"), (("checks", 0), None)])
+@example(edits=[(("checks",), "a"), (("checks", 0), DROP)])
 def test_edited_scenarios_end_in_an_exit_code(edits, tmp_path_factory):
     doc = json.loads(json.dumps(GOOD_SCENARIO))
     for path, value in edits:
@@ -650,6 +702,8 @@ def test_edited_scenarios_end_in_an_exit_code(edits, tmp_path_factory):
             parent[path[-1]]
         except (KeyError, IndexError, TypeError):
             continue  # an earlier edit removed this field
+        if not isinstance(parent, (dict, list)):
+            continue  # or replaced its parent by a scalar
         if value is DROP:
             del parent[path[-1]]
         else:

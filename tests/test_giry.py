@@ -321,8 +321,11 @@ class TestGirySpace:
         assert run_per_seed("axiom2", GX.name, SEEDS, partial(check_axiom2, GX)).ok
 
     def test_membership(self, X):
+        # a member of G(X) is a measure on X: the same atoms without a base
+        # are not one
         GX = GirySpace(X)
-        assert GX.contains(uniform(["a", "b"]))
+        assert GX.contains(ProbMeasure([("a", 1), ("b", 1)], base=X, den=2))
+        assert not GX.contains(uniform(["a", "b"]))
         assert not GX.contains(uniform(["z"]))
         assert not GX.contains("a")
 
@@ -747,14 +750,19 @@ def test_vector_mixture_and_flatten_match_fraction_reference(data):
     based = [ProbMeasure(pairs, base=X, den=den) for pairs, den in comps]
     got = mixture(PartitionOfOne.finite(omega), based)
     assert got.base is X and listing(got) == expected
-    # components without a base join the base of the others; a component
-    # of weight zero is not read
+    # components without a base mix to the equal measure without a base;
+    # one without a base beside one on X is refused, unless its weight is
+    # zero and it is not read
     unbased = [ProbMeasure(pairs, den=den) for pairs, den in comps]
+    got_unbased = mixture(PartitionOfOne.finite(omega), unbased)
+    assert got_unbased.base is None and listing(got_unbased) == expected and got_unbased == got
     mixed = [data.draw(st.sampled_from(pair)) for pair in zip(based, unbased)]
-    got_mixed = mixture(PartitionOfOne.finite(omega), mixed)
-    assert listing(got_mixed) == expected and got_mixed == got
-    read = [m.base for w, m in zip(omega, mixed) if w]
-    assert got_mixed.base is (X if X in read else None)
+    read = {m.base for w, m in zip(omega, mixed) if w}
+    got_mixed = outcome(mixture, PartitionOfOne.finite(omega), mixed)
+    if len(read) > 1:
+        assert got_mixed == (BaseMismatch, "mixture components live on different bases")
+    else:
+        assert got_mixed.base is read.pop() and got_mixed == got
     Q = ProbMeasure(zip(based, omega))
     assert listing(monad_mu(Q)) == expected and monad_mu(Q) == got
 
@@ -787,28 +795,30 @@ def test_an_atom_outside_the_base_is_rejected():
         ProbMeasure([("a", 1), ("z", 1)], base=X, den=2)
     with pytest.raises(NotAMeasure, match="'z'"):
         dirac("z", base=X)
+    # an atom without a base is not a point of G(X), inside X's carrier or not
     half = PartitionOfOne.finite([F(1, 2), F(1, 2)])
-    with pytest.raises(NotAMeasure, match="'z'"):
-        GirySpace(X).combine(half, [dirac("a", base=X), dirac("z")])
+    for stranger in (dirac("z"), dirac("b")):
+        with pytest.raises(BaseMismatch, match="different bases"):
+            GirySpace(X).combine(half, [dirac("a", base=X), stranger])
 
 
 def test_giry_space_contains_exactly_what_it_combines():
-    # a measure on another carrier order is not a point of G(X): combine
-    # rejects it, alone or beside a point of G(X)
+    # a measure on another carrier order, or without a base, is not a point
+    # of G(X): combine rejects it, alone or beside a point of G(X)
     X = FiniteMeasurableSpace.powerset(["a", "b"])
     GX = GirySpace(X)
     one, half = PartitionOfOne.finite([1]), PartitionOfOne.finite([F(1, 2), F(1, 2)])
-    members = [dirac("a", base=X), dirac("a", base=FiniteMeasurableSpace.powerset(["a", "b"])),
-               uniform(["a", "b"])]
+    members = [dirac("a", base=X), dirac("a", base=FiniteMeasurableSpace.powerset(["a", "b"]))]
     strangers = [dirac("a", base=FiniteMeasurableSpace.powerset(["b", "a"])),
-                 dirac("a", base=FiniteMeasurableSpace.trivial(["a", "b"])), dirac("z")]
+                 dirac("a", base=FiniteMeasurableSpace.trivial(["a", "b"])),
+                 uniform(["a", "b"]), dirac("z")]
     for Q in members:
         assert GX.contains(Q)
         assert GX.combine(one, [Q]) == Q and GX.combine(half, [Q, dirac("b", base=X)]).base is X
     for Q in strangers:
         assert not GX.contains(Q)
         for omega, seq in [(one, [Q]), (half, [Q, dirac("b", base=X)])]:
-            with pytest.raises((BaseMismatch, NotAMeasure)):
+            with pytest.raises(BaseMismatch):
                 GX.combine(omega, seq)
     assert not GX.contains("a")
 

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from girycheck.giry import (
     GirySpace,
     ProbMeasure,
+    check_phi_roundtrip,
+    check_triangle,
     dirac,
     evaluation,
     integrate,
@@ -20,7 +22,6 @@ from girycheck.giry import (
 )
 from girycheck.laws import (
     Ambiguous,
-    HarnessConfig,
     NoPoint,
     affine_endomap_family,
     build_suites,
@@ -28,9 +29,7 @@ from girycheck.laws import (
     check_generalized_point_naturality,
     check_image_property,
     check_naturality_epsilon,
-    check_phi_roundtrip,
     check_sigma_agreement,
-    check_triangle,
     demo_divergent_sum,
     demo_half_cauchy,
     demo_open_interval,
@@ -41,7 +40,7 @@ from girycheck.laws import (
 from girycheck import cli, giry, laws, reports
 from girycheck.meas import FiniteMeasurableSpace, generate_sigma_algebra
 from girycheck.numerics import INF, ExtReal, PartitionOfOne, draw_int
-from girycheck.reports import run_per_seed
+from girycheck.reports import HarnessConfig, run_per_seed
 from girycheck.scvx import (
     CarrierViolation,
     CountablyAffineMap,

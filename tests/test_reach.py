@@ -5,11 +5,13 @@ a dunder is named as an attribute by the package's own code.
 
 Each module is parsed with ``ast``.  A definition counts as reached when
 an ``ast.Name`` or ``ast.Attribute`` spells its name somewhere in
-``src/girycheck`` outside ``__init__.py`` and outside the definition
-itself; a method, when an ``ast.Attribute`` spells it there outside the
-method's own body.  A re-export in ``__init__.py`` or a call from a test
-does not count.  The guard matches names, not bindings: a method is
-reached when any attribute of that name is read, on any object.
+``src/girycheck`` outside the definition itself; a method, when an
+``ast.Attribute`` spells it there outside the method's own body.  A call
+from a test does not count.  The guard matches names, not bindings: a
+method is reached when any attribute of that name is read, on any object.
+
+Each name has one import path, its module: the package ``__init__`` binds
+none, and ``import girycheck`` loads no submodule.
 
 Nor a dependency that a user must install: the package imports only the
 standard library and itself, and ``pyproject.toml`` declares no runtime
@@ -17,7 +19,9 @@ dependency.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -45,8 +49,6 @@ def _definitions_and_uses():
     as (module, enclosing top-level definition or None, name)."""
     definitions, uses = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for stmt in ast.parse(path.read_text()).body:
             owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
             if owner is not None:
@@ -78,8 +80,6 @@ def _attributes(node) -> Counter:
 def test_every_method_is_named_as_an_attribute():
     spelled, methods = Counter(), []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         spelled += _attributes(tree)
         methods += [(f"{path.stem}.{cls.name}.{fn.name}", fn)
@@ -115,3 +115,14 @@ def test_no_runtime_dependency_is_declared():
     project = PYPROJECT.read_text().split("[project]\n", 1)[1].split("\n[", 1)[0]
     declared = re.search(r"^dependencies\s*=\s*\[([^\]]*)\]", project, re.M)
     assert declared is None or declared.group(1).strip() == ""
+
+
+def test_importing_the_package_loads_no_submodule():
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert [type(stmt) for stmt in body] == [ast.Expr]  # the docstring
+    code = ("import sys, girycheck; "
+            "print(sorted(m for m in sys.modules if m.startswith('girycheck.')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout == "[]\n"
