@@ -280,7 +280,10 @@ def _map(entry, where: str, name: str, closed) -> CountablyAffineMap:
             x, n, d = as_ext(x), 0, 1
             for a, b in pairs:
                 n, d = n * x.num * b + a * d * x.den, d * x.den * b
-            return ExtReal.ratio(n, d)
+            value = ExtReal.ratio(n, d)
+            if not 0 <= n <= d:
+                raise CarrierViolation(f"value {value.to_json()} at {x.to_json()} leaves [0,1]")
+            return value
 
         return CountablyAffineMap(closed, closed, poly, name=name)
     raise ScenarioError(f"{where}.kind: expected 'affine' or 'poly'")

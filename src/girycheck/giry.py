@@ -30,14 +30,11 @@ from .numerics import (
     draw_indices,
     draw_int,
     draw_parts,
+    ext_eq,
     terms,
     weighted_sum,
 )
-from .scvx import SuperConvexSpace, describe
-
-
-class BaseMismatch(Exception):
-    pass
+from .scvx import CarrierViolation, SuperConvexSpace, describe
 
 
 class NotAMeasure(Exception):
@@ -212,7 +209,7 @@ def mixture(omega: PartitionOfOne, measures, base=None) -> ProbMeasure:
     X = ms[0].base if base is None else base
     for m in ms:  # equal spaces are one base, even when built apart
         if m.base is not X and m.base != X:
-            raise BaseMismatch("mixture components live on different bases")
+            raise CarrierViolation("mixture components live on different bases")
     # omega_i * m_i(a) as integer parts over omega.den * lcm(m_i dens)
     dens = [m.den for m in ms]
     scale = math.lcm(*dens)
@@ -256,7 +253,11 @@ class GirySpace(SuperConvexSpace):
         return isinstance(P, ProbMeasure) and (P.base is self.X or P.base == self.X)
 
     def eq(self, P, Q) -> bool:
-        return P == Q
+        """Agreement on every atom of the sigma-algebra, whichever label of
+        an atom carries its mass: structural equality on a powerset, which
+        answers first; a value that is not a member equals no other."""
+        return P == Q or (self.contains(P) and self.contains(Q) and all(
+            ext_eq(P.measure_of(a), Q.measure_of(a)) for a in self.X.atoms))
 
     def combine(self, omega, seq, **certificates):
         return mixture(omega, seq, base=self.X)
@@ -277,7 +278,7 @@ def monad_mu(Q: ProbMeasure) -> ProbMeasure:
     must share one base."""
     for m in Q.points:
         if not isinstance(m, ProbMeasure):
-            raise BaseMismatch("monad_mu needs a measure whose atoms are measures")
+            raise CarrierViolation("monad_mu needs a measure whose atoms are measures")
     return mixture(Q.weights, Q.points)
 
 
@@ -333,12 +334,12 @@ def phi_inverse(J, X: FiniteMeasurableSpace) -> ProbMeasure:
 
 
 def check_triangle(P: ProbMeasure, A=None, a=None) -> dict | None:
-    """The triangle identities: flattening the point mass at the measure P
-    returns P, and, when a point a of the space A is given, the barycenter
-    of the point mass at a is a."""
+    """The triangle identities: flattening the point mass at P, a measure
+    on X, returns P in G(X), and, when a point a of the space A is given,
+    the barycenter of the point mass at a is a."""
     back = monad_mu(dirac(P))
     recovered = None if A is None else barycenter(A, dirac(a))
-    if back == P and (A is None or A.eq(recovered, a)):
+    if GirySpace(P.base).eq(back, P) and (A is None or A.eq(recovered, a)):
         return None
     witness = {"measure": P.to_json_obj(), "flattened": back.to_json_obj()}
     if A is not None:
@@ -347,12 +348,9 @@ def check_triangle(P: ProbMeasure, A=None, a=None) -> dict | None:
 
 
 def check_phi_roundtrip(P: ProbMeasure) -> dict | None:
-    """phi_inverse(phi(P)) is P, for P on a finite measurable space.  The
-    two measures are compared by their mass on each atom of the
-    sigma-algebra: phi_inverse may put an atom's mass on another label of
-    the same atom."""
-    X = P.base
-    back = phi_inverse(phi(P), X)
-    if all(back.measure_of(u) == P.measure_of(u) for u in X.atoms_of_sigma()):
+    """phi_inverse(phi(P)) is P in G(X), for P on a finite measurable space
+    X: phi_inverse may put an atom's mass on another label of the atom."""
+    back = phi_inverse(phi(P), P.base)
+    if GirySpace(P.base).eq(back, P):
         return None
     return {"measure": P.to_json_obj(), "roundtrip": back.to_json_obj()}

@@ -7,10 +7,10 @@ Each law has one checker, and it checks one case.  A seeded suite runs
 it through ``reports.run_per_seed`` once per seed, on a case drawn from
 that seed; ``scenario`` runs the same checker on a user's instance.  The
 checkers that ``scenario`` runs live in ``scvx`` and ``giry``, beside the
-objects they check, so ``scenario`` does not load this module; this one
-re-exports them.
-Failures carry serialized witnesses, and exact-path suites use no
-tolerance at all.
+objects they check, so ``scenario`` does not load this module.  Every
+verdict compares extended reals by ``numerics.ext_eq`` and members of a
+space by its ``eq``.  Failures carry serialized witnesses, and exact-path
+suites use no tolerance at all.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Callable
 
 from .giry import (
     GirySpace,
+    NotAMeasure,
     ProbMeasure,
     barycenter,
     check_phi_roundtrip,
@@ -50,6 +51,7 @@ from .numerics import (
     countable_combine,
     draw_int,
     draw_parts,
+    ext_eq,
     random_partition,
     scale,
     term,
@@ -168,8 +170,8 @@ def check_image_property(J, m: CountablyAffineMap) -> dict | None:
     source, val = m.source, J(m)
     at0, at1 = as_ext(m(ExtReal(0))), as_ext(m(ExtReal(1)))
     quarters = [Fraction(k, 4) for k in (1, 2, 3)]
-    if at0 == at1:
-        expect, inside = [(x, at0) for x in quarters], val == at0
+    if ext_eq(at0, at1):
+        expect, inside = [(x, at0) for x in quarters], ext_eq(val, at0)
     elif at0.is_inf or at1.is_inf:
         expect, inside = None, False
     else:
@@ -179,11 +181,11 @@ def check_image_property(J, m: CountablyAffineMap) -> dict | None:
         a = INF if val.is_inf else (val.value - v0) / slope
         if inside := source.contains(a):
             expect.append((a, val))
-    if expect is None or any(as_ext(m(as_ext(x))) != y for x, y in expect):
+    if expect is None or any(not ext_eq(m(as_ext(x)), y) for x, y in expect):
         raise ValueError(f"{m.name} is not an affine map of {source.name}")
     if inside:
         return None
-    if at0 == at1:
+    if ext_eq(at0, at1):
         image = f"{{{describe(at0)}}}"
     else:  # a carrier that misses a is [0,1] or (0,1): m(0) and m(1) are the ends
         lo, hi = sorted([v0, v1])
@@ -199,7 +201,7 @@ def check_generalized_point_naturality(J, m, g_family) -> dict | None:
     for g in g_family:
         lhs = J(lambda x, g=g: g(m(x)))
         rhs = as_ext(g(jm))
-        if lhs != rhs:
+        if not ext_eq(lhs, rhs):
             return {"g": g.name, "lhs": describe(lhs), "rhs": describe(rhs)}
     return None
 
@@ -220,7 +222,7 @@ def check_evaluation_point_recovery(J, carrier, generating_maps):
     map agree with the functional.  Raises NoPoint when none matches and
     Ambiguous when the maps fail to separate candidates."""
     pairs = [(m, J(m)) for m in generating_maps]
-    candidates = [a for a in carrier if all(jm == as_ext(m(a)) for m, jm in pairs)]
+    candidates = [a for a in carrier if all(ext_eq(jm, m(a)) for m, jm in pairs)]
     if not candidates:
         raise NoPoint("no carrier point matches the functional's evaluations")
     if len(candidates) > 1:
@@ -244,7 +246,7 @@ def check_sigma_agreement(X: FiniteMeasurableSpace, rng: random.Random) -> dict 
     mass = mixed.measure_of(u)
     masses = [c.measure_of(u) for c in components]
     weighted = weighted_sum(zip(parts.parts.values(), masses), parts.den)
-    if mass == weighted:
+    if ext_eq(mass, weighted):
         return None
     return {"set": [str(x) for x in X.set_of(u)], "mixture_mass": mass.to_json(),
             "weighted_mass": weighted.to_json(), "mixture": mixed.to_json_obj()}
@@ -386,7 +388,7 @@ def _countable_additivity_case(girys, rng):
         PartitionOfOne.finite(weights), rescaled_terms
     )
     direct = weighted_sum(((1, J(indicator(X, b))) for b in blocks), 1)
-    if lhs == via_rescaling and lhs == direct:
+    if ext_eq(lhs, via_rescaling) and ext_eq(lhs, direct):
         return None
     return {"lhs": describe(lhs), "via_rescaling": describe(via_rescaling),
             "direct_sum": direct.to_json(), "blocks": [X.set_of(b) for b in blocks]}
@@ -396,8 +398,8 @@ def _monad_laws_case(girys, rng):
     GX = _random_giry(rng, girys, 4)
     X = GX.X
     P = GX.sample(rng)
-    left_unit = monad_mu(dirac(P)) == P
-    right_unit = monad_mu(pushforward(P, lambda x: dirac(x, base=X))) == P
+    left_unit = GX.eq(monad_mu(dirac(P)), P)
+    right_unit = GX.eq(monad_mu(pushforward(P, lambda x: dirac(x, base=X))), P)
 
     # a measure on measures on measures, flattened both ways
     def rand_measure(sample):
@@ -405,7 +407,7 @@ def _monad_laws_case(girys, rng):
         return ProbMeasure.of_atoms([(sample(), p) for p in parts])
 
     T = rand_measure(lambda: rand_measure(partial(GX.sample, rng)))
-    assoc = monad_mu(pushforward(T, monad_mu)) == monad_mu(monad_mu(T))
+    assoc = GX.eq(monad_mu(pushforward(T, monad_mu)), monad_mu(monad_mu(T)))
     if left_unit and right_unit and assoc:
         return None
     return {"left_unit": left_unit, "right_unit": right_unit, "assoc": assoc,
@@ -431,7 +433,8 @@ def _gp_naturality_case(closed, ext, family, rng):
 
 
 def _recovery_case(girys, rng):
-    X = _random_giry(rng, girys, 6).X
+    GX = _random_giry(rng, girys, 6)
+    X = GX.X
     maps = [lambda P, u=u: P.measure_of(u) for u in X.atoms]
     a = X.carrier[draw_int(rng, 0, len(X.carrier) - 1)]
     carrier_points = [dirac(x, base=X) for x in X.carrier]
@@ -441,7 +444,7 @@ def _recovery_case(girys, rng):
             got = check_evaluation_point_recovery(J, carrier_points, maps)
         except (NoPoint, Ambiguous) as exc:
             return {"error": type(exc).__name__, "detail": str(exc)}
-        if got != expected:
+        if not GX.eq(got, expected):
             return {"expected": expected.to_json_obj(),
                     "got": got.to_json_obj()}
     return None
@@ -452,7 +455,7 @@ def _mutant_phi() -> LawReport:
     J = nonadditive_functional(X)
     try:
         phi_inverse(J, X)
-    except Exception as exc:
+    except NotAMeasure as exc:
         witness = {"rejected": type(exc).__name__, "detail": str(exc)}
     else:
         witness = None

@@ -91,10 +91,6 @@ class ExtReal:
     def is_inf(self) -> bool:
         return self.num is None
 
-    @property
-    def is_exact(self) -> bool:
-        return self.enclosure is None or self.enclosure.width == 0
-
     def __float__(self) -> float:
         return math.inf if self.num is None else self.num / self.den
 
@@ -158,22 +154,21 @@ DEFAULT_TOLERANCE = Fraction(1, 10**12)
 
 
 def ext_eq(u, v) -> bool:
-    """Equality on extended reals; exact values compare exactly, values
-    carrying a nondegenerate enclosure compare within ``DEFAULT_TOLERANCE``,
-    and two disjoint enclosures hold different values, however close.  An
-    exact value is the enclosure [v, v].  A non-point is a ValueError."""
+    """The one equality of every verdict on extended reals; a non-point is a
+    ValueError.  Values without an enclosure are equal when their int pairs
+    are; else an exact value is the enclosure [v, v], disjoint enclosures
+    differ however close, and overlapping ones agree within the tolerance."""
     x, y = as_ext(u), as_ext(v)
     if x is NotImplemented or y is NotImplemented:
         raise ValueError(f"{u if x is NotImplemented else v!r} is not an extended real")
-    u, v = x, y
-    if u.num is None or v.num is None:
-        return u.num is None and v.num is None
-    if u.is_exact and v.is_exact:
-        return u.num == v.num and u.den == v.den
-    a, b = (x.enclosure or Enclosure(x.value, x.value) for x in (u, v))
+    if x.enclosure is None and y.enclosure is None:
+        return x.num == y.num and x.den == y.den
+    if x.num is None or y.num is None:
+        return x.num is None and y.num is None
+    a, b = (w.enclosure or Enclosure(w.value, w.value) for w in (x, y))
     if a.upper < b.lower or b.upper < a.lower:
         return False
-    return abs(u.value - v.value) <= DEFAULT_TOLERANCE
+    return abs(x.value - y.value) <= DEFAULT_TOLERANCE
 
 
 def scale(s: Rational, u: ExtReal) -> ExtReal:
@@ -210,24 +205,19 @@ class PartitionOfOne:
         items = sorted(weights.items())
         if items and items[0][0] < 1:
             raise ValueError("indices start at 1")
-        parts = dict(items)
-        try:
-            g = math.gcd(den, *parts.values())
-        except TypeError:
-            # not all ints: rescale by the lcm of the denominators
-            for i, w in items:
-                if not isinstance(w, (int, Fraction)):
-                    raise TypeError(f"weight {i} is {w!r}, not an int or a Fraction")
-            scale = math.lcm(*[w.denominator for _, w in items])
-            parts = {i: w.numerator * (scale // w.denominator) for i, w in items}
-            den *= scale
-            g = math.gcd(den, *parts.values())
+        for i, w in items:
+            if not isinstance(w, (int, Fraction)):
+                raise TypeError(f"weight {i} is {w!r}, not an int or a Fraction")
+        # rescale by the lcm of the denominators, 1 when all are ints
+        scale = math.lcm(*[w.denominator for _, w in items])
+        parts = {i: w.numerator * (scale // w.denominator) for i, w in items}
+        den *= scale
         values = parts.values()
         if parts and (low := min(values)) < 0:
             raise ValueError(f"weight {Fraction(low, den)} outside [0, 1]")
         if sum(values) != den:
             raise ValueError("weights must sum to 1")
-        self._store(parts, den, g)
+        self._store(parts, den, math.gcd(den, *values))
 
     @classmethod
     def of_parts(cls, parts: dict[int, int]) -> "PartitionOfOne":
@@ -332,7 +322,6 @@ def countable_combine(
     u,
     n_max: int = DEFAULT_N_MAX,
     bound: Rational | None = None,
-    threshold: Rational = DEFAULT_DIVERGENCE_THRESHOLD,
     within: tuple[Rational, Rational] | None = None,
 ) -> ExtReal:
     """The countable convex combination sum_i omega_i * u_i in the extended
@@ -350,12 +339,11 @@ def countable_combine(
     [max(lo, -B), min(hi, B)] times a mass in [0, tail(N)], not
     +-B*tail(N).  The value is the enclosure's midpoint.  Without a
     certificate the partial sums are scanned to ``n_max``; crossing
-    ``threshold`` upward returns infinity, anything else raises Undecided.
+    ``DEFAULT_DIVERGENCE_THRESHOLD`` upward returns infinity, else Undecided.
     """
     if omega.is_finite:
         return weighted_sum(zip(omega.parts.values(), terms(u, omega.parts)), omega.den)
 
-    threshold = Fraction(threshold)
     b = None if bound is None else Fraction(bound)
     partial = Fraction(0)
     for n in range(1, n_max + 1):
@@ -367,7 +355,7 @@ def countable_combine(
             if b is not None and abs(un.value) > b:
                 raise ValueError(f"term u_{n} = {un.value} exceeds the bound {b}")
             partial += w * un.value
-        if bound is None and partial > threshold:
+        if bound is None and partial > DEFAULT_DIVERGENCE_THRESHOLD:
             return INF
     if b is not None:
         lo, hi = -b, b
@@ -379,13 +367,13 @@ def countable_combine(
         tail = omega.tail_mass(n_max)
         enc = Enclosure(partial + lo * tail, partial + hi * tail)
         return ExtReal((enc.lower + enc.upper) / 2, enclosure=enc)
-    if partial < -threshold:
+    if partial < -DEFAULT_DIVERGENCE_THRESHOLD:
         raise Undecided(
             "partial sums diverge below every bound; the carrier has no -inf point"
         )
     raise Undecided(
         f"no certificate supplied and partial sums neither stabilized nor "
-        f"crossed {threshold} by depth {n_max}"
+        f"crossed {DEFAULT_DIVERGENCE_THRESHOLD} by depth {n_max}"
     )
 
 

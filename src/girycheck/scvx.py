@@ -7,6 +7,7 @@ generator, checks one sampled case and returns None or a witness.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from operator import itemgetter
 
@@ -29,11 +30,7 @@ DEFAULT_DEPTH = 8  # length of the sampled sequences the checkers combine
 
 
 class CarrierViolation(Exception):
-    """A combine result left the carrier (the input was not from the space)."""
-
-
-class ArityMismatch(Exception):
-    pass
+    """A value is not a point of its space: off its carrier, arity or base."""
 
 
 class SuperConvexSpace:
@@ -126,7 +123,7 @@ class ProductSpace(SuperConvexSpace):
 
     def _check_arity(self, x):
         if not isinstance(x, tuple) or len(x) != len(self.factors):
-            raise ArityMismatch(f"expected {len(self.factors)}-tuple, got {x!r}")
+            raise CarrierViolation(f"expected {len(self.factors)}-tuple, got {x!r}")
         return x
 
     def contains(self, x) -> bool:
@@ -204,8 +201,13 @@ def affine_map(source: SuperConvexSpace, target: SuperConvexSpace,
     )
 
 
+# in a repr: a str in single or double quotes, kept, or a Fraction, as n/d
+_REPR_TOKEN = re.compile(r"""('(?:\\.|[^\\'])*'|"(?:\\.|[^\\"])*")|Fraction\((-?\d+), (\d+)\)""")
+
+
 def describe(x):
-    """Serialize an element for a counterexample witness."""
+    """Serialize an element for a counterexample witness.  A JSON list or
+    object that a message echoes prints as its ``repr``, numbers as ``1/2``."""
     if isinstance(x, ExtReal):
         return x.to_json()
     if isinstance(x, Fraction):
@@ -214,6 +216,9 @@ def describe(x):
         return [describe(c) for c in x]
     if hasattr(x, "to_json_obj"):
         return x.to_json_obj()
+    if isinstance(x, (list, dict)):  # repr, unlike a recursion, takes any depth JSON does
+        return _REPR_TOKEN.sub(lambda t: t[1] or (t[2] if t[3] == "1" else f"{t[2]}/{t[3]}"),
+                               repr(x))
     return repr(x)
 
 

@@ -545,10 +545,21 @@ def test_a_scenario_with_no_checks_is_config_error(drop, tmp_path, capsys):
     (_set("measures", "P", "atoms", 0, "atom", "zz"),
      "measures.P.atoms[0].atom: 'zz' not in carrier"),
     (_set("measures", "P", "space", 7), "measures.P.space: unknown space 7"),
-], ids=["atom", "sigma", "space", "suite", "measure", "string-atom", "int-space"])
+    (_set("measures", "P", "space", [0.5]), "measures.P.space: unknown space [1/2]"),
+    (_set("measures", "P", "atoms", 0, "weight", [0.5, "a"]),
+     f"measures.P.atoms[0].weight: [1/2, 'a'] is not a rational"
+     f" (integers of at most {MAX_DIGITS} digits)"),
+    (_set("checks", 0, "suite", {"x": 0.5, "y": [None, True, {}]}),
+     "checks[0].suite: unknown suite {'x': 1/2, 'y': [None, True, {}]}"
+     " (expected triangle, phi-roundtrip, or morphism)"),
+    (_set("measures", "P", "space", json.loads("[" * 800 + "0.5" + "]" * 800)),
+     "measures.P.space: unknown space " + "[" * 800 + "1/2" + "]" * 800),
+], ids=["atom", "sigma", "space", "suite", "measure", "string-atom", "int-space",
+        "list-space", "list-weight", "object-suite", "deep-list-space"])
 def test_a_message_prints_a_json_value_as_witnesses_do(edit, message, tmp_path, capsys):
-    # a JSON float reads as a Fraction and prints as 1/4, not Fraction(1, 4);
-    # a string or an int prints its repr
+    # a JSON float reads as a Fraction and prints as 1/4, not Fraction(1, 4),
+    # inside a list or an object too, at any depth the reader takes; a
+    # string or an int prints its repr
     doc = json.loads(json.dumps(GOOD_SCENARIO))
     edit(doc)
     code, _, err = run(["scenario", write_scenario(tmp_path, doc)], capsys)
@@ -567,6 +578,22 @@ def test_a_poly_leaving_the_unit_interval_at_an_end_is_refused_at_any_cases(
     doc = {**GOOD_SCENARIO, "maps": {"m": {"kind": "poly", "coeffs": coeffs}},
            "checks": [{"suite": "morphism", "map": "m"}]}
     code, _, err = run(["scenario", write_scenario(tmp_path, doc), "--cases", cases], capsys)
+    assert (code, err) == (2, f"scenario error: maps.m: {message}\n")
+
+
+@pytest.mark.parametrize("seed, cases, message", [
+    ("1", "1", "value 626800229/529420500 at 19811/51450 leaves [0,1]"),
+    ("3", "3", "value 19542486/15682205 at 4673/8855 leaves [0,1]"),
+    ("5", "1", "value 182245/171396 at 127/414 leaves [0,1]"),
+])
+def test_a_poly_leaving_the_unit_interval_inside_it_is_refused_not_failed(
+        seed, cases, message, tmp_path, capsys):
+    # 5x - 5x^2 is 0 at both ends and 5/4 at 1/2: a value outside [0,1] is
+    # an error in the scenario, never a failure of the law
+    doc = {**GOOD_SCENARIO, "maps": {"m": {"kind": "poly", "coeffs": ["0", "5", "-5"]}},
+           "checks": [{"suite": "morphism", "map": "m"}]}
+    code, _, err = run(["scenario", write_scenario(tmp_path, doc), "--seed", seed,
+                        "--cases", cases], capsys)
     assert (code, err) == (2, f"scenario error: maps.m: {message}\n")
 
 
@@ -640,22 +667,53 @@ def test_tolerance_is_not_an_option(command, capsys):
     assert "unrecognized arguments: --tolerance 1e-12" in capsys.readouterr().err
 
 
-def test_every_comparison_of_a_laws_run_is_exact(monkeypatch, capsys):
-    # what the reports' "tolerance_policy": "exact" claims: no suite
-    # compares a value that carries an enclosure.  A suite that does
-    # must change that field, and this test with it.
-    from girycheck import scvx
+# the default suites whose verdicts compare values of R-inf; the other
+# eight compare members of G(X) alone, and GirySpace.eq answers for two
+# structurally equal measures without reading a value
+COMPARES_EXTENDED_REALS = sorted(
+    [f"{axiom}-{key}" for axiom in ("axiom1", "axiom2")
+     for key in ("closed-unit", "open-unit", "ext-real", "product")]
+    + [f"morphism-{key}" for key in ("id", "affine-half", "const-third", "proj1",
+                                     "ext-affine")]
+    + ["triangle", "naturality-epsilon", "countable-additivity", "image-property",
+       "gp-naturality", "recovery", "sigma-agreement"])
 
-    compare, exact = scvx.ext_eq, []
+
+def test_every_comparison_of_a_laws_run_is_exact(monkeypatch, capsys):
+    # every verdict on extended reals goes through ext_eq, and what the
+    # reports' "tolerance_policy": "exact" claims holds: no suite compares
+    # a value that carries an enclosure.  A suite that does must change
+    # that field, and this test with it.
+    from girycheck import laws, numerics
+    from girycheck.reports import HarnessConfig
+
+    compare, calls = numerics.ext_eq, []
+
+    def exact(x):
+        enclosure = as_ext(x).enclosure
+        return enclosure is None or enclosure.width == 0
 
     def spy(u, v):
-        exact.append(as_ext(u).is_exact and as_ext(v).is_exact)
+        calls.append(exact(u) and exact(v))
         return compare(u, v)
 
-    monkeypatch.setattr(scvx, "ext_eq", spy)
+    bindings = [module for name, module in sys.modules.items()
+                if name.startswith("girycheck.") and getattr(module, "ext_eq", None) is compare]
+    for module in bindings:
+        monkeypatch.setattr(module, "ext_eq", spy)
+    suites = set(laws.build_suites(HarnessConfig()))
+    assert sorted(suites - set(COMPARES_EXTENDED_REALS)) == [
+        "axiom1-giry2", "axiom1-giry3", "axiom1-giry4", "axiom2-giry2", "axiom2-giry3",
+        "axiom2-giry4", "monad-laws", "phi-roundtrip"]
+    for suite in COMPARES_EXTENDED_REALS:
+        calls.clear()
+        code, out, _ = run(["laws", "--suite", suite, "--cases", "20", "--output", "json"],
+                           capsys)
+        assert (suite, code) == (suite, 0)
+        assert calls and all(calls), suite
     code, out, _ = run(["laws", "--mutants", "--cases", "20", "--output", "json"], capsys)
     assert code == 1
-    assert exact and all(exact)
+    assert all(calls)
     assert {r["tolerance_policy"] for r in json.loads(out)} == {"exact"}
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girycheck.giry import (
-    BaseMismatch,
     GirySpace,
     NotAMeasure,
     ProbMeasure,
@@ -42,6 +41,7 @@ from girycheck.numerics import (
 )
 from girycheck.reports import run_per_seed
 from girycheck.scvx import (
+    CarrierViolation,
     IntervalSpace,
     ProductSpace,
     affine_map,
@@ -174,7 +174,7 @@ class TestMixture:
         X1 = FiniteMeasurableSpace.powerset(["a"])
         X2 = FiniteMeasurableSpace.powerset(["b"])
         half = PartitionOfOne.finite([F(1, 2), F(1, 2)])
-        with pytest.raises(BaseMismatch):
+        with pytest.raises(CarrierViolation):
             mixture(half, [dirac("a", base=X1), dirac("b", base=X2)])
 
     def test_equal_bases_built_apart_are_one_base(self):
@@ -231,8 +231,7 @@ class TestIntegrate:
     def test_divergent_lazy_integral(self):
         # the integral of i 2^i against the geometric weights 2^-i
         geo = LazyPartition.geometric()
-        assert countable_combine(geo, lambda i: ExtReal(i * 2**i),
-                                 n_max=100, threshold=1000) == INF
+        assert countable_combine(geo, lambda i: ExtReal(i * 4**i), n_max=100) == INF
 
 
 class TestBarycenter:
@@ -302,13 +301,13 @@ class TestMonadMu:
         assert monad_mu(Q) == ProbMeasure([("a", F(3, 4)), ("b", F(1, 4))])
 
     def test_atoms_must_be_measures(self):
-        with pytest.raises(BaseMismatch):
+        with pytest.raises(CarrierViolation):
             monad_mu(uniform(["a", "b"]))
 
     def test_atom_measures_on_different_bases_are_rejected(self):
         Q = uniform([dirac("a", base=FiniteMeasurableSpace.powerset(["a"])),
                      dirac("b", base=FiniteMeasurableSpace.powerset(["b"]))])
-        with pytest.raises(BaseMismatch):
+        with pytest.raises(CarrierViolation):
             monad_mu(Q)
 
 
@@ -760,7 +759,7 @@ def test_vector_mixture_and_flatten_match_fraction_reference(data):
     read = {m.base for w, m in zip(omega, mixed) if w}
     got_mixed = outcome(mixture, PartitionOfOne.finite(omega), mixed)
     if len(read) > 1:
-        assert got_mixed == (BaseMismatch, "mixture components live on different bases")
+        assert got_mixed == (CarrierViolation, "mixture components live on different bases")
     else:
         assert got_mixed.base is read.pop() and got_mixed == got
     Q = ProbMeasure(zip(based, omega))
@@ -786,7 +785,7 @@ def test_vector_measure_messages_are_the_atom_list_messages():
     half = PartitionOfOne.finite([F(1, 2), F(1, 2)])
     Y = FiniteMeasurableSpace.powerset(["x2", "x1", "x10"])
     assert outcome(mixture, half, [dirac("x1", base=X), dirac("x1", base=Y)]) == (
-        BaseMismatch, "mixture components live on different bases")
+        CarrierViolation, "mixture components live on different bases")
 
 
 def test_an_atom_outside_the_base_is_rejected():
@@ -798,7 +797,7 @@ def test_an_atom_outside_the_base_is_rejected():
     # an atom without a base is not a point of G(X), inside X's carrier or not
     half = PartitionOfOne.finite([F(1, 2), F(1, 2)])
     for stranger in (dirac("z"), dirac("b")):
-        with pytest.raises(BaseMismatch, match="different bases"):
+        with pytest.raises(CarrierViolation, match="different bases"):
             GirySpace(X).combine(half, [dirac("a", base=X), stranger])
 
 
@@ -818,7 +817,7 @@ def test_giry_space_contains_exactly_what_it_combines():
     for Q in strangers:
         assert not GX.contains(Q)
         for omega, seq in [(one, [Q]), (half, [Q, dirac("b", base=X)])]:
-            with pytest.raises(BaseMismatch):
+            with pytest.raises(CarrierViolation):
                 GX.combine(omega, seq)
     assert not GX.contains("a")
 

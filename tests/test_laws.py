@@ -485,6 +485,31 @@ class TestPlantedFaults:
         assert "[FAIL] monad-laws" in capsys.readouterr().out
 
 
+# the default suites whose verdicts compare members of G(X)
+OVER_GIRY = sorted([f"{axiom}-giry{n}" for axiom in ("axiom1", "axiom2") for n in (2, 3, 4)]
+                   + ["triangle", "phi-roundtrip", "monad-laws", "recovery"])
+
+
+def test_every_suite_over_giry_compares_by_its_eq(monkeypatch):
+    # an eq that never holds fails every suite over G(X), and only those:
+    # none of them decides by a second rule of its own
+    monkeypatch.setattr(GirySpace, "eq", lambda self, P, Q: False)
+    reports = run_suites(HarnessConfig(cases=3))
+    assert [r.law for r in reports if not r.ok] == OVER_GIRY
+
+
+def test_a_crash_of_phi_inverse_is_not_a_kill_of_the_mutant(monkeypatch):
+    # only NotAMeasure rejects the nonadditive functional; any other
+    # exception is a fault of the checker and must reach the caller
+    def crash(J, X):
+        raise TypeError("planted")
+
+    monkeypatch.setattr(laws, "phi_inverse", crash)
+    run = build_suites(HarnessConfig(cases=3), include_mutants=True)["mutant-phi-nonadditive"]
+    with pytest.raises(TypeError, match="planted"):
+        run()
+
+
 def _violate(space, rng):
     raise CarrierViolation(f"{space.name}: planted")
 

@@ -237,8 +237,8 @@ class TestCountableCombine:
 
     def test_divergent_geometric_series(self):
         geo = LazyPartition.geometric()
-        # the partial sums n(n+1)/2 cross the threshold at n = 45
-        got = countable_combine(geo, lambda i: i * 2**i, n_max=100, threshold=1000)
+        # the partial sums (n-1)2^(n+1) + 2 cross the 10^12 threshold at n = 34
+        got = countable_combine(geo, lambda i: i * 4**i, n_max=100)
         assert got == INF
 
     def test_geometric_constant_one_enclosure(self):
@@ -258,13 +258,13 @@ class TestCountableCombine:
 
     def test_uncertified_threshold_crossing_is_infinity(self):
         geo = LazyPartition.geometric()
-        got = countable_combine(geo, lambda i: i * 2**i, n_max=100, threshold=1000)
+        got = countable_combine(geo, lambda i: i * 4**i, n_max=100)
         assert got == INF
 
     def test_negative_divergence_is_undecided(self):
         geo = LazyPartition.geometric()
         with pytest.raises(Undecided, match="-inf|below"):
-            countable_combine(geo, lambda i: -i * 2**i, n_max=100, threshold=1000)
+            countable_combine(geo, lambda i: -i * 4**i, n_max=100)
 
     def test_bound_is_checked_on_every_scanned_term(self):
         # 10*i breaks |u_i| <= 1 at the first term; an enclosure built on

@@ -15,7 +15,6 @@ from girycheck.numerics import (
     dirac_partition,
 )
 from girycheck.scvx import (
-    ArityMismatch,
     CarrierViolation,
     CountablyAffineMap,
     IntervalSpace,
@@ -159,9 +158,9 @@ class TestProductSpace:
 
     def test_arity_mismatch(self, closed):
         prod = ProductSpace([closed, closed])
-        with pytest.raises(ArityMismatch):
+        with pytest.raises(CarrierViolation):
             prod.combine(dirac_partition(1), [(ExtReal(0),)])
-        with pytest.raises(ArityMismatch):
+        with pytest.raises(CarrierViolation):
             prod.combine(LazyPartition.geometric(), lambda i: (ExtReal(0),),
                          n_max=5, bound=1)
 
