@@ -79,7 +79,7 @@ def cmd_laws(cfg: HarnessConfig, args, jobs: int) -> int:
     from . import laws as laws_mod
 
     name_filter = None
-    if args.suite_glob:
+    if args.suite_glob is not None:
         name_filter = lambda name: fnmatch.fnmatch(name, args.suite_glob)
     start = time.perf_counter()
     reports = laws_mod.run_suites(
@@ -105,7 +105,7 @@ def cmd_demo(args) -> int:
         return EXIT_OK
     if args.name == "half-cauchy":
         print(f"{'N':>10}  {'closed form':>14}  {'lower bound':>14}")
-        for row in demo_half_cauchy(args.n_list or [1, 10, 100, 10**4]):
+        for row in demo_half_cauchy(args.n_list):
             print(f"{row['N']:>10}  {row['closed_form']:>14.8f}  "
                   f"{str(row['lower_bound']):>14}")
         print("the exact lower bound 7 floor(log2 N)/44 grows without bound: "
@@ -401,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     demos = sub.add_parser("demo", help="run a counterexample demo").add_subparsers(
         dest="name", required=True)
     demos.add_parser("half-cauchy", help="truncated expectation bounds").add_argument(
-        "--n-list", type=_int_arg(1), nargs="*", default=None, help="truncations")
+        "--n-list", type=_int_arg(1), nargs="+", default=[1, 10, 100, 10**4],
+        help="truncations")
     demos.add_parser("divergent-sum", help="exact partial sum").add_argument(
         "--n", type=_int_arg(1), default=100, help="truncation")
     demos.add_parser("open-interval", help="certified enclosure").add_argument(

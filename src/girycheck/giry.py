@@ -126,11 +126,6 @@ class ProbMeasure:
             parts = [p // g for p in parts]
         self.base, self.points, self.den, self.vec = None, tuple(merged), sum(parts), tuple(parts)
 
-    @property
-    def atoms(self) -> tuple:
-        """The points of positive mass, in the ``repr`` order of their labels."""
-        return tuple(a for a, _ in self._listing())
-
     def _listing(self) -> tuple:
         """``(atom, part)`` of each point of positive mass, in atom order."""
         points, vec = self.points, self.vec
@@ -201,7 +196,7 @@ def mixture(omega: PartitionOfOne, measures, base=None) -> ProbMeasure:
     of one.  The measures share one base, ``base`` if given, and mix as an
     integer matrix-vector product of their vectors; or none has a base,
     and their supports are merged exactly.  Any other mix raises
-    ``BaseMismatch``.  A lazy partition raises ``UnsupportedRepresentation``:
+    ``CarrierViolation``.  A lazy partition raises ``UnsupportedRepresentation``:
     a countable mixture of measures is not a finite measure."""
     if not omega.is_finite:
         raise UnsupportedRepresentation("a mixture of measures needs a finite partition of one")

@@ -326,14 +326,6 @@ def _sample_unit_measure(rng: random.Random, space) -> ProbMeasure:
     return ProbMeasure.of_atoms(zip(atoms, parts))
 
 
-def _powerset_girys(max_points: int) -> list:
-    """G(X) of the powerset X on x1..xn at index n, for 2 <= n <=
-    max_points: the spaces a seeded case draws from by size."""
-    return [None, None] + [
-        GirySpace(FiniteMeasurableSpace.powerset([f"x{i}" for i in range(1, n + 1)]))
-        for n in range(2, max_points + 1)]
-
-
 def _random_giry(rng: random.Random, girys: list, max_points: int) -> GirySpace:
     return girys[draw_int(rng, 2, max_points)]
 
@@ -469,7 +461,11 @@ def build_suites(cfg: HarnessConfig,
     spaces = shipped_spaces()
     closed, ext = spaces["closed-unit"], spaces["ext-real"]
     X4 = spaces["giry4"].X
-    girys = _powerset_girys(8)
+    # G(X) of the powerset X on x1..xn at index n, for 2 <= n <= 8: the
+    # spaces a seeded case draws from by size, the shipped ones where built
+    girys = [None, None] + [spaces.get(f"giry{n}") or GirySpace(
+        FiniteMeasurableSpace.powerset([f"x{i}" for i in range(1, n + 1)]))
+        for n in range(2, 9)]
     suites: dict[str, Callable[[], LawReport]] = {}
 
     def seeded(name, instance, case):

@@ -2,7 +2,8 @@
 countable partitions of one.
 
 Finite values are exact rationals held as reduced pairs of ints; the
-single added point ``inf`` compares above every finite value.  A finite
+single added point ``inf`` is ``ExtReal(None)``.  An ``ExtReal`` is built
+from an int or a Fraction only, and has no order.  A finite
 partition of one is a ``PartitionOfOne``: integer parts over one
 denominator.  A countable one is a ``LazyPartition``: a weight generator
 with a tail bound.  Countable convex combinations follow
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import total_ordering
 from typing import Callable, Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -52,7 +52,6 @@ class Enclosure:
         return f"Enclosure[{self.lower}, {self.upper}]"
 
 
-@total_ordering
 class ExtReal:
     """A point of the real line extended by a single point at infinity.
 
@@ -67,11 +66,10 @@ class ExtReal:
     def __init__(self, value: Rational | None, enclosure: Enclosure | None = None):
         if value is None or type(value) is int:
             self.num, self.den = value, 1
-        elif type(value) is float and not math.isfinite(value):
-            raise ValueError(f"{value!r} is not a rational; inf is ExtReal(None)")
+        elif isinstance(value, Fraction):
+            self.num, self.den = value.numerator, value.denominator
         else:
-            q = value if isinstance(value, Fraction) else Fraction(value)
-            self.num, self.den = q.numerator, q.denominator
+            raise TypeError(f"{value!r} is not an int or a Fraction; inf is ExtReal(None)")
         self.enclosure = enclosure
 
     @classmethod
@@ -95,14 +93,15 @@ class ExtReal:
         return math.inf if self.num is None else self.num / self.den
 
     def __eq__(self, other) -> bool:
-        other = as_ext(other)
-        if other is NotImplemented:
+        try:
+            other = as_ext(other)
+        except TypeError:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # equal to the hash of the int, Fraction or float it compares equal
-        # to, by Fraction's rule: |num| / den modulo the hash modulus
+        # equal to the hash of the int or Fraction it compares equal to, by
+        # Fraction's rule: |num| / den modulo the hash modulus
         n = self.num
         if n is None:
             return hash(math.inf)
@@ -111,16 +110,6 @@ class ExtReal:
         except ValueError:  # den is a multiple of the modulus
             h = sys.hash_info.inf
         return hash(h if n >= 0 else -h)
-
-    def __lt__(self, other) -> bool:
-        other = as_ext(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.num is None:
-            return False
-        if other.num is None:
-            return True
-        return self.num * other.den < other.num * self.den
 
     def __repr__(self):
         if self.enclosure is not None:
@@ -136,17 +125,12 @@ INF = ExtReal(None)
 
 
 def as_ext(x) -> ExtReal:
-    """Coerce ints, Fractions and floats to ExtReal, float('inf') to INF;
-    NaN and -inf, like every other non-point, give NotImplemented."""
+    """The one coercion to ExtReal: an ExtReal as it is, an int or a
+    Fraction exactly; anything else, a float or a bool included, raises
+    TypeError naming it."""
     if isinstance(x, ExtReal):
         return x
-    if isinstance(x, (int, Fraction)):
-        return ExtReal(x)
-    if isinstance(x, float):
-        if x == math.inf:
-            return INF
-        return ExtReal(Fraction(x)) if math.isfinite(x) else NotImplemented
-    return NotImplemented
+    return ExtReal(x)
 
 
 # the one tolerance for values that carry a nondegenerate enclosure
@@ -154,13 +138,12 @@ DEFAULT_TOLERANCE = Fraction(1, 10**12)
 
 
 def ext_eq(u, v) -> bool:
-    """The one equality of every verdict on extended reals; a non-point is a
-    ValueError.  Values without an enclosure are equal when their int pairs
-    are; else an exact value is the enclosure [v, v], disjoint enclosures
-    differ however close, and overlapping ones agree within the tolerance."""
+    """The one equality of every verdict on extended reals; a value that
+    ``as_ext`` refuses is its TypeError.  Values without an enclosure are
+    equal when their int pairs are; else an exact value is the enclosure
+    [v, v], disjoint enclosures differ however close, and overlapping ones
+    agree within the tolerance."""
     x, y = as_ext(u), as_ext(v)
-    if x is NotImplemented or y is NotImplemented:
-        raise ValueError(f"{u if x is NotImplemented else v!r} is not an extended real")
     if x.enclosure is None and y.enclosure is None:
         return x.num == y.num and x.den == y.den
     if x.num is None or y.num is None:

@@ -70,8 +70,9 @@ class IntervalSpace(SuperConvexSpace):
                      "ext_real_line": "R-inf"}[kind]
 
     def contains(self, x) -> bool:
-        x = as_ext(x)
-        if x is NotImplemented:
+        try:
+            x = as_ext(x)
+        except TypeError:
             return False
         if self.kind == "ext_real_line":
             return True
@@ -180,8 +181,8 @@ def constant_map(source: SuperConvexSpace, target: SuperConvexSpace,
 def affine_map(source: SuperConvexSpace, target: SuperConvexSpace,
                offset, slope, name: str | None = None) -> CountablyAffineMap:
     """x |-> offset + slope * x on extended-real carriers, slope >= 0, for
-    a finite int, Fraction, float or ExtReal offset and slope.  Infinity
-    maps to infinity whenever the slope is strictly positive."""
+    a finite int, Fraction or ExtReal offset and slope.  Infinity maps to
+    infinity whenever the slope is strictly positive."""
     offset, slope = as_ext(offset), as_ext(slope)
     (a, b), (c, d) = (offset.num, offset.den), (slope.num, slope.den)
     if a is None or c is None or c < 0:

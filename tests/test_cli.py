@@ -67,6 +67,11 @@ class TestLawsCommand:
         assert main(["laws", "--cases", "5", "--suite", "zzz*"], jobs=4) == 2
         assert "no suite matches" in capsys.readouterr().err
 
+    def test_an_empty_glob_matches_no_suite(self, capsys):
+        # an empty glob, as an unset shell variable gives, matches no name
+        code, out, err = run(["laws", "--cases", "1", "--suite", ""], capsys)
+        assert (code, out, err) == (2, "", "no suite matches ''\n")
+
     def test_bad_cases_value_is_config_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["laws", "--cases", "0"])
@@ -159,6 +164,17 @@ class TestDemoCommand:
         code, out, _ = run(["demo", "half-cauchy", "--n-list", "1"], capsys)
         assert code == 0
         assert "0.22063560" in out
+
+    def test_half_cauchy_rows_default_and_an_empty_list_is_refused(self, capsys):
+        code, out, _ = run(["demo", "half-cauchy"], capsys)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()[1:-1]] == [
+            "1", "10", "100", "10000"]
+        # the flag with no value is a usage error, not the default rows
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "half-cauchy", "--n-list"])
+        assert exc.value.code == 2
+        assert "argument --n-list: expected at least one argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [10**200, 10**309], ids=["1e200", "1e309"])
     def test_half_cauchy_at_a_huge_n_prints_a_bound_below_the_closed_form(self, n, capsys):
