@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 from functools import partial
 
-from .giry import NotAMeasure, ProbMeasure, check_phi_roundtrip, check_triangle
+from .giry import GirySpace, NotAMeasure, ProbMeasure, check_phi_roundtrip, check_triangle
 from .meas import FiniteMeasurableSpace, generate_sigma_algebra
 from .numerics import DEFAULT_DIVERGENCE_THRESHOLD, ExtReal, as_ext
 from .reports import HarnessConfig, LawReport, run_per_seed, suite_seeds
@@ -323,7 +323,7 @@ def _run_check(check, where: str, measures: dict, maps: dict,
         except CarrierViolation as exc:
             raise ScenarioError(f"maps.{name}: {exc}")
     law = check_triangle if suite == "triangle" else check_phi_roundtrip
-    return LawReport.single(suite, name, law(obj))
+    return LawReport.single(suite, name, law(GirySpace(obj.base), obj))
 
 
 def cmd_scenario(cfg: HarnessConfig, args) -> int:

@@ -49,16 +49,16 @@ class ProbMeasure:
     giving the atom mass ``weight / den``; colliding atoms are merged.  On
     a finite measurable space ``base``, ``points`` is its carrier, and an
     atom outside it is rejected; without a base, ``points`` are the atoms
-    of positive mass in the ``repr`` order of their labels.  ``weights``
-    puts weight i on ``points[i-1]``.  Equality and hashing are exact; the
-    hash and the ``repr``, the sort key of a measure on measures, are made
-    once.  The constructor checks outside input; ``on_base`` and
-    ``of_atoms`` build from int parts that are valid by construction,
-    ``den`` being their sum, and the constructor ends in the build of one
-    of them.
+    of positive mass in the order first given.  ``weights`` puts weight i
+    on ``points[i-1]``.  Equality and hashing read the atom -> part map,
+    which has no order, and the hash is made once; only ``to_json_obj``
+    and ``repr`` list the atoms, in the ``repr`` order of their labels.
+    The constructor checks outside input; ``on_base`` and ``of_atoms``
+    build from int parts that are valid by construction, ``den`` being
+    their sum, and the constructor ends in the build of one of them.
     """
 
-    _weights = _repr = _hash = None
+    _weights = _hash = None
 
     def __init__(self, support, base=None, den=1):
         if den < 1:
@@ -101,8 +101,8 @@ class ProbMeasure:
         """The measure without a base with mass ``p / den`` at the atom of
         each ``(atom, p)`` pair, ``den`` being the sum of the p.  The caller
         guarantees int parts p >= 0, not all zero; colliding atoms are
-        merged, the atoms of positive mass listed in the ``repr`` order of
-        their labels, and the parts reduced by their gcd."""
+        merged, the atoms of positive mass kept in the order first given,
+        and the parts reduced by their gcd."""
         P = cls.__new__(cls)
         P._store_atoms(pairs)
         return P
@@ -118,20 +118,15 @@ class ProbMeasure:
         for atom, p in pairs:
             if p:
                 merged[atom] = merged.get(atom, 0) + p
-        if len(merged) > 1:
-            merged = {a: merged[a] for a in sorted(merged, key=repr)}
         parts = merged.values()
         g = math.gcd(*parts)
         if g > 1:
             parts = [p // g for p in parts]
         self.base, self.points, self.den, self.vec = None, tuple(merged), sum(parts), tuple(parts)
 
-    def _listing(self) -> tuple:
-        """``(atom, part)`` of each point of positive mass, in atom order."""
-        points, vec = self.points, self.vec
-        if self.base is None:
-            return tuple(zip(points, vec))
-        return tuple((points[i], vec[i]) for i in self.base.repr_order if vec[i])
+    def _listing(self) -> dict:
+        """``{atom: part}`` over the points of positive mass."""
+        return {a: p for a, p in zip(self.points, self.vec) if p}
 
     @property
     def weights(self) -> PartitionOfOne:
@@ -152,30 +147,28 @@ class ProbMeasure:
     def __eq__(self, other):
         if not isinstance(other, ProbMeasure):
             return NotImplemented
-        if self.den != other.den:
-            return False
         # over one list of distinct points, the parts are the measure
         if self.points is other.points or self.points == other.points:
             return self.vec == other.vec
-        return self._listing() == other._listing()
+        return self.den == other.den and self._listing() == other._listing()
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._listing())
+            self._hash = hash(frozenset(self._listing().items()))
         return self._hash
 
     def _masses(self) -> list:
-        """``(atom, mass)`` pairs in atom order, each mass as printed."""
-        return [(a, ExtReal.ratio(p, self.den).to_json()) for a, p in self._listing()]
+        """``(atom, mass)`` pairs in the ``repr`` order of the atoms, each
+        mass as printed."""
+        listing = sorted(self._listing().items(), key=lambda item: repr(item[0]))
+        return [(a, ExtReal.ratio(p, self.den).to_json()) for a, p in listing]
 
     def to_json_obj(self) -> dict:
         return {"atoms": [{"atom": describe(a), "weight": w} for a, w in self._masses()]}
 
     def __repr__(self):
-        if self._repr is None:
-            inner = " + ".join(f"{w}*d[{a!r}]" for a, w in self._masses())
-            self._repr = f"ProbMeasure({inner})"
-        return self._repr
+        inner = " + ".join(f"{w}*d[{a!r}]" for a, w in self._masses())
+        return f"ProbMeasure({inner})"
 
 
 def dirac(x, base=None) -> ProbMeasure:
@@ -328,13 +321,13 @@ def phi_inverse(J, X: FiniteMeasurableSpace) -> ProbMeasure:
 # law checks on measures: each returns None when the law holds, or a witness
 
 
-def check_triangle(P: ProbMeasure, A=None, a=None) -> dict | None:
-    """The triangle identities: flattening the point mass at P, a measure
-    on X, returns P in G(X), and, when a point a of the space A is given,
+def check_triangle(GX: GirySpace, P: ProbMeasure, A=None, a=None) -> dict | None:
+    """The triangle identities: flattening the point mass at P, a member
+    of GX, returns P in GX, and, when a point a of the space A is given,
     the barycenter of the point mass at a is a."""
     back = monad_mu(dirac(P))
     recovered = None if A is None else barycenter(A, dirac(a))
-    if GirySpace(P.base).eq(back, P) and (A is None or A.eq(recovered, a)):
+    if GX.eq(back, P) and (A is None or A.eq(recovered, a)):
         return None
     witness = {"measure": P.to_json_obj(), "flattened": back.to_json_obj()}
     if A is not None:
@@ -342,10 +335,10 @@ def check_triangle(P: ProbMeasure, A=None, a=None) -> dict | None:
     return witness
 
 
-def check_phi_roundtrip(P: ProbMeasure) -> dict | None:
-    """phi_inverse(phi(P)) is P in G(X), for P on a finite measurable space
-    X: phi_inverse may put an atom's mass on another label of the atom."""
-    back = phi_inverse(phi(P), P.base)
-    if GirySpace(P.base).eq(back, P):
+def check_phi_roundtrip(GX: GirySpace, P: ProbMeasure) -> dict | None:
+    """phi_inverse(phi(P)) is P in GX = G(X), for P a member of GX:
+    phi_inverse may put an atom's mass on another label of the atom."""
+    back = phi_inverse(phi(P), GX.X)
+    if GX.eq(back, P):
         return None
     return {"measure": P.to_json_obj(), "roundtrip": back.to_json_obj()}

@@ -232,11 +232,11 @@ def check_evaluation_point_recovery(J, carrier, generating_maps):
     return candidates[0]
 
 
-def check_sigma_agreement(X: FiniteMeasurableSpace, rng: random.Random) -> dict | None:
-    """Set evaluation is affine on mixtures: the mass a sampled mixture
-    puts on a sampled measurable set is the weighted sum of the masses its
-    components put there."""
-    GX = GirySpace(X)
+def check_sigma_agreement(GX: GirySpace, rng: random.Random) -> dict | None:
+    """Set evaluation is affine on mixtures: the mass a sampled mixture of
+    members of GX = G(X) puts on a sampled measurable set of X is the
+    weighted sum of the masses its components put there."""
+    X = GX.X
     sigma = sorted(X.sigma)
     u = sigma[draw_int(rng, 0, len(sigma) - 1)]
     k = draw_int(rng, 1, 4)
@@ -339,7 +339,7 @@ def _random_affine_map(rng, source, target, max_eighths: int):
 
 def _triangle_case(closed, girys, rng):
     GX = _random_giry(rng, girys, 4)
-    return check_triangle(GX.sample(rng), closed, closed.sample(rng))
+    return check_triangle(GX, GX.sample(rng), closed, closed.sample(rng))
 
 
 def _naturality_epsilon_case(closed, rng):
@@ -348,7 +348,8 @@ def _naturality_epsilon_case(closed, rng):
 
 
 def _phi_roundtrip_case(girys, rng):
-    return check_phi_roundtrip(_random_giry(rng, girys, 8).sample(rng))
+    GX = _random_giry(rng, girys, 8)
+    return check_phi_roundtrip(GX, GX.sample(rng))
 
 
 def _countable_additivity_case(girys, rng):
@@ -460,7 +461,6 @@ def build_suites(cfg: HarnessConfig,
     over shipped instances built once, with cfg's seed and cases."""
     spaces = shipped_spaces()
     closed, ext = spaces["closed-unit"], spaces["ext-real"]
-    X4 = spaces["giry4"].X
     # G(X) of the powerset X on x1..xn at index n, for 2 <= n <= 8: the
     # spaces a seeded case draws from by size, the shipped ones where built
     girys = [None, None] + [spaces.get(f"giry{n}") or GirySpace(
@@ -488,7 +488,8 @@ def build_suites(cfg: HarnessConfig,
     seeded("gp-naturality", "point- and measure-backed J",
            partial(_gp_naturality_case, closed, ext, affine_endomap_family(ext)))
     seeded("recovery", "Dirac simplex vertices, |X| <= 6", partial(_recovery_case, girys))
-    seeded("sigma-agreement", repr(X4), partial(check_sigma_agreement, X4))
+    G4 = spaces["giry4"]
+    seeded("sigma-agreement", repr(G4.X), partial(check_sigma_agreement, G4))
 
     if include_mutants:
         broken = BrokenProjectionSpace()

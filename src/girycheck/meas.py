@@ -10,8 +10,6 @@ algebra is exact.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 
 class FiniteMeasurableSpace:
     """A finite carrier with the atoms of its sigma-algebra.
@@ -67,13 +65,6 @@ class FiniteMeasurableSpace:
 
     def set_of(self, mask: int) -> list:
         return [x for i, x in enumerate(self.carrier) if mask >> i & 1]
-
-    @cached_property
-    def repr_order(self) -> tuple[int, ...]:
-        """The carrier positions in the ``repr`` order of their labels: the
-        order in which a measure on this space lists its atoms."""
-        carrier = self.carrier
-        return tuple(sorted(range(len(carrier)), key=lambda i: repr(carrier[i])))
 
     def atoms_of_sigma(self) -> tuple[int, ...]:
         """The minimal nonempty measurable sets; they partition the carrier."""

@@ -364,8 +364,10 @@ def weighted_sum(pairs, den: int) -> ExtReal:
     """The sum of p * u / den over the ``(p, u)`` pairs, for int parts
     p >= 0 and extended-real terms u: the finite convex combination.  One
     pass of integer products over a running common denominator d, ints
-    needing none; a positive part on an infinite term gives infinity."""
-    num, d = 0, 1
+    needing none; a positive part on an infinite term gives infinity.
+    When a term of positive part carries an enclosure, so does the sum:
+    the weighted sum of the enclosures, an exact term counting as [u, u]."""
+    num, d, enclosed = 0, 1, []
     for p, u in pairs:
         if type(u) is int:
             num += p * u * d
@@ -381,7 +383,17 @@ def weighted_sum(pairs, den: int) -> ExtReal:
             f = q // math.gcd(d, q)
             num, d = num * f, d * f
         num += p * n * (d // q)
-    return ExtReal.ratio(num, den * d)
+        if p and u.enclosure is not None:
+            enclosed.append((p, u))
+    total = ExtReal.ratio(num, den * d)
+    if enclosed:
+        # each term spreads p * (lower - u) below its share of the value
+        # and p * (upper - u) above it
+        v = total.value
+        total.enclosure = Enclosure(
+            v + sum(p * (u.enclosure.lower - u.value) for p, u in enclosed) / den,
+            v + sum(p * (u.enclosure.upper - u.value) for p, u in enclosed) / den)
+    return total
 
 
 def compose_partitions(alpha: PartitionOfOne, betas) -> PartitionOfOne:

@@ -17,7 +17,7 @@ import pytest
 
 import girycheck
 from girycheck.cli import main
-from girycheck.giry import dirac, evaluation, phi
+from girycheck.giry import ProbMeasure, dirac, evaluation, phi
 from girycheck.laws import (
     check_evaluation_point_recovery,
     demo_divergent_sum,
@@ -28,6 +28,7 @@ from girycheck.laws import (
     square_map,
 )
 from girycheck.meas import FiniteMeasurableSpace
+from girycheck.numerics import PartitionOfOne
 from girycheck.reports import HarnessConfig, run_per_seed
 from girycheck.scvx import IntervalSpace, check_morphism
 
@@ -209,6 +210,45 @@ def test_default_laws_reports_match_recorded_digests(seed, capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     verdict(f"behaviour oracle: default laws seed {seed} report digest unchanged",
             code == 0 and digest == LAWS_DIGESTS[seed])
+
+
+def test_trusted_builders_are_valid_on_every_default_draw(monkeypatch, capsys):
+    # the trusted builders skip the constructors' checks; with checking
+    # versions planted, a default call must make the same report
+    calls = {"on_base": 0, "of_atoms": 0, "of_parts": 0}
+
+    def valid_parts(parts):
+        return all(type(p) is int and p >= 0 for p in parts) and sum(parts) > 0
+
+    def on_base(base, vec):
+        assert valid_parts(vec) and len(vec) == len(base.carrier), vec
+        return base, vec
+
+    def of_atoms(pairs):
+        pairs = list(pairs)
+        assert valid_parts([p for _, p in pairs]), pairs
+        return (pairs,)
+
+    def of_parts(parts):
+        indices = list(parts)
+        assert valid_parts(list(parts.values())) and indices[0] >= 1, parts
+        assert all(i < j for i, j in zip(indices, indices[1:])), parts
+        return (parts,)
+
+    for cls, check in ((ProbMeasure, on_base), (ProbMeasure, of_atoms),
+                       (PartitionOfOne, of_parts)):
+        def checking(cls, *args, name=check.__name__, check=check,
+                     build=getattr(cls, check.__name__).__func__):
+            calls[name] += 1
+            return build(cls, *check(*args))
+
+        monkeypatch.setattr(cls, check.__name__, classmethod(checking))
+    code = main(["laws", "--seed", "0", "--output", "json"])
+    out = capsys.readouterr().out
+    verdict("trusted builders: every default draw is valid, report digest unchanged",
+            code == 0 and all(r["pass"] for r in json.loads(out))
+            and hashlib.sha256(out.encode()).hexdigest() == LAWS_DIGESTS[0]
+            and all(calls.values()))
 
 
 def _command(*args) -> subprocess.CompletedProcess:

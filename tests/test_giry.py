@@ -111,12 +111,14 @@ class TestProbMeasure:
             ProbMeasure([("a", F(1)), ("a", F(-1, 2)), ("b", F(1, 2))])
 
     def test_weights_over_den(self):
+        # the atoms are kept in the order first given, and printed in the
+        # repr order of their labels
         P = ProbMeasure([("b", 2), ("a", 1), ("b", 3)], den=6)
-        assert (P.points, P.vec, P.den) == (("a", "b"), (1, 5), 6)
+        assert (P.points, P.vec, P.den) == (("b", "a"), (5, 1), 6)
         assert P == ProbMeasure([("a", F(1, 6)), ("b", F(5, 6))])
         assert P.to_json_obj() == {"atoms": [{"atom": "'a'", "weight": "1/6"},
                                              {"atom": "'b'", "weight": "5/6"}]}
-        assert (P.weights.parts, P.weights.den) == ({1: 1, 2: 5}, 6)
+        assert (P.weights.parts, P.weights.den) == ({1: 5, 2: 1}, 6)
         with pytest.raises(ValueError, match="den must be a positive integer"):
             ProbMeasure([("a", 0)], den=0)
 
@@ -548,7 +550,8 @@ def components():
 def test_mixture_weights_match_fraction_reference(case):
     omega, comps = case
     got = mixture(PartitionOfOne.finite(omega), [ProbMeasure(c) for c in comps])
-    assert (got.points, got.vec, got.den) == ref_parts(ref_mixture_support(omega, comps))
+    atoms, parts, den = ref_parts(ref_mixture_support(omega, comps))
+    assert (dict(zip(got.points, got.vec)), got.den) == (dict(zip(atoms, parts)), den)
     assert got == ProbMeasure(ref_mixture_support(omega, comps))
 
 
@@ -646,18 +649,70 @@ def test_list_and_callable_terms_agree(case):
 
 @settings(max_examples=100, deadline=None)
 @given(atom_weight_lists(), atom_weight_lists())
-def test_a_cached_repr_is_a_fresh_repr(pairs, other):
-    # the repr is made once, so it must be the one the measure would print
+def test_repr_lists_atoms_in_repr_order(pairs, other):
+    # the atoms are stored in the order first given; repr alone sorts them
     def fresh(P):
-        inner = " + ".join(f"{F(p, P.den)}*d[{a!r}]" for a, p in zip(P.points, P.vec))
+        listed = sorted(zip(P.points, P.vec), key=lambda ap: repr(ap[0]))
+        inner = " + ".join(f"{F(p, P.den)}*d[{a!r}]" for a, p in listed)
         return f"ProbMeasure({inner})"
 
     P, Q = ProbMeasure(pairs), ProbMeasure(other)
     nested = ProbMeasure([(P, F(1, 3)), (Q, F(2, 3))])
     for M in (P, Q, nested):
-        assert repr(M) == fresh(M) and repr(M) is repr(M)
+        assert repr(M) == fresh(M)
     assert repr(nested) == fresh(ProbMeasure([(ProbMeasure(pairs), F(1, 3)),
                                               (ProbMeasure(other), F(2, 3))]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(atom_weight_lists().flatmap(
+    lambda pairs: st.tuples(st.just(pairs), st.permutations(pairs))), atom_weight_lists())
+def test_insertion_order_reaches_neither_identity_nor_printout(case, other):
+    # the same atom masses, given in two orders, make one measure that
+    # prints one way, alone or as an atom of a measure on measures
+    pairs, shuffled = case
+    P, Q, R = ProbMeasure(pairs), ProbMeasure(shuffled), ProbMeasure(other)
+    nested = [ProbMeasure([(P, 1), (R, 2)], den=3), ProbMeasure([(R, 2), (Q, 1)], den=3)]
+    for M, N in (P, Q), nested:
+        assert M == N and hash(M) == hash(N)
+        assert M.to_json_obj() == N.to_json_obj() and repr(M) == repr(N)
+
+
+class Unprintable:
+    """A label whose repr raises: only printing may read it."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        return isinstance(other, Unprintable) and self.name == other.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __repr__(self):
+        raise AssertionError(f"the repr of {self.name} was read")
+
+
+def test_identity_never_reads_the_repr_of_an_atom():
+    a, b, c = map(Unprintable, "abc")
+    P = ProbMeasure([(a, F(1, 2)), (b, F(1, 2))])
+    Q = ProbMeasure([(c, 1), (b, 3)], den=4)
+    mixed = mixture(PartitionOfOne.finite([F(1, 2)] * 2), [P, Q])
+    assert mixed == ProbMeasure([(b, 5), (a, 2), (c, 1)], den=8)
+    moved = pushforward(mixed, lambda x: a if x == c else x)
+    assert moved == ProbMeasure([(b, 5), (a, 3)], den=8) != mixed
+    flat = monad_mu(ProbMeasure([(P, 1), (Q, 1)], den=2))
+    assert flat == mixed and hash(flat) == hash(mixed)
+    # on a base, the same masses are the same measure
+    X = FiniteMeasurableSpace.powerset([c, b, a])
+    based = ProbMeasure.on_base(X, [1, 5, 2])
+    assert based == mixed and mixed == based and hash(based) == hash(mixed)
+    assert based != ProbMeasure.on_base(X, [2, 5, 1]) and based != moved
+    assert len({P, Q, mixed, moved, flat, based}) == 4
+    for show in (repr, ProbMeasure.to_json_obj):
+        with pytest.raises(AssertionError, match="the repr of"):
+            show(mixed)
 
 
 # A measure on a base is an integer vector over the carrier.  The reference
@@ -931,13 +986,19 @@ def test_integrate_matches_fraction_reference(data):
     terms = {a: as_ext(values[a]) for a, w in mass.items() if w}
     if INF in terms.values():
         want = INF
-    else:
-        want = ExtReal(sum((mass[a] * v.value for a, v in terms.items()), F(0)))
+    else:  # with the weighted sum of the enclosures, if a term has one
+        ends = [sum((mass[a] * (v.value if v.enclosure is None else getattr(v.enclosure, end))
+                     for a, v in terms.items()), F(0)) for end in ("lower", "upper")]
+        enclosed = any(v.enclosure is not None for v in terms.values())
+        want = ExtReal(sum((mass[a] * v.value for a, v in terms.items()), F(0)),
+                       Enclosure(*ends) if enclosed else None)
     seen = []
     f = lambda x: seen.append(x) or values[x]
     for P in (ProbMeasure(pairs, base=X, den=den), ProbMeasure(pairs, den=den)):
         seen.clear()
         got = integrate(P, f)
-        assert (got.num, got.den) == (want.num, want.den) and got.enclosure is None
+        assert (got.num, got.den) == (want.num, want.den)
+        assert (got.enclosure and (got.enclosure.lower, got.enclosure.upper)) == (
+            want.enclosure and (want.enclosure.lower, want.enclosure.upper))
         # f is read only at the points of positive mass
         assert set(seen) == {x for x, p in zip(P.points, P.vec) if p}

@@ -224,7 +224,7 @@ def triangle_report(X, A, seeds):
     """Per seed: a sampled measure on X and a sampled point of A."""
     GX = GirySpace(X)
     return run_per_seed("triangle", repr(X), seeds,
-                        lambda rng: check_triangle(GX.sample(rng), A, A.sample(rng)))
+                        lambda rng: check_triangle(GX, GX.sample(rng), A, A.sample(rng)))
 
 
 class TestTriangleIdentities:
@@ -245,14 +245,14 @@ class TestPhiRoundtrip:
     def test_mass_on_a_non_first_label_of_an_atom_passes(self):
         X = self.coarse()
         P = ProbMeasure([("b", F(1, 2)), ("c", F(1, 2))], base=X)
-        assert check_phi_roundtrip(P) is None
+        assert check_phi_roundtrip(GirySpace(X), P) is None
 
     def test_mass_moved_between_atoms_fails(self, monkeypatch):
         X = self.coarse()
         P = ProbMeasure([("b", F(1, 2)), ("c", F(1, 2))], base=X)
         moved = ProbMeasure([("a", F(1, 4)), ("c", F(3, 4))], base=X)
         monkeypatch.setattr(giry, "phi_inverse", lambda J, X: moved)
-        witness = check_phi_roundtrip(P)
+        witness = check_phi_roundtrip(GirySpace(X), P)
         assert witness is not None
         assert witness["roundtrip"] == moved.to_json_obj()
 
@@ -308,7 +308,7 @@ class TestSigmaAgreement:
     def test_four_point_space(self):
         X = FiniteMeasurableSpace.powerset(["a", "b", "c", "d"])
         assert run_per_seed("sigma-agreement", repr(X), range(50),
-                            partial(check_sigma_agreement, X)).ok
+                            partial(check_sigma_agreement, GirySpace(X))).ok
 
     def test_affine_combos_equal_on_diracs_checked_by_linear_algebra(self):
         # oracle: an evaluation combo is a linear functional on the vector
@@ -447,6 +447,15 @@ class TestSuiteRegistry:
             monkeypatch.setattr(cls, "__init__", counting_init)
         build_suites(HarnessConfig())
         assert built == {FiniteMeasurableSpace: 7, GirySpace: 7}
+
+    def test_a_default_call_builds_no_giry_space_per_case(self, monkeypatch):
+        # the checkers take the G(X) their suite drew, so running the
+        # suites builds no G(X) beyond the seven of build_suites
+        built, init = [], GirySpace.__init__
+        monkeypatch.setattr(GirySpace, "__init__",
+                            lambda self, X: built.append(X) or init(self, X))
+        assert all(r.ok for r in run_suites(HarnessConfig()))
+        assert len(built) == 7
 
     def test_name_filter(self):
         cfg = HarnessConfig(cases=5)

@@ -331,6 +331,29 @@ class TestCountableCombine:
         # infinity at a positive weight lies above every finite combination
         assert countable_combine(omega, v[:-1] + [INF]).is_inf
 
+    def test_a_finite_combination_keeps_the_enclosures_of_its_terms(self):
+        # x is a certified truncation; half of x plus half of x is x, so it
+        # must equal what x equals, a deeper truncation of the same sum
+        closed, geo = IntervalSpace("closed_unit"), LazyPartition.geometric()
+        u = lambda i: F(i + 1, i + 2)
+        x = closed.combine(geo, u, bound=1, n_max=50)
+        rhs = closed.combine(geo, u, bound=1, n_max=60)
+        lhs = closed.combine(PartitionOfOne.finite([F(1, 2)] * 2), [x, x])
+        assert x.enclosure.width < DEFAULT_TOLERANCE and ext_eq(x, rhs)
+        assert ext_eq(lhs, rhs) and lhs.enclosure is not None
+        assert (lhs.value, lhs.enclosure.lower, lhs.enclosure.upper) == (
+            x.value, x.enclosure.lower, x.enclosure.upper)
+
+    def test_weighted_sum_adds_enclosures_exact_terms_as_points(self):
+        # 1/4 of [0, 1] (value 1/2) + 3/4 of the exact 2; a zero part
+        # drops its term's enclosure
+        wide = ExtReal(F(1, 2), enclosure=Enclosure(0, 1))
+        far = ExtReal(F(5), enclosure=Enclosure(0, 10))
+        got = weighted_sum([(1, wide), (3, 2), (0, far)], 4)
+        assert got.value == F(13, 8)
+        assert (got.enclosure.lower, got.enclosure.upper) == (F(3, 2), F(7, 4))
+        assert weighted_sum([(1, 2), (0, far)], 1).enclosure is None
+
 
 class TestComposePartitions:
     def test_dirac_projects_to_component(self):
@@ -654,16 +677,23 @@ def test_int_pair_ext_real_matches_fraction(a, b):
 # included.
 
 def fraction_sum(weights, values):
-    """The combination of a {i: Fraction weight} dict with terms by index."""
-    total = F(0)
+    """The combination of a {i: Fraction weight} dict with terms by index,
+    and the same combination of the ends of their enclosures when a term
+    of positive weight has one, an exact term u counting as [u, u]."""
+    total, lower, upper, enclosed = F(0), F(0), F(0), False
     for i, w in weights.items():
         if w == 0:
             continue
         v = values[i]
         if v == INF:
             return INF
-        total += w * (v.value if isinstance(v, ExtReal) else F(v))
-    return ExtReal(total)
+        q = v.value if isinstance(v, ExtReal) else F(v)
+        enc = v.enclosure if isinstance(v, ExtReal) else None
+        enclosed |= enc is not None
+        total += w * q
+        lower += w * (q if enc is None else enc.lower)
+        upper += w * (q if enc is None else enc.upper)
+    return ExtReal(total, Enclosure(lower, upper) if enclosed else None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -676,7 +706,12 @@ def test_weighted_sum_matches_fraction_reference(case):
     got = weighted_sum(zip(parts, values), den)
     want = fraction_sum(weights, dict(enumerate(values)))
     assert got.is_inf == want.is_inf and got.value == want.value
-    assert (got.num, got.den) == (want.num, want.den) and got.enclosure is None
+    assert (got.num, got.den) == (want.num, want.den)
+    if want.enclosure is None:
+        assert got.enclosure is None
+    else:
+        assert (got.enclosure.lower, got.enclosure.upper) == (
+            want.enclosure.lower, want.enclosure.upper)
     # the same sum as a countable combination, zero parts dropped
     omega = PartitionOfOne(dict(enumerate(parts, start=1)), den=den)
     via_combine = countable_combine(omega, values)

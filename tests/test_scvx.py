@@ -12,6 +12,7 @@ from girycheck.numerics import (
     ExtReal,
     LazyPartition,
     PartitionOfOne,
+    Undecided,
     dirac_partition,
 )
 from girycheck.scvx import (
@@ -219,6 +220,27 @@ class TestAxiomCheckers:
         obj = report.to_json_obj()
         assert obj["pass"] is False
         assert "counterexample" in obj
+
+    def test_signed_extended_line_is_not_closed_under_countable_combination(self, ext):
+        # axiom 2 over alpha = geometric and beta^i = 1/2 at 2i-1 and at 2i,
+        # on u_{2i-1} = 2^i and u_{2i} = -2^i: every inner combination is
+        # exactly 0, so the left side is 0; the right side, over
+        # gamma_{2i-1} = gamma_{2i} = 2^-(i+1), has partial sums 1/2, 0,
+        # 1/2, ... and no limit.  Both scans pass n_max: at the default,
+        # the certified scan of the left side does not end in minutes
+        u = lambda j: (1 if j % 2 else -1) * 2 ** ((j + 1) // 2)
+        for i in range(1, 33):
+            inner = ext.combine(PartitionOfOne.of_parts({2 * i - 1: 1, 2 * i: 1}), u)
+            assert (inner.num, inner.den, inner.enclosure) == (0, 1, None)
+        lhs = ext.combine(LazyPartition.geometric(), lambda i: 0, bound=0, n_max=64)
+        assert lhs.value == 0 and lhs.enclosure.width == 0
+        gamma = LazyPartition(
+            lambda j: F(1, 2 ** ((j + 1) // 2 + 1)),
+            # the mass after 2k is 2^-k, after 2k-1 it is 3 * 2^-(k+1)
+            lambda n: F(1, 2 ** (n // 2)) if n % 2 == 0 else F(3, 2 ** ((n + 1) // 2 + 1)))
+        assert sum(gamma.weight(j) for j in range(1, 21)) == 1 - gamma.tail_mass(20)
+        with pytest.raises(Undecided, match="neither stabilized nor crossed"):
+            ext.combine(gamma, u, n_max=10_000)
 
 
 class TestMorphismChecker:

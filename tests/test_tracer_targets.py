@@ -58,3 +58,12 @@ def test_every_expected_span_records_calls(workload, capsys):
     assert (code, unpatched) == (0, [])
     totals = spans.totals()
     assert [name for name in expected if totals.get(name, {}).get("calls", 0) == 0] == []
+
+
+def test_the_benchmark_runs_every_default_suite():
+    # the benchmark expects a pass from each suite it names; a default
+    # suite added or renamed here must be named there first
+    from girycheck.laws import build_suites
+    from girycheck.reports import HarnessConfig
+
+    assert sorted(build_suites(HarnessConfig())) == load("run").SUITES
