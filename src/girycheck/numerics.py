@@ -7,9 +7,8 @@ from an int or a Fraction only, and has no order.  A finite
 partition of one is a ``PartitionOfOne``: integer parts over one
 denominator.  A countable one is a ``LazyPartition``: a weight generator
 with a tail bound.  Countable convex combinations follow
-limit-or-infinity semantics; a lazy sum is decided by a tail bound B (a
-rational enclosure) or by scanning partial sums past a threshold (``inf``
-by heuristic); anything else raises ``Undecided``.
+limit-or-infinity semantics; a lazy sum is decided by a checked bound B
+at a depth N, as a rational enclosure, or not at all: ``Undecided``.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 Rational = Union[int, Fraction]
-
-DEFAULT_N_MAX = 10**6
-DEFAULT_DIVERGENCE_THRESHOLD = Fraction(10**12)
 
 
 class Undecided(Exception):
@@ -303,7 +299,7 @@ def map_terms(fn, seq):
 def countable_combine(
     omega: PartitionOfOne | LazyPartition,
     u,
-    n_max: int = DEFAULT_N_MAX,
+    n_max: int | None = None,
     bound: Rational | None = None,
     within: tuple[Rational, Rational] | None = None,
 ) -> ExtReal:
@@ -313,51 +309,46 @@ def countable_combine(
     ``u`` is a sequence (1-indexed via position) or a callable on indices.
     A finite ``PartitionOfOne`` is summed exactly, in one pass of integer products
     over a running common denominator; any strictly positive weight on an
-    infinite value forces the result to infinity.  A ``LazyPartition``
-    needs a certificate: ``bound`` B (all tail values satisfy |u_i| <= B) yields a
-    value with enclosure width <= 2*B*tail(N), and every scanned term is
-    checked against B (ValueError if one exceeds it).  ``within`` (lo, hi)
-    adds that every term lies in [lo, hi], as the combine contract of a
-    carrier such as [0,1] promises; the tail then adds a value in
-    [max(lo, -B), min(hi, B)] times a mass in [0, tail(N)], not
-    +-B*tail(N).  The value is the enclosure's midpoint.  Without a
-    certificate the partial sums are scanned to ``n_max``; crossing
-    ``DEFAULT_DIVERGENCE_THRESHOLD`` upward returns infinity, else Undecided.
+    infinite value forces the result to infinity.  A ``LazyPartition`` is
+    decided by its certificate or not at all: without both a ``bound`` B
+    (all tail values satisfy |u_i| <= B) and a depth ``n_max`` it raises
+    Undecided before reading a weight or a term.  With both, the first
+    ``n_max`` terms are summed, each checked against B (ValueError if one
+    exceeds it), and the enclosure adds the terms' own enclosures and
+    +-B*tail(N).  ``within`` (lo, hi) adds that every term lies in [lo, hi],
+    as the combine contract of a carrier such as [0,1] promises; the tail
+    then adds a value in [max(lo, -B), min(hi, B)] times a mass in
+    [0, tail(N)].  The value is the enclosure's midpoint.
     """
     if omega.is_finite:
         return weighted_sum(zip(omega.parts.values(), terms(u, omega.parts)), omega.den)
+    if bound is None or n_max is None:
+        raise Undecided("a lazy sum needs a certificate: a bound B and a depth n_max")
 
-    b = None if bound is None else Fraction(bound)
-    partial = Fraction(0)
+    b = Fraction(bound)
+    partial = below = above = Fraction(0)
     for n in range(1, n_max + 1):
         w = omega.weight(n)
         if w != 0:
             un = as_ext(term(u, n))
             if un.is_inf:
                 return INF
-            if b is not None and abs(un.value) > b:
-                raise ValueError(f"term u_{n} = {un.value} exceeds the bound {b}")
-            partial += w * un.value
-        if bound is None and partial > DEFAULT_DIVERGENCE_THRESHOLD:
-            return INF
-    if b is not None:
-        lo, hi = -b, b
-        if within is not None:
-            # tail(N) bounds the tail mass from above; the mass itself may
-            # be anything in [0, tail(N)], so each end keeps 0 in reach
-            lo = min(max(lo, Fraction(within[0])), 0)
-            hi = max(min(hi, Fraction(within[1])), 0)
-        tail = omega.tail_mass(n_max)
-        enc = Enclosure(partial + lo * tail, partial + hi * tail)
-        return ExtReal((enc.lower + enc.upper) / 2, enclosure=enc)
-    if partial < -DEFAULT_DIVERGENCE_THRESHOLD:
-        raise Undecided(
-            "partial sums diverge below every bound; the carrier has no -inf point"
-        )
-    raise Undecided(
-        f"no certificate supplied and partial sums neither stabilized nor "
-        f"crossed {DEFAULT_DIVERGENCE_THRESHOLD} by depth {n_max}"
-    )
+            v = un.value
+            if abs(v) > b:
+                raise ValueError(f"term u_{n} = {v} exceeds the bound {b}")
+            partial += w * v
+            if un.enclosure is not None:
+                below += w * (un.enclosure.lower - v)
+                above += w * (un.enclosure.upper - v)
+    lo, hi = -b, b
+    if within is not None:
+        # tail(N) bounds the tail mass from above; the mass itself may
+        # be anything in [0, tail(N)], so each end keeps 0 in reach
+        lo = min(max(lo, Fraction(within[0])), 0)
+        hi = max(min(hi, Fraction(within[1])), 0)
+    tail = omega.tail_mass(n_max)
+    enc = Enclosure(partial + below + lo * tail, partial + above + hi * tail)
+    return ExtReal((enc.lower + enc.upper) / 2, enclosure=enc)
 
 
 def weighted_sum(pairs, den: int) -> ExtReal:

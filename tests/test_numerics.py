@@ -267,10 +267,13 @@ class TestCountableCombine:
             assert countable_combine(dirac_partition(j), u) == ExtReal(u[j - 1])
 
     def test_divergent_geometric_series(self):
+        # the partial sums (n-1)2^(n+1) + 2 grow without bound; unbounded
+        # terms admit no certificate, so the sum stays undecided
         geo = LazyPartition.geometric()
-        # the partial sums (n-1)2^(n+1) + 2 cross the 10^12 threshold at n = 34
-        got = countable_combine(geo, lambda i: i * 4**i, n_max=100)
-        assert got == INF
+        with pytest.raises(Undecided, match="bound B and a depth n_max"):
+            countable_combine(geo, lambda i: i * 4**i, n_max=100)
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            countable_combine(geo, lambda i: i * 4**i, n_max=100, bound=10**12)
 
     def test_geometric_constant_one_enclosure(self):
         geo = LazyPartition.geometric()
@@ -283,18 +286,37 @@ class TestCountableCombine:
         assert countable_combine(omega, [1, INF]) == INF
 
     def test_undecided_without_certificates(self):
-        geo = LazyPartition.geometric()
-        with pytest.raises(Undecided):
-            countable_combine(geo, lambda i: 1, n_max=100)
+        # a lazy sum is decided by a bound B at a depth n_max or not at all;
+        # without both it reads no weight and no term
+        def unread(i):
+            raise AssertionError(f"read index {i}")
+
+        geo, untouched = LazyPartition.geometric(), LazyPartition(unread, unread)
+        rows = [
+            (geo, lambda i: 1, {"n_max": 100}),
+            (geo, lambda i: 1, {"bound": 1}),
+            (untouched, unread, {}),
+            (untouched, unread, {"n_max": 100}),
+            (untouched, unread, {"bound": 1}),
+        ]
+        for omega, u, certificate in rows:
+            with pytest.raises(Undecided, match="bound B and a depth n_max"):
+                countable_combine(omega, u, **certificate)
 
     def test_uncertified_threshold_crossing_is_infinity(self):
+        # exactly 10^13, with partial sums past 10^12: a large partial sum
+        # is not a proof of inf, so without a certificate it is undecided,
+        # and with one the enclosure holds the true sum
         geo = LazyPartition.geometric()
-        got = countable_combine(geo, lambda i: i * 4**i, n_max=100)
-        assert got == INF
+        with pytest.raises(Undecided, match="bound B and a depth n_max"):
+            countable_combine(geo, lambda i: 10**13, n_max=100)
+        got = countable_combine(geo, lambda i: 10**13, n_max=100, bound=10**13)
+        assert not got.is_inf
+        assert got.enclosure.lower <= 10**13 <= got.enclosure.upper
 
     def test_negative_divergence_is_undecided(self):
         geo = LazyPartition.geometric()
-        with pytest.raises(Undecided, match="-inf|below"):
+        with pytest.raises(Undecided, match="bound B and a depth n_max"):
             countable_combine(geo, lambda i: -i * 4**i, n_max=100)
 
     def test_bound_is_checked_on_every_scanned_term(self):
@@ -343,6 +365,18 @@ class TestCountableCombine:
         assert ext_eq(lhs, rhs) and lhs.enclosure is not None
         assert (lhs.value, lhs.enclosure.lower, lhs.enclosure.upper) == (
             x.value, x.enclosure.lower, x.enclosure.upper)
+
+    def test_a_lazy_combination_keeps_the_enclosures_of_its_terms(self):
+        # each term may be anywhere in [0, 1], so the sum may be anywhere
+        # in [0, 1] up to the tail; a term without an enclosure adds none
+        geo = LazyPartition.geometric()
+        got = countable_combine(geo, lambda i: ExtReal(F(1, 2), enclosure=Enclosure(0, 1)),
+                                n_max=40, bound=1)
+        assert (got.enclosure.lower, got.enclosure.upper) == (-F(1, 2**40), 1)
+        exact = countable_combine(geo, lambda i: F(1, 2), n_max=40, bound=1)
+        partial = F(1, 2) - F(1, 2**41)
+        assert (exact.value, exact.enclosure.lower, exact.enclosure.upper) == (
+            partial, partial - F(1, 2**40), partial + F(1, 2**40))
 
     def test_weighted_sum_adds_enclosures_exact_terms_as_points(self):
         # 1/4 of [0, 1] (value 1/2) + 3/4 of the exact 2; a zero part

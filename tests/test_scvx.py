@@ -226,8 +226,7 @@ class TestAxiomCheckers:
         # on u_{2i-1} = 2^i and u_{2i} = -2^i: every inner combination is
         # exactly 0, so the left side is 0; the right side, over
         # gamma_{2i-1} = gamma_{2i} = 2^-(i+1), has partial sums 1/2, 0,
-        # 1/2, ... and no limit.  Both scans pass n_max: at the default,
-        # the certified scan of the left side does not end in minutes
+        # 1/2, ... and no limit, so no certificate decides it
         u = lambda j: (1 if j % 2 else -1) * 2 ** ((j + 1) // 2)
         for i in range(1, 33):
             inner = ext.combine(PartitionOfOne.of_parts({2 * i - 1: 1, 2 * i: 1}), u)
@@ -239,8 +238,11 @@ class TestAxiomCheckers:
             # the mass after 2k is 2^-k, after 2k-1 it is 3 * 2^-(k+1)
             lambda n: F(1, 2 ** (n // 2)) if n % 2 == 0 else F(3, 2 ** ((n + 1) // 2 + 1)))
         assert sum(gamma.weight(j) for j in range(1, 21)) == 1 - gamma.tail_mass(20)
-        with pytest.raises(Undecided, match="neither stabilized nor crossed"):
+        with pytest.raises(Undecided, match="certificate"):
             ext.combine(gamma, u, n_max=10_000)
+        # no bound holds: |u_j| = 2^ceil(j/2) outgrows every B
+        with pytest.raises(ValueError, match="u_21 = 2048 exceeds the bound 1024"):
+            ext.combine(gamma, u, bound=2**10, n_max=100)
 
 
 class TestMorphismChecker:
