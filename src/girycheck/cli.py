@@ -1,8 +1,8 @@
 """Command line entry point: run the law suites, the divergence demos,
 or a user-declared scenario file.
 
-Exit codes: 0 all checks pass, 1 at least one law failure, 2 usage or
-configuration error, 3 internal error (the command crashed).
+Exit codes: 0 all checks pass, 1 at least one law failure, 2 usage,
+configuration or output error, 3 internal error (the command crashed).
 
 Each call pays for the modules it imports, so only ``laws`` and ``demo``
 import the ``laws`` module; ``scenario`` needs none of it.
@@ -45,6 +45,17 @@ def _reports_payload(reports: list[LawReport]) -> str:
     ) + "\n"
 
 
+def _to_stdout(text: str) -> int:
+    """Write and flush ``text``, every command's stdout: EXIT_OK, or exit 2
+    with the reason on stderr, say for a pipe whose reader has exited."""
+    try:
+        print(text, end="", flush=True)
+    except OSError as exc:
+        print(f"cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    return EXIT_OK
+
+
 def _emit_reports(reports: list[LawReport], args) -> int:
     failed = [r for r in reports if not r.ok]
     if args.json_path:
@@ -55,12 +66,11 @@ def _emit_reports(reports: list[LawReport], args) -> int:
             print(f"cannot write {args.json_path}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
     if args.output == "json":
-        sys.stdout.write(_reports_payload(reports))
+        text = _reports_payload(reports)
     else:
-        for r in reports:
-            print(r.summary_line())
-        print(f"{len(reports) - len(failed)}/{len(reports)} suites passed")
-    return EXIT_LAW_FAILURE if failed else EXIT_OK
+        text = "".join(f"{r.summary_line()}\n" for r in reports)
+        text += f"{len(reports) - len(failed)}/{len(reports)} suites passed\n"
+    return _to_stdout(text) or (EXIT_LAW_FAILURE if failed else EXIT_OK)
 
 
 def _print_timings(reports: list[LawReport], workers: int, wall: float) -> None:
@@ -99,28 +109,24 @@ def cmd_demo(args) -> int:
 
     if args.name == "divergent-sum":
         value = demo_divergent_sum(args.n)
-        print(f"sum_(i<=N) (1/2^i)(i*2^i) at N={args.n}: {_long_str(value)}")
-        return EXIT_OK
+        return _to_stdout(f"sum_(i<=N) (1/2^i)(i*2^i) at N={args.n}: {_long_str(value)}\n")
     if args.name == "half-cauchy":
-        print(f"{'N':>10}  {'closed form':>14}  {'lower bound':>14}")
+        text = f"{'N':>10}  {'closed form':>14}  {'lower bound':>14}\n"
         for row in demo_half_cauchy(args.n_list):
-            print(f"{row['N']:>10}  {row['closed_form']:>14.8f}  "
-                  f"{str(row['lower_bound']):>14}")
-        print("the exact lower bound 7 floor(log2 N)/44 grows without bound: "
-              "no barycenter exists on the half-line")
-        return EXIT_OK
+            text += (f"{row['N']:>10}  {row['closed_form']:>14.8f}  "
+                     f"{str(row['lower_bound']):>14}\n")
+        return _to_stdout(text + "the exact lower bound 7 floor(log2 N)/44 grows without "
+                          "bound: no barycenter exists on the half-line\n")
     result = demo_open_interval(depth=args.depth)
     enc = result.enclosure
-    print(f"geometric mixture of 1/(i+1) at depth {args.depth}:")
-    print(f"  value    {_long_str(result.value)} ~= {float(result):.10f}")
-    print(f"  enclosure [{_long_str(enc.lower)}, {_long_str(enc.upper)}] "
-          f"(width {_long_str(enc.width)} ~= {float(enc.width):.3e})")
-    if 0 < enc.lower and enc.upper < 1:
-        print("  lies strictly inside (0,1); the limit is 2 ln 2 - 1")
-    else:
-        print("  too wide to place inside (0,1); raise --depth "
-              "(the limit is 2 ln 2 - 1)")
-    return EXIT_OK
+    inside = 0 < enc.lower and enc.upper < 1
+    return _to_stdout(
+        f"geometric mixture of 1/(i+1) at depth {args.depth}:\n"
+        f"  value    {_long_str(result.value)} ~= {float(result):.10f}\n"
+        f"  enclosure [{_long_str(enc.lower)}, {_long_str(enc.upper)}] "
+        f"(width {_long_str(enc.width)} ~= {float(enc.width):.3e})\n"
+        + ("  lies strictly inside (0,1); the limit is 2 ln 2 - 1\n" if inside else
+           "  too wide to place inside (0,1); raise --depth (the limit is 2 ln 2 - 1)\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +425,7 @@ def main(argv=None, jobs: int = 1) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
-        parser.print_help()
+        _to_stdout(parser.format_help())
         return EXIT_CONFIG_ERROR
     if args.command == "demo":
         return cmd_demo(args)
@@ -454,5 +460,18 @@ def entry() -> int:
         return EXIT_INTERNAL_ERROR
 
 
+def run_and_exit():
+    """The ``girycheck`` process: ``entry``, a flush, and ``os._exit``, which
+    skips finalizing an interpreter about to be discarded.  An exception
+    escaping ``entry``, such as argparse's SystemExit, exits normally."""
+    code = entry()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError):  # no stream, or a failure reported
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(entry())
+    run_and_exit()

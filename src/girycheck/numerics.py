@@ -35,8 +35,8 @@ class Enclosure:
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: Rational, upper: Rational):
-        self.lower = Fraction(lower)
-        self.upper = Fraction(upper)
+        self.lower = Fraction(exact(lower))
+        self.upper = Fraction(exact(upper))
         if self.lower > self.upper:
             raise ValueError("enclosure has lower > upper")
 
@@ -120,6 +120,13 @@ class ExtReal:
 INF = ExtReal(None)
 
 
+def exact(x, where: str = "") -> Rational:
+    """``x`` if an int or a Fraction; else, a bool too, TypeError naming it and ``where``."""
+    if type(x) is int or isinstance(x, Fraction):
+        return x
+    raise TypeError(f"{x!r} is not an int or a Fraction{where}")
+
+
 def as_ext(x) -> ExtReal:
     """The one coercion to ExtReal: an ExtReal as it is, an int or a
     Fraction exactly; anything else, a float or a bool included, raises
@@ -152,7 +159,7 @@ def ext_eq(u, v) -> bool:
 
 def scale(s: Rational, u: ExtReal) -> ExtReal:
     """Positive-scalar multiple on the extended reals; 0 * finite = 0."""
-    a, b = s.as_integer_ratio()
+    a, b = exact(s).as_integer_ratio()
     if a < 0:
         raise ValueError("scale factor must be nonnegative")
     u = as_ext(u)
@@ -185,8 +192,7 @@ class PartitionOfOne:
         if items and items[0][0] < 1:
             raise ValueError("indices start at 1")
         for i, w in items:
-            if not isinstance(w, (int, Fraction)):
-                raise TypeError(f"weight {i} is {w!r}, not an int or a Fraction")
+            exact(w, f" (weight {i})")
         # rescale by the lcm of the denominators, 1 when all are ints
         scale = math.lcm(*[w.denominator for _, w in items])
         parts = {i: w.numerator * (scale // w.denominator) for i, w in items}
@@ -257,11 +263,11 @@ class LazyPartition:
         return cls(lambda i: Fraction(1, 2**i), lambda n: Fraction(1, 2**n))
 
     def weight(self, i: int) -> Fraction:
-        return Fraction(self.weight_fn(i))
+        return Fraction(exact(self.weight_fn(i)))
 
     def tail_mass(self, n: int) -> Fraction:
         """Certified bound on the mass beyond index n."""
-        return Fraction(self.tail_fn(n))
+        return Fraction(exact(self.tail_fn(n)))
 
 
 def dirac_partition(j: int) -> PartitionOfOne:
@@ -325,7 +331,13 @@ def countable_combine(
     if bound is None or n_max is None:
         raise Undecided("a lazy sum needs a certificate: a bound B and a depth n_max")
 
-    b = Fraction(bound)
+    b = Fraction(exact(bound))
+    lo, hi = -b, b
+    if within is not None:
+        # tail(N) bounds the tail mass from above; the mass itself may
+        # be anything in [0, tail(N)], so each end keeps 0 in reach
+        lo = min(max(lo, Fraction(exact(within[0]))), 0)
+        hi = max(min(hi, Fraction(exact(within[1]))), 0)
     partial = below = above = Fraction(0)
     for n in range(1, n_max + 1):
         w = omega.weight(n)
@@ -340,12 +352,6 @@ def countable_combine(
             if un.enclosure is not None:
                 below += w * (un.enclosure.lower - v)
                 above += w * (un.enclosure.upper - v)
-    lo, hi = -b, b
-    if within is not None:
-        # tail(N) bounds the tail mass from above; the mass itself may
-        # be anything in [0, tail(N)], so each end keeps 0 in reach
-        lo = min(max(lo, Fraction(within[0])), 0)
-        hi = max(min(hi, Fraction(within[1])), 0)
     tail = omega.tail_mass(n_max)
     enc = Enclosure(partial + below + lo * tail, partial + above + hi * tail)
     return ExtReal((enc.lower + enc.upper) / 2, enclosure=enc)

@@ -299,6 +299,28 @@ def test_scenario_reports_match_recorded_digests(name, capsys):
             (code, digest) == SCENARIO_DIGESTS[name])
 
 
+@pytest.mark.parametrize("argv, code, digest", [
+    (["laws", "--seed", "0"], 0, LAWS_DIGESTS[0]),
+    (["scenario", str(Path(__file__).parent / "scenarios" / "powerset.json")],
+     *SCENARIO_DIGESTS["powerset"]),
+], ids=["laws", "scenario"])
+def test_a_block_buffered_stdout_is_flushed_before_the_process_ends(argv, code, digest,
+                                                                    tmp_path):
+    # the command ends by os._exit, so it must flush stdout itself: without
+    # PYTHONUNBUFFERED, a stdout redirected to a file is block-buffered, and
+    # a report shorter than the buffer, as the scenario's is, stays there
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(girycheck.__file__).parents[1])
+    stdout, report = tmp_path / "stdout.json", tmp_path / "report.json"
+    with open(stdout, "wb") as fh:
+        proc = subprocess.run([sys.executable, "-m", "girycheck.cli", *argv, "--output",
+                               "json", "--json", str(report)],
+                              env=env, stdout=fh, stderr=subprocess.PIPE, timeout=120)
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (stdout, report)]
+    verdict(f"block-buffered stdout: {argv[0]} report digest unchanged",
+            proc.returncode == code and digests == [digest] * 2)
+
+
 # SHA-256 over `f"{exit_code}\n{stdout}"` of `scenario FILE --output json`
 # for each of the 100 scenario documents in tests/scenarios/sweep1.jsonl,
 # in file order, each written as `json.dumps(doc, indent=1)`.  The

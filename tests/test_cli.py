@@ -904,6 +904,29 @@ def test_scenario_run_leaves_the_laws_module_unloaded(tmp_path):
     assert _in_fresh_interpreter(code).splitlines()[-1] == "0 False"
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["demo", "divergent-sum"],
+    ["scenario", str(Path(__file__).parent / "scenarios" / "powerset.json")],
+    ["laws", "--seed", "0", "--output", "json"],
+], ids=["demo", "scenario", "laws"])
+def test_a_closed_stdout_is_an_output_error_not_a_crash(argv, unbuffered):
+    # the reader of stdout exits before the command writes: as for an
+    # unwritable --json path, exit 2 with the reason, and the unflushed
+    # rest of a block-buffered stdout fails no second time at the end
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(girycheck.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "girycheck.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.splitlines()[-1].startswith("cannot write stdout:")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 LAWS_ARGV = ["girycheck", "laws", "--suite", "axiom1-*", "--cases", "1"]
 
 

@@ -173,8 +173,19 @@ HALVES = PartitionOfOne.finite([F(1, 2), F(1, 2)])
     (lambda: affine_map(CLOSED, CLOSED, "a", 1), "a"),
     (lambda: constant_map(CLOSED, CLOSED, 0.5), 0.5),
     (lambda: countable_combine(HALVES, [0, 0.5]), 0.5),
+    (lambda: scale(0.1, ExtReal(1)), 0.1),
+    (lambda: Enclosure(0.1, 1), 0.1),
+    (lambda: Enclosure("1/3", 1), "1/3"),
+    (lambda: LazyPartition(lambda i: 0.1, lambda n: F(0)).weight(1), 0.1),
+    (lambda: LazyPartition(lambda i: F(0), lambda n: 0.1).tail_mass(1), 0.1),
+    (lambda: countable_combine(LazyPartition.geometric(), [0], n_max=1, bound=0.1), 0.1),
+    (lambda: countable_combine(LazyPartition.geometric(), [0], n_max=1, bound=1,
+                               within=(0.1, 1)), 0.1),
+    (lambda: PartitionOfOne({1: True}), True),
 ], ids=["ExtReal-float", "ExtReal-str", "ExtReal-bool", "as_ext-float", "as_ext-inf",
-        "ext_eq", "affine_map-float", "affine_map-str", "constant_map", "combine-term"])
+        "ext_eq", "affine_map-float", "affine_map-str", "constant_map", "combine-term",
+        "scale-float", "Enclosure-float", "Enclosure-str", "lazy-weight", "lazy-tail",
+        "combine-bound", "combine-within", "PartitionOfOne-bool"])
 def test_a_float_or_a_non_number_is_refused(call, value):
     # an exact value is built from an int or a Fraction: a float is read as
     # no binary rational, and nothing ends in an AttributeError
@@ -248,9 +259,9 @@ class TestPartitionOfOne:
             PartitionOfOne(weights, den=den)
 
     @pytest.mark.parametrize("weights, match", [
-        ([0.5, 0.5], "weight 1 is 0.5"),
-        ([F(1, 2), "1/2"], "weight 2 is '1/2'"),
-        ([None, 1], "weight 1 is None"),
+        ([0.5, 0.5], r"^0.5 is not an int or a Fraction \(weight 1\)"),
+        ([F(1, 2), "1/2"], r"^'1/2' is not an int or a Fraction \(weight 2\)"),
+        ([None, 1], r"^None is not an int or a Fraction \(weight 1\)"),
     ])
     def test_a_weight_that_is_not_rational_is_a_type_error(self, weights, match):
         with pytest.raises(TypeError, match=match):

@@ -65,6 +65,16 @@ def _reached(definitions, uses) -> set:
         if any(n == name and (m, o) != (module, name) for m, o, n in uses)}
 
 
+def test_the_script_is_the_function_python_m_calls():
+    # `girycheck` and `python -m girycheck.cli` end through one function,
+    # the one that flushes and calls os._exit
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    block, = [stmt for stmt in cli.body
+              if isinstance(stmt, ast.If) and "__main__" in ast.unparse(stmt.test)]
+    calls = [n.func.id for n in ast.walk(block) if isinstance(n, ast.Call)]
+    assert len(calls) == 1 and _entry_points() == {("cli", calls[0])}
+
+
 def test_every_top_level_definition_is_reached():
     definitions, uses = _definitions_and_uses()
     reached = _reached(definitions, uses)
